@@ -148,11 +148,12 @@ def ones_table(N: int) -> CoeffTable:
 def sieve_dk(k: int, N: int) -> CoeffTable:
     """Exact d_k(n) for 1 <= n <= N.
 
-    d_k is multiplicative with d_k(p^a) = C(a+k-1, k-1).  The build walks
-    prime powers p^a in a vectorized sieve; for every multiple of p^a the
-    running value is multiplied by (a+k-1) and divided by a, so a value
-    with p-adic valuation v accumulates exactly C(v+k-1, v).  Each division
-    is exact in integers (C(a-1+k-1, a-1) * (a+k-1) = a * C(a+k-1, a)).
+    d_k is multiplicative with d_k(p^a) = C(a+k-1, k-1).  A vectorized sieve
+    walks the prime powers p^a, p <= sqrt(N): each multiple of p^a has its
+    value multiplied by (a+k-1) and divided by a, exactly (C(a+k-2, a-1) *
+    (a+k-1) = a * C(a+k-1, a)), so valuation v gives C(v+k-1, v); and its
+    cofactor divided by p.  A cofactor left above 1 is one prime > sqrt(N),
+    worth d_k(p) = k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -168,17 +169,20 @@ def sieve_dk(k: int, N: int) -> CoeffTable:
     vals = np.ones(N, dtype=np.int64)
     if k == 1:
         return CoeffTable("d_k", N, vals, {"k": 1})
-    for p in prime_sieve(N):
-        pa = int(p)
+    cof = np.arange(1, N + 1, dtype=np.int32)  # N <= _SIEVE_BUDGET < 2^31
+    for p in map(int, prime_sieve(math.isqrt(N))):
+        pa = p
         a = 1
         while pa <= N:
             sl = vals[pa - 1:: pa]
             sl *= a + k - 1
             sl //= a
+            cof[pa - 1:: pa] //= p
             a += 1
             if pa > N // p:
                 break
             pa *= p
+    np.multiply(vals, k, out=vals, where=cof > 1)
     if int(vals.max()) >= _INT64_SAFE:
         raise CapacityError(f"d_{k} values at N={N} exceed the int64 budget")
     return CoeffTable("d_k", N, vals, {"k": k})

@@ -16,8 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import CoeffTable
-
 MAGIC = b"ZML1"
 
 
@@ -111,9 +109,3 @@ def export_csv(path, values, header: str = "n,value") -> None:
                 f.write(f"{i},{int(v)}\n")
             else:
                 f.write(f"{i},{float(v)!r}\n")
-
-
-def save_coeff_table(cache_dir, table: CoeffTable) -> Path:
-    path = Path(cache_dir) / cache_key(table.label, table.generator_params, table.N)
-    save_table(path, table.label, dict(table.generator_params, N=table.N), table.values)
-    return path

@@ -1,12 +1,12 @@
 """Exact coefficients of the weight-12 cusp form and the Rankin-Selberg data.
 
 Ramanujan tau via the eta product: tau(n) is the coefficient of q^n in
-q prod_{m>=1} (1-q^m)^24.  The Euler product E = prod (1-q^m) is built
-sparsely from the pentagonal-number theorem, cubed (and checked against
+q prod_{m>=1} (1-q^m)^24.  The Euler product E = prod (1-q^m) is read off
+the pentagonal-number theorem, cubed as E^2 * E (and checked against
 Jacobi's identity E^3 = sum (-1)^m (2m+1) q^{m(m+1)/2}), then squared three
-times: E^24 = ((E^3)^2)^2)^2.  The two dense squarings run through Kronecker
-substitution (coefficients packed into one huge integer, one big-int
-multiply), so the whole table is exact arbitrary-precision integers.
+times: E^24 = ((E^3)^2)^2)^2.  Every squaring, E^2 included, is an exact
+convolution by float FFT on balanced 11-bit limbs whose rounding is
+certified (_square), so the table is exact arbitrary-precision integers.
 
 Derived tables: the Deligne-normalized a~(n) = tau(n) n^{-11/2}, the
 self-convolution a~*a~ (coefficients of F^2), and the Rankin-Selberg
@@ -19,20 +19,13 @@ A is estimated by Cesaro smoothing averaged over the top three dyadic cuts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import CapacityError, CoeffTable, SummatoryPolynomial, delta_mean_square
-
-try:
-    import gmpy2
-
-    def _big(x):
-        return gmpy2.mpz(x)
-except ImportError:  # pure-Python big ints are ~20x slower but exact
-    def _big(x):
-        return x
+from .arith import (_INT64_SAFE, CapacityError, CoeffTable, PrecisionError,
+                    SummatoryPolynomial, delta_mean_square, dirichlet_convolve, sieve_dk)
 
 __all__ = [
     "TauTable",
@@ -48,6 +41,9 @@ __all__ = [
 ]
 
 _TAU_BUDGET = 2 * 10**5
+_LIMB_BITS = 11
+_EPS = 2.0**-53  # float64 unit roundoff
+_BETA = 2.0**-51  # assumed relative error of numpy's FFT twiddle factors
 
 
 class DeligneBoundError(Exception):
@@ -60,6 +56,8 @@ class TauTable:
 
     N: int
     tau: list
+    # FFT squaring ("e^2" .. "e12^2") -> certified (a-priori bound, observed deviation)
+    rounding: dict = field(default_factory=dict, compare=False)
 
     def value(self, n: int) -> int:
         return self.tau[n - 1]
@@ -76,87 +74,96 @@ class RankinData:
     delta_phi_samples: list = field(default_factory=list)
 
 
-def _pentagonal(N: int):
-    """Sparse prod(1-q^m) to degree N: (positions, +-1 coefficients)."""
-    pos, coef = [0], [1]
+def _pentagonal(N: int) -> np.ndarray:
+    """prod(1-q^m) to degree N: the +-1 at the generalized pentagonal numbers."""
+    e = np.zeros(N + 1, dtype=np.int64)
+    e[0] = 1
     j = 1
     while j * (3 * j - 1) // 2 <= N:
         s = -1 if j % 2 else 1
-        g1 = j * (3 * j - 1) // 2
-        g2 = j * (3 * j + 1) // 2
-        pos.append(g1)
-        coef.append(s)
-        if g2 <= N:
-            pos.append(g2)
-            coef.append(s)
+        e[j * (3 * j - 1) // 2] = s
+        if j * (3 * j + 1) // 2 <= N:
+            e[j * (3 * j + 1) // 2] = s
         j += 1
-    return np.array(pos, dtype=np.int64), np.array(coef, dtype=np.int64)
+    return e
 
 
-def _sparse_square(pos: np.ndarray, coef: np.ndarray, N: int) -> np.ndarray:
-    out = np.zeros(N + 1, dtype=np.int64)
-    for p, c in zip(pos, coef):
-        sel = pos <= N - p
-        np.add.at(out, p + pos[sel], c * coef[sel])
+def _times_sparse(dense: np.ndarray, sparse: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(dense)
+    for p in np.nonzero(sparse)[0]:
+        out[p:] += sparse[p] * dense[: len(dense) - p]
     return out
 
 
-def _dense_times_sparse(dense: np.ndarray, pos, coef, N: int) -> np.ndarray:
-    out = np.zeros(N + 1, dtype=np.int64)
-    for p, c in zip(pos, coef):
-        out[p:] += c * dense[: N + 1 - p]
-    return out
+def _square(a: np.ndarray, big: bool) -> tuple:
+    """Exact truncated square sum_{i+j=n} a_i a_j, n <= M = len(a) - 1, by FFT.
 
-
-def _kronecker_square(a: np.ndarray, N: int) -> list:
-    """Truncated square of an int64 series via one packed big-int multiply.
-
-    Signed coefficients are split a = P - Q with nonnegative parts; then
-    a^2 = (P^2 + Q^2) - 2PQ slot-by-slot.  Slot width is sized from the
-    worst-case convolution bound (N+1) max|a|^2, so slots never carry.
+    With balanced limbs a = sum_i d_i 2^(11 i), d_i in [-2^10, 2^10), each d_i
+    gets one rfft of length L = 2^n >= 2M+1 (no wrap onto kept degrees) and
+    each c_s = sum_{i+j=s} d_i d_j one irfft.  Before rounding, c_s must pass
+    Percival's bound (Math. Comp. 72, 2003) with eps = 2^-53,
+        sum_{i+j=s} |d_i|_2 |d_j|_2 ((1+eps)^3n (1+eps sqrt5)^(3n+1) (1+beta)^3n - 1) < 1/4,
+    beta = 2^-51 assumed for numpy's twiddles (an rfft of a unit impulse
+    returns them within 2.4 eps at L = 2^19), and max|c_s - rint(c_s)| < 1/4;
+    else PrecisionError.  Horner's rule recombines the c_s in Python ints if
+    big, else in int64 once |a|_2^2 < 2^61, which by Cauchy-Schwarz bounds
+    every coefficient and Horner partial sum.  Returns (square, (largest
+    a-priori bound, largest observed deviation)).
     """
-    amax = int(np.abs(a).max())
-    B = ((N + 1) * amax * amax).bit_length() // 8 + 2
-    ln = len(a)
-
-    def pack(v: np.ndarray):
-        buf = np.zeros((ln, B), dtype=np.uint8)
-        m = min(8, B)
-        buf[:, :m] = v.astype("<u8").view(np.uint8).reshape(ln, 8)[:, :m]
-        return _big(int.from_bytes(buf.tobytes(), "little"))
-
-    P = pack(np.where(a > 0, a, 0).astype(np.uint64))
-    Q = pack(np.where(a < 0, -a, 0).astype(np.uint64))
-    plus = int(P * P + Q * Q)
-    minus = int((P * Q) << 1)
-    nb = max(plus.bit_length(), minus.bit_length()) // 8 + B
-    rp = plus.to_bytes(nb, "little")
-    rm = minus.to_bytes(nb, "little")
-    return [
-        int.from_bytes(rp[i * B: (i + 1) * B], "little")
-        - int.from_bytes(rm[i * B: (i + 1) * B], "little")
-        for i in range(N + 1)
-    ]
+    if not big and sum(x * x for x in a.tolist()) >= _INT64_SAFE:
+        raise CapacityError("square of the series may overflow int64")
+    M = len(a) - 1
+    half = 1 << (_LIMB_BITS - 1)
+    limbs, r = [], a
+    while r.any():  # about (bits of max|a| + 2) / 11 limbs
+        d = ((r + half) & (2 * half - 1)) - half
+        limbs.append(d.astype(np.float64))
+        r = (r - d) >> _LIMB_BITS
+    n = (2 * M).bit_length()
+    L = 1 << n
+    growth = math.expm1(3 * n * math.log1p(_EPS) + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5))
+                        + 3 * n * math.log1p(_BETA))
+    nl = len(limbs)
+    norms = [float(np.linalg.norm(d)) for d in limbs]
+    spectra = [np.fft.rfft(d, L) for d in limbs]
+    bound = observed = 0.0
+    sums = []
+    for s in range(2 * nl - 1):
+        pairs = [(i, s - i) for i in range(max(0, s - nl + 1), min(s, nl - 1) + 1)]
+        bound = max(bound, growth * sum(norms[i] * norms[j] for i, j in pairs))
+        if bound >= 0.25:
+            raise PrecisionError(f"FFT rounding bound {bound:.3g} >= 1/4 for limb sum {s}")
+        c = np.fft.irfft(sum(spectra[i] * spectra[j] for i, j in pairs), L)[: M + 1]
+        ci = np.rint(c)
+        observed = max(observed, float(np.abs(c - ci).max()))
+        if observed >= 0.25:
+            raise PrecisionError(f"FFT rounding deviation {observed:.3g} >= 1/4 for limb sum {s}")
+        sums.append(ci.astype(np.int64))
+    acc = sums.pop().astype(object if big else np.int64)
+    for c in reversed(sums):
+        acc = (acc << _LIMB_BITS) + c
+    return acc, (bound, observed)
 
 
 def tau_table(N: int) -> TauTable:
-    """Exact tau(1..N) from the eta product (one cube, three squarings)."""
+    """Exact tau(1..N) from the eta product (E^2, E^3, three more squarings).
+
+    Raises PrecisionError if an FFT squaring cannot be certified exact.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     if N > _TAU_BUDGET:
         raise CapacityError(f"N={N} exceeds the exact big-integer budget {_TAU_BUDGET}")
     M = N - 1  # degree needed in E^24
-    if M == 0:
-        return TauTable(1, [1])
-    pos, coef = _pentagonal(M)
-    e2 = _sparse_square(pos, coef, M)
-    e3 = _dense_times_sparse(e2, pos, coef, M)
-    _check_jacobi(e3, M)
-    nz = np.nonzero(e3)[0]
-    e6 = _sparse_square(nz, e3[nz], M)
-    e12 = np.array(_kronecker_square(e6, M), dtype=np.int64)
-    e24 = _kronecker_square(e12, M)
-    return TauTable(N, [int(v) for v in e24[:N]])
+    e = _pentagonal(M)
+    rounding = {}
+    e2, rounding["e^2"] = _square(e, big=False)
+    e3 = _times_sparse(e2, e)
+    _check_jacobi(e3, M)  # e3 = e2 * e, so this also proves e2 exact
+    e6, rounding["e3^2"] = _square(e3, big=False)
+    e12, rounding["e6^2"] = _square(e6, big=False)
+    e24, rounding["e12^2"] = _square(e12, big=True)
+    return TauTable(N, e24.tolist(), rounding)
 
 
 def _check_jacobi(e3: np.ndarray, M: int) -> None:
@@ -178,8 +185,6 @@ def normalize(tau: TauTable, kappa: int = 12) -> CoeffTable:
     """
     if kappa != 12:
         raise ValueError("only the weight-12 form (kappa=12) is supported")
-    from .arith import sieve_dk
-
     N = tau.N
     d = sieve_dk(2, N).values
     for n in range(1, N + 1):
@@ -194,12 +199,8 @@ def self_convolve(a_tilde: CoeffTable) -> CoeffTable:
     """(a~*a~)(n) = sum_{d|n} a~(d) a~(n/d), the coefficients of F^2."""
     if a_tilde.values.dtype.kind != "f":
         raise ValueError("self_convolve expects the real-variant a~ table")
-    N = a_tilde.N
-    v = a_tilde.values
-    out = np.zeros(N, dtype=np.float64)
-    for d in range(1, N + 1):
-        out[d - 1:: d] += v[d - 1] * v[: N // d]
-    return CoeffTable("a_tilde_sq_conv", N, out, {"kappa": 12})
+    conv = dirichlet_convolve(a_tilde, a_tilde)
+    return CoeffTable("a_tilde_sq_conv", a_tilde.N, conv.values, {"kappa": 12})
 
 
 def rankin_c(a_tilde: CoeffTable) -> RankinData:

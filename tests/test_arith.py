@@ -32,6 +32,36 @@ def test_dk_matches_bruteforce(k):
         assert table.value(n) == brute_dk(k, n), (k, n)
 
 
+@pytest.mark.parametrize("N", [48, 49, 50, 120, 121, 122, 168, 169, 170])
+def test_dk_matches_bruteforce_around_prime_squares(N):
+    # N on both sides of 7^2, 11^2 and 13^2: the sieve's prime range is
+    # primes <= isqrt(N), and the prime whose square is N must be in it
+    for k in range(1, 7):
+        table = zm.sieve_dk(k, N)
+        assert [int(v) for v in table.values] == [brute_dk(k, n) for n in range(1, N + 1)], (k, N)
+
+
+def _dk_by_trial_division(k: int, n: int) -> int:
+    out, p = 1, 2
+    while p * p <= n:
+        a = 0
+        while n % p == 0:
+            n //= p
+            a += 1
+        out *= math.comb(a + k - 1, k - 1)
+        p += 1
+    return out * (k if n > 1 else 1)
+
+
+def test_dk_random_sample_against_trial_division(rng):
+    N = 10**5
+    ns = rng.integers(1, N + 1, size=500)
+    for k in range(1, 7):
+        table = zm.sieve_dk(k, N)
+        for n in map(int, ns):
+            assert table.value(n) == _dk_by_trial_division(k, n), (k, n)
+
+
 def test_dk_prime_values():
     for k in (2, 3, 6):
         t = zm.sieve_dk(k, 100)

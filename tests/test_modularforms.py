@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import zetamoments as zm
-from zetamoments.arith import CapacityError
+from zetamoments import modularforms as mf
+from zetamoments.arith import CapacityError, PrecisionError
+from zetamoments.cache import save_table
 from zetamoments.modularforms import DeligneBoundError, delta_phi_mean_square
 
 
@@ -16,6 +20,11 @@ def eta24_bruteforce(N: int) -> list:
                 poly[i] -= poly[i - m]
     # tau(n) = coefficient of q^(n-1) in the product (after the q shift)
     return poly[: N]
+
+
+def schoolbook_square(a: list, M: int) -> list:
+    """Truncated square of a series in plain Python ints."""
+    return [sum(a[i] * a[n - i] for i in range(n + 1)) for n in range(M + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +60,81 @@ def test_tau_hecke_prime_power_recursion(tau_1e5):
             rhs = tau_1e5.value(p) * tau_1e5.value(pj // p) - p**11 * tau_1e5.value(pj // p**2)
             assert lhs == rhs, (p, pj)
             pj *= p
+
+
+def test_tau_matches_schoolbook_squares():
+    # E^24 = ((E^3)^2)^2)^2 with every product done in Python ints, no FFT
+    N = 400
+    M = N - 1
+    e = [1] + [0] * M
+    for m in range(1, M + 1):
+        for i in range(M, m - 1, -1):
+            e[i] -= e[i - m]
+    e2 = schoolbook_square(e, M)
+    e3 = [sum(e2[i] * e[n - i] for i in range(n + 1)) for n in range(M + 1)]
+    e24 = schoolbook_square(schoolbook_square(schoolbook_square(e3, M), M), M)
+    assert zm.tau_table(N).tau == e24
+
+
+def test_tau_2e5_certified_and_hecke(rng):
+    tau = zm.tau_table(200000)
+    for name, (bound, observed) in tau.rounding.items():
+        print(f"\n{name}: a-priori bound {bound:.3g}, observed deviation {observed:.3g}")
+        assert bound < 0.25 and observed < 0.25
+    tv = tau.tau
+    for p in (2, 3, 5, 7, 11, 13, 443):
+        pj = p * p
+        while pj <= tau.N:
+            assert tv[pj - 1] == tv[p - 1] * tv[pj // p - 1] - p**11 * tv[pj // p**2 - 1], (p, pj)
+            pj *= p
+    pairs = 0
+    while pairs < 1000:
+        m = int(rng.integers(2, 448))
+        n = int(rng.integers(tau.N // (2 * m), tau.N // m + 1))
+        if math.gcd(m, n) == 1:
+            assert tv[m * n - 1] == tv[m - 1] * tv[n - 1], (m, n)
+            pairs += 1
+    zm.normalize(tau)  # exact Deligne check on every coefficient
+
+
+def test_square_twiddles_within_beta():
+    # numpy's rfft of a unit impulse returns the twiddles exp(-2 pi i k / L)
+    L = 1 << 19
+    impulse = np.zeros(L)
+    impulse[1] = 1.0
+    got = np.fft.rfft(impulse)
+    k = np.arange(L // 2 + 1, dtype=np.longdouble)
+    ang = 2 * np.longdouble("3.14159265358979323846264338327950288") * k / L
+    err = np.hypot(got.real - np.cos(ang), got.imag + np.sin(ang))
+    assert float(err.max()) <= mf._BETA
+
+
+def test_square_exact_against_python_ints(rng):
+    a = rng.integers(-(2**40), 2**40, size=300)
+    sq, (bound, observed) = mf._square(a, big=True)
+    assert sq.tolist() == schoolbook_square([int(x) for x in a], 299)
+    assert bound < 0.25 and observed < 0.25
+
+
+def test_square_a_priori_bound_raises(rng, monkeypatch):
+    # 30-bit limbs make the limb norms far too large for the rounding bound
+    monkeypatch.setattr(mf, "_LIMB_BITS", 30)
+    with pytest.raises(PrecisionError, match="bound"):
+        mf._square(rng.integers(-(2**40), 2**40, size=2000), big=True)
+
+
+def test_square_observed_deviation_raises(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda x, n: irfft(x, n) + 0.3)
+    with pytest.raises(PrecisionError, match="deviation"):
+        mf._square(np.arange(1, 50, dtype=np.int64), big=True)
+
+
+def test_square_int64_guard_raises():
+    a = np.full(10, 2**29, dtype=np.int64)  # coefficients up to 10 * 2^58 > 2^61
+    with pytest.raises(CapacityError):
+        mf._square(a, big=False)
+    assert mf._square(a, big=True)[0][-1] == 10 * 2**58
 
 
 def test_tau_budget():
@@ -104,6 +188,26 @@ def test_self_convolve_small(atilde_1e5):
     # brute force at n=12: sum over divisor pairs
     v = sum(atilde_1e5.value(d) * atilde_1e5.value(12 // d) for d in (1, 2, 3, 4, 6, 12))
     assert conv.value(12) == pytest.approx(v, rel=1e-12)
+
+
+def test_self_convolve_cache_bytes_unchanged(atilde_1e5, tmp_path):
+    # the per-divisor loop self_convolve had before it became
+    # dirichlet_convolve(a, a): same summation order, same bytes
+    N = atilde_1e5.N
+    v = atilde_1e5.values
+    ref = np.zeros(N, dtype=np.float64)
+    for d in range(1, N + 1):
+        ref[d - 1:: d] += v[d - 1] * v[: N // d]
+    conv = zm.self_convolve(atilde_1e5)
+    assert (conv.label, conv.generator_params) == ("a_tilde_sq_conv", {"kappa": 12})
+    save_table(tmp_path / "new.zml", conv.label, conv.generator_params, conv.values)
+    save_table(tmp_path / "ref.zml", "a_tilde_sq_conv", {"kappa": 12}, ref)
+    assert (tmp_path / "new.zml").read_bytes() == (tmp_path / "ref.zml").read_bytes()
+
+
+def test_self_convolve_rejects_integer_table():
+    with pytest.raises(ValueError):
+        zm.self_convolve(zm.sieve_dk(2, 10))
 
 
 def test_self_convolve_dominated_by_d4(atilde_1e5):
