@@ -219,6 +219,9 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
             "slack": res.fit.slack, "pass": bool(res.fit.pass_),
             "constant": res.constant.value, "constant_tail": res.constant.tail_bound,
             "near_half": res.near_half,
+            "spread": max(r.spread for r in res.records),
+            "level": max(r.level for r in res.records),
+            "points": max(r.points for r in res.records),
         })
         status = "PASS" if res.fit.pass_ else "FAIL"
         print(f"[{status}] {family} k={k} sigma={sigma}: slope {res.fit.slope:.3f} "

@@ -89,11 +89,12 @@ def zeta_em(s: complex, target_abs_err: float = 1e-9, M: int | None = None) -> E
     ln = np.log(n)
     npw = n ** (-s.real)
     terms = npw * np.exp(-1j * s.imag * ln)
-    z = terms.sum() + M ** (-s) * (0.5 + M / (s - 1.0))
+    Ms = M ** (-s)
+    z = terms.sum() + Ms * (0.5 + M / (s - 1.0))
     poch = 1.0 + 0j
     for r in range(1, _EM_TERMS + 1):
         poch = poch * (s + (2 * r - 2)) * ((s + (2 * r - 3)) if r > 1 else 1.0)
-        z += _BERN2R[r - 1] / math.factorial(2 * r) * M ** (1.0 - 2 * r) * M ** (-s) * poch
+        z += _BERN2R[r - 1] / math.factorial(2 * r) * M ** (1.0 - 2 * r) * Ms * poch
     # remainder bound: first omitted term * |s+2R+1|/(sigma+2R+1)
     r = _EM_TERMS + 1
     poch = poch * (s + (2 * r - 2)) * (s + (2 * r - 3))
@@ -112,36 +113,39 @@ def zeta_em(s: complex, target_abs_err: float = 1e-9, M: int | None = None) -> E
     return EvalResult(complex(z), est, "euler_maclaurin")
 
 
-def _phase_dot(ts: np.ndarray, ln: np.ndarray, W: np.ndarray,
-               n_tile: int = 1 << 16, chunk: int = 128) -> np.ndarray:
-    """out[i, :] = sum_n exp(-i ts[i] ln[n]) W[n, :].
+_N_TILE = 64  # terms per GEMM; small so the per-tile temporaries stay small
 
-    On uniform t-grids each row is the previous one rotated by
-    exp(-i h ln n), so only one complex exponential per (chunk, tile) is
-    needed; the rotation vector is re-seeded every `chunk` rows to keep
-    rounding drift below ~1e-13.  Non-uniform grids fall back to the outer
-    exponential.  Deterministic for fixed inputs (fixed tile boundaries).
+
+def _phase_dot(ts: np.ndarray, ln: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """out[i, :] = sum_n exp(-i ts[i] ln[n]) W[n, :], as one tiled complex GEMM.
+
+    The grid is cut into A blocks of B = ceil(sqrt(len(ts))) points.  On a
+    uniform grid t[aB+b] = t[aB] + b h, so exp(-i t ln n) factors exactly
+    into a block-start matrix U[a, n] = exp(-i t[aB] ln n) and an offset
+    matrix R[n, (b, j)] = exp(-i b h ln n) W[n, j], and each n-tile adds
+    U @ R to all A*B rows at once.  The block starts are the grid points
+    themselves and h = (t[-1] - t[0]) / (len - 1), so the phases carry no
+    drift from an accumulated step.  A non-uniform grid is the same product
+    with B = 1.  Tile boundaries and the reduction order are fixed, so the
+    result depends only on the inputs.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    npts = len(ts)
-    out = np.zeros((npts, W.shape[1]), dtype=np.complex128)
-    h = ts[1] - ts[0] if npts > 1 else 0.0
-    uniform = npts > 3 and np.all(np.abs(np.diff(ts) - h) < 1e-12)
-    for j0 in range(0, len(ln), n_tile):
-        lnt = ln[j0: j0 + n_tile]
-        Wt = W[j0: j0 + n_tile]
-        if uniform:
-            rot = np.exp(-1j * h * lnt)
-            for i0 in range(0, npts, chunk):
-                cur = np.exp(-1j * ts[i0] * lnt)
-                for i in range(i0, min(i0 + chunk, npts)):
-                    out[i] += cur @ Wt
-                    cur *= rot
-        else:
-            for i0 in range(0, npts, chunk):
-                E = np.exp(-1j * np.outer(ts[i0: i0 + chunk], lnt))
-                out[i0: i0 + chunk] += E @ Wt
-    return out
+    npts, ncol = len(ts), W.shape[1]
+    if not npts:
+        return np.zeros((0, ncol), dtype=np.complex128)
+    h = (ts[-1] - ts[0]) / (npts - 1) if npts > 1 else 0.0
+    offsets = h * np.arange(npts)
+    # uniform to rounding: the factored phases then stay within a few ulps of t
+    uniform = np.abs(ts - ts[0] - offsets).max() <= 8 * _EPS * np.abs(ts).max()
+    B = math.isqrt(npts - 1) + 1 if uniform else 1
+    starts = ts[::B]
+    acc = np.zeros((len(starts), B * ncol), dtype=np.complex128)
+    for j0 in range(0, len(ln), _N_TILE):
+        lnt = ln[j0: j0 + _N_TILE]
+        U = np.exp(-1j * np.outer(starts, lnt))
+        R = np.exp(-1j * np.outer(lnt, offsets[:B]))[:, :, None] * W[j0: j0 + _N_TILE, None, :]
+        acc += U @ R.reshape(len(lnt), B * ncol)
+    return acc.reshape(-1, ncol)[:npts]
 
 
 def zeta_em_grid(sigma: float, ts: np.ndarray) -> np.ndarray:
@@ -155,11 +159,12 @@ def zeta_em_grid(sigma: float, ts: np.ndarray) -> np.ndarray:
     npw = n ** (-sigma)
     out = _phase_dot(ts, ln, npw[:, None])[:, 0]
     sv = sigma + 1j * ts
-    out += M ** (-sv) * (0.5 + M / (sv - 1.0))
+    Ms = M ** (-sv)
+    out += Ms * (0.5 + M / (sv - 1.0))
     poch = np.ones_like(sv)
     for r in range(1, _EM_TERMS + 1):
         poch = poch * (sv + (2 * r - 2)) * ((sv + (2 * r - 3)) if r > 1 else 1.0)
-        out += _BERN2R[r - 1] / math.factorial(2 * r) * M ** (1.0 - 2 * r) * M ** (-sv) * poch
+        out += _BERN2R[r - 1] / math.factorial(2 * r) * M ** (1.0 - 2 * r) * Ms * poch
     return out
 
 
@@ -274,12 +279,6 @@ def _check_pole_collision(s: complex) -> None:
         )
 
 
-def _raw_smoothed(values: np.ndarray, s: complex, Y: float, cut: int) -> complex:
-    n = np.arange(1, cut + 1, dtype=np.float64)
-    w = values[:cut] * np.exp(-n / Y) * n ** (-s.real)
-    return complex((w * np.exp(-1j * s.imag * np.log(n))).sum())
-
-
 def smoothed_dirichlet(
     coeffs: CoeffTable,
     s: complex,
@@ -290,7 +289,7 @@ def smoothed_dirichlet(
 
     pole = (location, residue) with location 1 subtracts the contour-shift
     residue A Gamma(1-s) Y^{1-s} (case Z); entire targets (F) pass None.
-    Internally evaluates at Y and 2Y and returns 2 v(2Y) - v(Y); the raw
+    A one-point `smoothed_grid`: the value is 2 v(2Y) - v(Y) and the raw
     difference |v(2Y) - v(Y)| is the reported self-consistency estimate.
     """
     s = complex(s)
@@ -302,21 +301,15 @@ def smoothed_dirichlet(
             f"table too short for Y={Y}: need N >= 74*Y = {need} (have {coeffs.N}) "
             "so that exp(-N/(2Y)) < 1e-16"
         )
+    residue = None
     if pole is not None:
         loc, residue = pole
         if loc != 1:
             raise ValueError("only a pole at s=1 is supported")
         _check_pole_collision(s)
-    values = coeffs.values.astype(np.float64)
-    vs = []
-    for Yv in (Y, 2.0 * Y):
-        cut = min(coeffs.N, int(math.ceil(37.0 * Yv)))
-        v = _raw_smoothed(values, s, Yv, cut)
-        if pole is not None:
-            v -= complex(_pole_term(pole[1], s, Yv))
-        vs.append(v)
-    value = 2.0 * vs[1] - vs[0]
-    return EvalResult(value, abs(vs[1] - vs[0]), "smoothed_series")
+    value, spread = smoothed_grid(coeffs.values.astype(np.float64), s.real,
+                                  np.array([s.imag]), Y, residue)
+    return EvalResult(complex(value[0]), spread, "smoothed_series")
 
 
 def smoothed_grid(
@@ -325,20 +318,19 @@ def smoothed_grid(
     ts: np.ndarray,
     Y: float,
     residue: float | None = None,
-    chunk: int = 64,
-    n_tile: int = 1 << 16,
 ) -> tuple[np.ndarray, float]:
     """Richardson-smoothed values on a t-grid plus the max Y-doubling spread.
 
-    One complex-exponential matrix per (t-chunk, n-tile) feeds both the Y
-    and 2Y weight rows, so the second evaluation is nearly free.
+    The Y and 2Y weights are the two columns of one `_phase_dot` call, so
+    the second evaluation shares every complex exponential with the first.
+    Terms run to n = 74 Y (or the table's end), where e^{-n/(2Y)} < 1e-16.
     """
     ts = np.asarray(ts, dtype=np.float64)
     cut2 = min(len(values), int(math.ceil(74.0 * Y)))
     n = np.arange(1, cut2 + 1, dtype=np.float64)
     npw = values[:cut2] * n ** (-sigma)
     W = np.stack([npw * np.exp(-n / Y), npw * np.exp(-n / (2.0 * Y))], axis=1)
-    acc = _phase_dot(ts, np.log(n), W, n_tile=n_tile, chunk=chunk)
+    acc = _phase_dot(ts, np.log(n), W)
     v1 = acc[:, 0]
     v2 = acc[:, 1]
     if residue is not None:

@@ -101,6 +101,12 @@ class MomentRecord:
     main: float = float("nan")
     residual: float = float("nan")
     quad_err: float = float("nan")
+    # diagnostics of the shared quadrature pass, for summary.json only (never
+    # ledger.csv): the max Y-doubling spread of the smoothed values (0 for
+    # zeta), the step-halving level reached and the integrand point count
+    spread: float = 0.0
+    level: int = 0
+    points: int = 0
 
 
 @dataclass(frozen=True)
@@ -409,7 +415,7 @@ def integrate_moment_grid(
         if npts > budget:
             raise BudgetError(f"refinement needs {npts} evaluations > budget {budget}")
         ts = 1.0 + h2 * np.arange(npts)
-        y, _spread = _integrand_grid(family, k, sigma, ts, coeffs, pole_residue, workers)
+        y, spread = _integrand_grid(family, k, sigma, ts, coeffs, pole_residue, workers)
         ok = True
         out = []
         for T in todo:
@@ -422,7 +428,8 @@ def integrate_moment_grid(
             if qerr > rel_tol * max(abs(I_h2), 1e-300):
                 ok = False
                 break
-            out.append(MomentRecord(family, k, sigma, Ts, I_h2, quad_err=qerr))
+            out.append(MomentRecord(family, k, sigma, Ts, I_h2, quad_err=qerr,
+                                    spread=spread, level=level, points=npts))
         if ok:
             records.extend(out)
             records.sort(key=lambda r: r.T)

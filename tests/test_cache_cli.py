@@ -177,6 +177,25 @@ def test_experiment_end_to_end(tmp_path):
     assert "slope" in summary["cells"][0]
 
 
+def test_experiment_summary_carries_quadrature_diagnostics(tmp_path):
+    cache_dir = str(tmp_path / "c")
+    assert main(["--cache-dir", cache_dir, "build-tables", "a_tilde=8000"]) == 0
+    m = tmp_path / "m.txt"
+    m.write_text("family = F2\nsigma = 0.8\nT_grid = 25 50\nN = 8000\n\n"
+                 "family = zeta\nk = 1\nsigma = 0.75\nT_grid = 25 50\n")
+    out = tmp_path / "res"
+    main(["--cache-dir", cache_dir, "experiment", str(m), "--out-dir", str(out)])
+    f2, zeta = json.loads((out / "summary.json").read_text())["cells"]
+    for cell in (f2, zeta):
+        assert cell["level"] >= 1
+        h2 = zm.moments.moment_step(50.0) / 2.0 ** cell["level"]
+        assert cell["points"] == int(round((50.0 - 1.0) / h2)) + 1
+    assert f2["spread"] > 0
+    assert zeta["spread"] == 0
+    header = (out / "ledger.csv").read_text().splitlines()[0]
+    assert header == "family,k,sigma,T,integral,main,residual,quad_err"
+
+
 def test_experiment_rerun_appends_identical_rows(tmp_path):
     m = tmp_path / "m.txt"
     m.write_text("family = zeta\nk = 1\nsigma = 0.75\nT_grid = 50 100\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ import pytest
 import zetamoments as zm
 from zetamoments.arith import PrecisionError
 from zetamoments.evaluate import (
+    _EPS,
     PoleError,
+    _em_cut,
+    _phase_dot,
     chi_factor,
     gamma_fn,
     loggamma,
@@ -15,6 +19,7 @@ from zetamoments.evaluate import (
     zeta_em,
     zeta_em_grid,
 )
+from zetamoments.moments import moment_step
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +84,55 @@ def test_zeta_grid_matches_pointwise():
     for i in (0, 57, 199):
         ref = zeta_em(complex(0.75, ts[i]), M=int(max(2 * ts[-1], 50))).value
         assert grid[i] == pytest.approx(ref, rel=1e-12)
+
+
+def test_zeta_grid_matches_pointwise_at_height():
+    ts = 790.0 + 0.01 * np.arange(1001)
+    grid = zeta_em_grid(0.75, ts)
+    M = _em_cut(ts[-1])
+    for i in (0, 333, 1000):
+        ref = zeta_em(complex(0.75, ts[i]), M=M)
+        assert abs(grid[i] - ref.value) <= ref.abs_error_estimate
+
+
+# ---------------------------------------------------------------------------
+# the phase-sum kernel
+# ---------------------------------------------------------------------------
+
+def _moment_block(Tmax, lo, hi):
+    # one dyadic block of the moment integrand's half-step grid
+    h2 = moment_step(Tmax) / 2.0
+    ts = 1.0 + h2 * np.arange(int(round((Tmax - 1.0) / h2)) + 1)
+    return ts[(ts >= lo) & (ts < hi)]
+
+
+@pytest.mark.parametrize("ts, nterms, ncol", [
+    (_moment_block(160.0, 100.0, 200.0), 12000, 2),  # series top block
+    (_moment_block(800.0, 400.0, 800.0), 1599, 1),  # zeta top block
+    (np.sort(np.random.default_rng(5).uniform(1.0, 800.0, 300)), 1599, 1),  # non-uniform
+    (np.array([]), 50, 2),
+    (np.array([3.5]), 50, 2),
+    (3.5 + 0.1 * np.arange(2), 50, 2),
+    (3.5 + 0.1 * np.arange(3), 50, 2),
+    (3.5 + 0.1 * np.arange(4), 50, 2),
+    (10.0 + 0.01 * np.arange(4907), 1599, 1),  # 70 blocks of 71 overrun 4907 points
+])
+def test_phase_dot_matches_direct_sum(ts, nterms, ncol, rng):
+    n = np.arange(1, nterms + 1, dtype=np.float64)
+    ln = np.log(n)
+    W = rng.standard_normal((nterms, ncol)) * n[:, None] ** -0.75
+    out = _phase_dot(ts, ln, W)
+    assert out.shape == (len(ts), ncol)
+    if not len(ts):
+        return
+    # zeta_em's rounding model, per column
+    aW = np.abs(W)
+    tol = _EPS * ((np.abs(ts).max() + 1.0) * (aW * ln[:, None]).sum(axis=0) + aW.sum(axis=0))
+    rows = np.unique(np.r_[np.arange(0, len(ts), 7), len(ts) - 1])
+    for i in rows:
+        ref = np.exp(-1j * ts[i] * ln) @ W
+        assert np.all(np.abs(out[i] - ref) <= tol), i
+
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +275,29 @@ def test_smoothed_table_too_short():
 
 def test_smoothed_grid_matches_pointwise(atilde_16e4):
     ts = np.arange(5.0, 6.0, 0.01)
-    grid, spread = smoothed_grid(atilde_16e4.values, 0.8, ts, 100.0)
+    Y = 100.0
+    grid, spread = smoothed_grid(atilde_16e4.values, 0.8, ts, Y)
+    n = np.arange(1, atilde_16e4.N + 1, dtype=np.float64)
+    w = atilde_16e4.values * n ** -0.8
     for i in (0, 50, 99):
-        ref = smoothed_dirichlet(atilde_16e4, complex(0.8, ts[i]), 100.0).value
+        ph = np.exp(-1j * ts[i] * np.log(n))
+        ref = 2.0 * np.sum(w * np.exp(-n / (2.0 * Y)) * ph) - np.sum(w * np.exp(-n / Y) * ph)
         assert grid[i] == pytest.approx(ref, rel=1e-10)
     assert spread > 0
+
+
+def test_smoothed_grid_memory_stays_tiled(rng):
+    # the series top block: 6000 points x 12 000 terms x 2 columns; an
+    # untiled exponential matrix would need over a gigabyte
+    values = rng.standard_normal(12000)
+    ts = _moment_block(160.0, 100.0, 200.0)
+    tracemalloc.start()
+    try:
+        smoothed_grid(values, 0.8, ts, 12000 / 74.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_eval_csv_dump(tmp_path):
