@@ -85,9 +85,13 @@ class ResultLedger:
 # Table building / loading
 # ---------------------------------------------------------------------------
 
+def _params(label: str) -> dict:
+    """Generator parameters of a table label: k for d_k, none otherwise."""
+    return {"k": int(label.split("_")[1])} if label.startswith("d_") else {}
+
+
 def _cache_path(cfg: RunConfig, label: str, N: int) -> Path:
-    params = {"k": int(label.split("_")[1])} if label.startswith("d_") else {}
-    return cfg.cache_dir / cache.cache_key(label, params, N)
+    return cfg.cache_dir / cache.cache_key(label, _params(label), N)
 
 
 def build_table(cfg: RunConfig, label: str, N: int, verbose: bool = True):
@@ -121,20 +125,18 @@ def build_table(cfg: RunConfig, label: str, N: int, verbose: bool = True):
         values = modularforms.rankin_c(at).c
     else:  # pragma: no cover
         raise AssertionError(label)
-    params = {"k": int(label.split("_")[1])} if label.startswith("d_") else {}
-    cache.save_table(path, label, dict(params, N=N), values)
+    cache.save_table(path, label, dict(_params(label), N=N), values)
     if verbose:
         print(f"[built] {path}")
     return values
 
 
 def load_coeff_table(cfg: RunConfig, label: str, N: int) -> arith.CoeffTable:
-    values = build_table(cfg, label, N, verbose=False)
-    params = {"k": int(label.split("_")[1])} if label.startswith("d_") else {}
     if label == "tau":
         raise ValueError("tau is big-integer valued; use a_tilde for CoeffTable work")
+    values = build_table(cfg, label, N, verbose=False)
     arr = values if isinstance(values, np.ndarray) else np.asarray(values)
-    return arith.CoeffTable(label, N, arr, params)
+    return arith.CoeffTable(label, N, arr, _params(label))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Numerical evaluation of zeta, Gamma, chi and smoothed Dirichlet series.
 
 zeta(s) is computed by Euler-Maclaurin summation with cut M = max(2|t|, 50)
-and 12 Bernoulli correction terms; the reported error estimate combines the
-first omitted Bernoulli term (classical remainder bound) with a worst-case
-rounding model for the main sum, so it stays honest at large |t| where
-argument reduction in exp(-it log n) dominates.
+and 12 Bernoulli correction terms, in one body shared by the scalar
+`zeta_em` (a one-point grid) and `zeta_em_grid` (cut at max |t|).  The
+error estimate combines the first omitted Bernoulli term (classical
+remainder bound) with a worst-case rounding model for the main sum, so it
+stays honest at large |t| where argument reduction in exp(-it log n)
+dominates; `zeta_em` reports it, `zeta_em_grid` returns values only.
 
 Gamma(s) uses a fixed Lanczos rational approximation (g=7, 9 terms) with
 reflection for Re s < 1/2; chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) is
@@ -39,7 +41,6 @@ __all__ = [
     "chi_factor",
     "smoothed_dirichlet",
     "smoothed_grid",
-    "dump_eval_csv",
 ]
 
 _EPS = 2.2e-16
@@ -61,7 +62,6 @@ class PoleError(Exception):
 class EvalResult:
     value: complex
     abs_error_estimate: float
-    method: str
 
 
 def _em_cut(t: float) -> int:
@@ -71,8 +71,9 @@ def _em_cut(t: float) -> int:
 def zeta_em(s: complex, target_abs_err: float = 1e-9, M: int | None = None) -> EvalResult:
     """zeta(s) by Euler-Maclaurin; raises if the target is out of reach.
 
-    M overrides the summation cut (default max(2|t|, 50)); it must stay
-    >= |t|/pi for the Bernoulli tail to converge.
+    A one-point `_zeta_em`, so its value is bit-identical to `zeta_em_grid`
+    at the same point.  M overrides the summation cut (default
+    max(2|t|, 50)); it must stay >= |t|/pi for the Bernoulli tail to converge.
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-12:
@@ -85,32 +86,12 @@ def zeta_em(s: complex, target_abs_err: float = 1e-9, M: int | None = None) -> E
         M = _em_cut(s.imag)
     elif M < abs(s.imag) / math.pi:
         raise ValueError("cut M below |t|/pi: Euler-Maclaurin tail would diverge")
-    n = np.arange(1, M, dtype=np.float64)
-    ln = np.log(n)
-    npw = n ** (-s.real)
-    terms = npw * np.exp(-1j * s.imag * ln)
-    Ms = M ** (-s)
-    z = terms.sum() + Ms * (0.5 + M / (s - 1.0))
-    poch = 1.0 + 0j
-    for r in range(1, _EM_TERMS + 1):
-        poch = poch * (s + (2 * r - 2)) * ((s + (2 * r - 3)) if r > 1 else 1.0)
-        z += _BERN2R[r - 1] / math.factorial(2 * r) * M ** (1.0 - 2 * r) * Ms * poch
-    # remainder bound: first omitted term * |s+2R+1|/(sigma+2R+1)
-    r = _EM_TERMS + 1
-    poch = poch * (s + (2 * r - 2)) * (s + (2 * r - 3))
-    trunc = (
-        abs(_BERN2R[r - 1]) / math.factorial(2 * r)
-        * M ** (1.0 - 2 * r - s.real) * abs(poch)
-        * abs(s + 2 * _EM_TERMS + 1) / (s.real + 2 * _EM_TERMS + 1)
-    )
-    # rounding model: phases of n^{-it} are known to eps*|t log n|
-    rnd = _EPS * ((abs(s.imag) + 1.0) * float((npw * ln).sum()) + float(npw.sum()))
-    est = trunc + rnd
+    value, est = _zeta_em(s.real, np.array([s.imag]), M)
     if est > target_abs_err:
         raise PrecisionError(
             f"zeta_em cannot reach {target_abs_err:g} at s={s} (estimate {est:g})"
         )
-    return EvalResult(complex(z), est, "euler_maclaurin")
+    return EvalResult(complex(value[0]), est)
 
 
 _N_TILE = 64  # terms per GEMM; small so the per-tile temporaries stay small
@@ -148,12 +129,14 @@ def _phase_dot(ts: np.ndarray, ln: np.ndarray, W: np.ndarray) -> np.ndarray:
     return acc.reshape(-1, ncol)[:npts]
 
 
-def zeta_em_grid(sigma: float, ts: np.ndarray) -> np.ndarray:
-    """Vectorized zeta(sigma+it) on a grid, cut fixed per call at max |t|."""
-    ts = np.asarray(ts, dtype=np.float64)
-    if not len(ts):
-        return np.empty(0, dtype=np.complex128)
-    M = _em_cut(float(np.abs(ts).max()))
+def _zeta_em(sigma: float, ts: np.ndarray, M: int) -> tuple[np.ndarray, float]:
+    """Euler-Maclaurin zeta(sigma+it) at cut M on a t-grid, with an error estimate.
+
+    The estimate is the remainder bound (first omitted Bernoulli term times
+    |s+2R+1|/(sigma+2R+1)) plus a rounding model in which the phases of
+    n^{-it} are known to eps*|t log n|.  Both grow with |t|, so their value
+    at the grid's largest |t| bounds every point.
+    """
     n = np.arange(1, M, dtype=np.float64)
     ln = np.log(n)
     npw = n ** (-sigma)
@@ -165,7 +148,25 @@ def zeta_em_grid(sigma: float, ts: np.ndarray) -> np.ndarray:
     for r in range(1, _EM_TERMS + 1):
         poch = poch * (sv + (2 * r - 2)) * ((sv + (2 * r - 3)) if r > 1 else 1.0)
         out += _BERN2R[r - 1] / math.factorial(2 * r) * M ** (1.0 - 2 * r) * Ms * poch
-    return out
+    i = int(np.abs(ts).argmax())
+    s = complex(sv[i])
+    r = _EM_TERMS + 1
+    top = complex(poch[i]) * (s + (2 * r - 2)) * (s + (2 * r - 3))
+    trunc = (
+        abs(_BERN2R[r - 1]) / math.factorial(2 * r)
+        * M ** (1.0 - 2 * r - sigma) * abs(top)
+        * abs(s + 2 * _EM_TERMS + 1) / (sigma + 2 * _EM_TERMS + 1)
+    )
+    rnd = _EPS * ((abs(s.imag) + 1.0) * float((npw * ln).sum()) + float(npw.sum()))
+    return out, trunc + rnd
+
+
+def zeta_em_grid(sigma: float, ts: np.ndarray) -> np.ndarray:
+    """Vectorized zeta(sigma+it) on a grid, cut fixed per call at max |t|."""
+    ts = np.asarray(ts, dtype=np.float64)
+    if not len(ts):
+        return np.empty(0, dtype=np.complex128)
+    return _zeta_em(sigma, ts, _em_cut(float(np.abs(ts).max())))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ def gamma_fn(s: complex) -> EvalResult:
     if lg.real > 700.0:
         raise PrecisionError(f"Gamma({s}) overflows double precision")
     val = complex(np.exp(lg))
-    return EvalResult(val, 5e-13 * abs(val) + 5e-308, "reflection")
+    return EvalResult(val, 5e-13 * abs(val) + 5e-308)
 
 
 def chi_factor(s: complex) -> EvalResult:
@@ -257,7 +258,7 @@ def chi_factor(s: complex) -> EvalResult:
     if lg.real > 700.0:
         raise PrecisionError(f"chi({s}) overflows double precision")
     val = complex(np.exp(lg))
-    return EvalResult(val, 1e-12 * abs(val) + 5e-308, "reflection")
+    return EvalResult(val, 1e-12 * abs(val) + 5e-308)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +310,7 @@ def smoothed_dirichlet(
         _check_pole_collision(s)
     value, spread = smoothed_grid(coeffs.values.astype(np.float64), s.real,
                                   np.array([s.imag]), Y, residue)
-    return EvalResult(complex(value[0]), spread, "smoothed_series")
+    return EvalResult(complex(value[0]), spread)
 
 
 def smoothed_grid(
@@ -339,13 +340,3 @@ def smoothed_grid(
         v2 -= _pole_term(residue, sv, 2.0 * Y)
     spread = float(np.abs(v2 - v1).max()) if len(ts) else 0.0
     return 2.0 * v2 - v1, spread
-
-
-def dump_eval_csv(path, rows) -> None:
-    """Diagnostic dump of (s, EvalResult) pairs as CSV rows."""
-    with open(path, "w") as f:
-        f.write("sigma,t,value_re,value_im,abs_error_estimate,method\n")
-        for s, r in rows:
-            s = complex(s)
-            f.write(f"{s.real!r},{s.imag!r},{r.value.real!r},{r.value.imag!r},"
-                    f"{r.abs_error_estimate!r},{r.method}\n")

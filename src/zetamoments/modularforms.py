@@ -177,14 +177,12 @@ def _check_jacobi(e3: np.ndarray, M: int) -> None:
         raise AssertionError("eta-product cube fails Jacobi's identity")
 
 
-def normalize(tau: TauTable, kappa: int = 12) -> CoeffTable:
-    """a~(n) = tau(n) n^{(1-kappa)/2} as float64; verifies Deligne exactly.
+def normalize(tau: TauTable) -> CoeffTable:
+    """a~(n) = tau(n) n^{-11/2} (weight 12) as float64; verifies Deligne exactly.
 
     The bound |a~(n)| <= d(n) is checked in exact integer arithmetic as
     tau(n)^2 <= d(n)^2 n^11 before any float conversion.
     """
-    if kappa != 12:
-        raise ValueError("only the weight-12 form (kappa=12) is supported")
     N = tau.N
     d = sieve_dk(2, N).values
     for n in range(1, N + 1):

@@ -252,9 +252,19 @@ def _log_density_tail(weights: np.ndarray, sigma: float, q: int) -> tuple[float,
     return tail, uncert
 
 
-def main_term_zeta_direct(
-    k: int, sigma: float, table: CoeffTable, complete: bool = True
-) -> MainTermConstant:
+def _completed_sum(table: CoeffTable, sigma: float, q: int) -> tuple[float, float]:
+    """sum table(n)^2 n^{-2 sigma} over the table plus its log-density tail.
+
+    Returns (value, tail uncertainty); q is the tail's log-power degree.
+    """
+    n = np.arange(1, table.N + 1, dtype=np.float64)
+    w = table.values.astype(np.float64) ** 2
+    partial = float(np.sum(w * n ** (-2.0 * sigma)))
+    tail, uncert = _log_density_tail(w, sigma, q)
+    return partial + tail, uncert
+
+
+def main_term_zeta_direct(k: int, sigma: float, table: CoeffTable) -> MainTermConstant:
     """C(k, sigma) by direct summation of d_k(n)^2 n^{-2 sigma} over the table.
 
     The tail beyond N is completed with the empirical log-power density of
@@ -264,13 +274,8 @@ def main_term_zeta_direct(
         raise ValueError("the series diverges for sigma <= 1/2")
     if table.generator_params.get("k") != k:
         raise ValueError("table is not a d_k table for this k")
-    n = np.arange(1, table.N + 1, dtype=np.float64)
-    w = table.values.astype(np.float64) ** 2
-    partial = float(np.sum(w * n ** (-2.0 * sigma)))
-    if not complete:
-        return MainTermConstant("zeta", k, sigma, partial, float("inf"), "direct_sum")
-    tail, uncert = _log_density_tail(w, sigma, k * k - 1)
-    return MainTermConstant("zeta", k, sigma, partial + tail, uncert, "direct_sum")
+    value, uncert = _completed_sum(table, sigma, k * k - 1)
+    return MainTermConstant("zeta", k, sigma, value, uncert, "direct_sum")
 
 
 # family, k, completion log-degree per coefficient label
@@ -291,11 +296,7 @@ def main_term_series(coeffs: CoeffTable, sigma: float) -> MainTermConstant:
     if sigma <= 0.5:
         raise ValueError("the series diverges for sigma <= 1/2")
     fam, k, q = _SERIES_FAMILY.get(coeffs.label, ("series", 1, 0))
-    n = np.arange(1, coeffs.N + 1, dtype=np.float64)
-    w = coeffs.values.astype(np.float64) ** 2
-    partial = float(np.sum(w * n ** (-2.0 * sigma)))
-    tail, uncert = _log_density_tail(w, sigma, q)
-    value = partial + tail
+    value, uncert = _completed_sum(coeffs, sigma, q)
     if sigma < 0.55 and uncert > 1e-3 * value:
         raise PrecisionError(
             f"tail too large near sigma=1/2: {uncert:.3g} vs value {value:.3g}"

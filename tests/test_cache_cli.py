@@ -10,6 +10,7 @@ from zetamoments.cli import (
     RunConfig,
     build_table,
     cmd_selfcheck,
+    load_coeff_table,
     main,
     parse_manifest,
 )
@@ -101,6 +102,12 @@ def test_build_tables_dependency_chain(tmp_path):
     # builds tau and a_tilde on the way
     assert (tmp_path / cache.cache_key("tau", {}, 2000)).exists()
     assert (tmp_path / cache.cache_key("a_tilde", {}, 2000)).exists()
+
+
+def test_load_coeff_table_rejects_tau_before_building(tmp_path):
+    with pytest.raises(ValueError, match="big-integer"):
+        load_coeff_table(RunConfig(tmp_path), "tau", 1000)
+    assert not (tmp_path / cache.cache_key("tau", {}, 1000)).exists()
 
 
 def test_build_tables_unknown_label(tmp_path):

@@ -171,11 +171,6 @@ def test_normalize_rejects_corrupt_tau():
         zm.normalize(bad)
 
 
-def test_normalize_only_weight_12(tau_1e5):
-    with pytest.raises(ValueError):
-        zm.normalize(tau_1e5, kappa=16)
-
-
 # ---------------------------------------------------------------------------
 # self convolution and Rankin-Selberg coefficients
 # ---------------------------------------------------------------------------
