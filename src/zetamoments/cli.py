@@ -17,9 +17,11 @@ lines, one experiment cell per block:
 
 sigma may list several values (one cell each).  Records append to
 ledger.csv (header: family,k,sigma,T,integral,main,residual,quad_err) and a
-JSON summary per run records slope / theory_exponent / pass.  Identical
-manifests re-run against the same cache append identical value rows,
-independent of --workers.
+JSON summary per run records slope / theory_exponent / pass, the quadrature
+diagnostics and each cell's wall seconds per stage (`stage_s`: table_load,
+main_term, integrand, simpson_fit), none of which reach ledger.csv.
+Identical manifests re-run against the same cache append identical value
+rows, independent of --workers.
 """
 
 from __future__ import annotations
@@ -194,6 +196,7 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
             raise ValueError(f"sigma={sigma} outside (1/2, 1)")
         coeffs = None
         pole_residue = None
+        t0 = time.perf_counter()
         if family in _FAMILY_TABLE:
             label = _FAMILY_TABLE[family]
             N = cell.get("N", _FAMILY_DEFAULT_N[family])
@@ -206,6 +209,7 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
             if family == "Z2":
                 rd = modularforms.RankinData(N, coeffs.values)
                 pole_residue = modularforms.rankin_A(rd, N)
+        table_load_s = time.perf_counter() - t0
         res = moments.exponent_experiment(
             family, k, sigma, cell["T_grid"],
             coeffs=coeffs, pole_residue=pole_residue,
@@ -224,6 +228,7 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
             "spread": max(r.spread for r in res.records),
             "level": max(r.level for r in res.records),
             "points": max(r.points for r in res.records),
+            "stage_s": dict(res.stage_s, table_load=table_load_s),
         })
         status = "PASS" if res.fit.pass_ else "FAIL"
         print(f"[{status}] {family} k={k} sigma={sigma}: slope {res.fit.slope:.3f} "
@@ -238,7 +243,7 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
 # ---------------------------------------------------------------------------
 
 def cmd_selfcheck(cfg: RunConfig) -> int:
-    from .evaluate import chi_factor, zeta_em
+    from .evaluate import _grid_step, _nufft, _phase_rounding, chi_factor, zeta_em
 
     failures = []
 
@@ -256,6 +261,19 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
             rhs = chi_factor(s).value * zeta_em(1 - s).value
             worst = max(worst, abs(lhs - rhs))
     check("functional equation |zeta - chi zeta(1-s)| < 1e-8", worst < 1e-8, f"worst {worst:.2e}")
+
+    # the NUFFT phase sum on a series-sized block (6000 points, 12 000 terms,
+    # two columns) against a direct sum, as a fraction of the rounding model
+    ts = 100.0 + 0.01 * np.arange(6000)
+    n = np.arange(1.0, 12001.0)
+    ln = np.log(n)
+    W = np.random.default_rng(7).standard_normal((len(n), 2)) * (n ** -0.75)[:, None]
+    out = _nufft(ts, _grid_step(ts), ln, W)
+    bound = _phase_rounding(float(ts[-1]), ln, W)
+    worst = max(float((np.abs(out[i] - np.exp(-1j * ts[i] * ln) @ W) / bound).max())
+                for i in range(0, len(ts), 97))
+    check("NUFFT phase sum vs direct sum within the rounding model", worst < 1,
+          f"worst {worst:.3f} of the bound")
 
     # Hecke relations on tau up to 1e4 (cache-aware so corruption is caught)
     N = 10**4

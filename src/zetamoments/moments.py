@@ -28,6 +28,7 @@ log-log against T and compared with the tabulated error-term exponents
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -107,6 +108,10 @@ class MomentRecord:
     spread: float = 0.0
     level: int = 0
     points: int = 0
+    # wall seconds of the pass's integrand evaluations and Simpson sums,
+    # summed over its step-halving levels (left out of comparisons)
+    integrand_s: float = field(default=0.0, compare=False)
+    simpson_s: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -334,6 +339,7 @@ def _integrand_grid(
         raise PrecisionError("t grid exceeds the configured dyadic range")
 
     max_spread = 0.0
+    values = coeffs.values.astype(np.float64) if coeffs is not None else None
 
     def run(block):
         i0, i1, hi = block
@@ -345,7 +351,7 @@ def _integrand_grid(
             raise ValueError(f"family {family} needs a coefficient table")
         Y = min(max(2.0 * hi, 100.0), coeffs.N / 74.0)
         vals, spread = smoothed_grid(
-            coeffs.values.astype(np.float64), sigma, tt, Y,
+            values, sigma, tt, Y,
             residue=pole_residue if family == "Z2" else None,
         )
         return i0, np.abs(vals) ** 2, spread
@@ -410,13 +416,17 @@ def integrate_moment_grid(
     Tmax = todo[-1]
     h = moment_step(Tmax)
     level = 1  # current grid is at h/2
+    integrand_s = simpson_s = 0.0
     while True:
         h2 = h / 2.0
         npts = int(round((Tmax - 1.0) / h2)) + 1
         if npts > budget:
             raise BudgetError(f"refinement needs {npts} evaluations > budget {budget}")
         ts = 1.0 + h2 * np.arange(npts)
+        t0 = time.perf_counter()
         y, spread = _integrand_grid(family, k, sigma, ts, coeffs, pole_residue, workers)
+        t1 = time.perf_counter()
+        integrand_s += t1 - t0
         ok = True
         out = []
         for T in todo:
@@ -431,8 +441,10 @@ def integrate_moment_grid(
                 break
             out.append(MomentRecord(family, k, sigma, Ts, I_h2, quad_err=qerr,
                                     spread=spread, level=level, points=npts))
+        simpson_s += time.perf_counter() - t1
         if ok:
-            records.extend(out)
+            records.extend(replace(r, integrand_s=integrand_s, simpson_s=simpson_s)
+                           for r in out)
             records.sort(key=lambda r: r.T)
             return records
         h = h2
@@ -790,6 +802,8 @@ class ExperimentResult:
     fit: FitResult
     constant: MainTermConstant
     near_half: bool = False
+    # wall seconds per stage: main_term, integrand, simpson_fit
+    stage_s: dict = field(default_factory=dict, compare=False)
 
 
 def exponent_experiment(
@@ -811,6 +825,7 @@ def exponent_experiment(
     Within 0.05 of sigma = 1/2 the experiment runs but refuses to pass
     (slow convergence makes the claim unverifiable there).
     """
+    t0 = time.perf_counter()
     if constant is None:
         if family == "zeta":
             constant = main_term_zeta(k, sigma)
@@ -818,14 +833,22 @@ def exponent_experiment(
             if coeffs is None:
                 raise ValueError("series families need their coefficient table")
             constant = main_term_series(coeffs, sigma)
+    t1 = time.perf_counter()
     records = integrate_moment_grid(
         family, k, sigma, T_grid, rel_tol,
         coeffs=coeffs, pole_residue=pole_residue, workers=workers, budget=budget,
     )
+    t2 = time.perf_counter()
     records = [residual(r, constant) for r in records]
     theo = theory_exponent(family, k, sigma)
     fit = fit_power_law([(r.T, r.residual) for r in records if r.T > 1], strict=False)
     near_half = sigma - 0.5 < 0.05
     passed = (fit.slope <= theo + slack) and not near_half
     fit = replace(fit, theory_exponent=theo, slack=slack, pass_=passed)
-    return ExperimentResult(family, k, sigma, records, fit, constant, near_half)
+    stage_s = {
+        "main_term": t1 - t0,
+        "integrand": max((r.integrand_s for r in records), default=0.0),
+        "simpson_fit": max((r.simpson_s for r in records), default=0.0)
+        + time.perf_counter() - t2,
+    }
+    return ExperimentResult(family, k, sigma, records, fit, constant, near_half, stage_s)

@@ -203,6 +203,29 @@ def test_experiment_summary_carries_quadrature_diagnostics(tmp_path):
     assert header == "family,k,sigma,T,integral,main,residual,quad_err"
 
 
+def test_experiment_summary_carries_stage_times(tmp_path):
+    cache_dir = str(tmp_path / "c")
+    assert main(["--cache-dir", cache_dir, "build-tables", "a_tilde=8000"]) == 0
+    m = tmp_path / "m.txt"
+    m.write_text("family = F2\nsigma = 0.8\nT_grid = 25 50\nN = 8000\n\n"
+                 "family = zeta\nk = 1\nsigma = 0.75\nT_grid = 25 50\n")
+    ledgers = []
+    for run in range(2):
+        out = tmp_path / f"res{run}"
+        main(["--cache-dir", cache_dir, "experiment", str(m), "--out-dir", str(out)])
+        for cell in json.loads((out / "summary.json").read_text())["cells"]:
+            stages = cell["stage_s"]
+            assert set(stages) == {"table_load", "main_term", "integrand", "simpson_fit"}
+            assert all(isinstance(v, float) and v >= 0.0 for v in stages.values())
+            assert stages["integrand"] > 0.0
+        ledgers.append((out / "ledger.csv").read_text())
+    # the timings stay out of the ledger: same header, 8 fields, same rows
+    lines = ledgers[0].splitlines()
+    assert lines[0] == "family,k,sigma,T,integral,main,residual,quad_err"
+    assert len(lines) == 5 and all(len(r.split(",")) == 8 for r in lines)
+    assert ledgers[0] == ledgers[1]
+
+
 def test_experiment_rerun_appends_identical_rows(tmp_path):
     m = tmp_path / "m.txt"
     m.write_text("family = zeta\nk = 1\nsigma = 0.75\nT_grid = 50 100\n")
@@ -222,6 +245,17 @@ def test_selfcheck_passes_fresh(tmp_path, capsys):
     assert cmd_selfcheck(RunConfig(tmp_path)) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def test_selfcheck_catches_a_wrong_phase_sum(tmp_path, capsys, monkeypatch):
+    nufft = zm.evaluate._nufft
+
+    def off_by_a_part_in_1e10(ts, h, ln, W):
+        return nufft(ts, h, ln, W) * (1.0 + 1e-10)
+
+    monkeypatch.setattr(zm.evaluate, "_nufft", off_by_a_part_in_1e10)
+    assert cmd_selfcheck(RunConfig(tmp_path)) == 1
+    assert "[FAIL] NUFFT phase sum" in capsys.readouterr().out
 
 
 def test_selfcheck_catches_corrupt_tau_cache(tmp_path, capsys):

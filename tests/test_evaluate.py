@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -11,6 +12,9 @@ from zetamoments.evaluate import (
     _EPS,
     PoleError,
     _em_cut,
+    _fft_len,
+    _grid_step,
+    _nufft,
     _phase_dot,
     chi_factor,
     gamma_fn,
@@ -85,6 +89,20 @@ def test_zeta_error_estimate_honest(rng):
         assert abs(r.value - _mp_zeta(complex(sigma, t))) <= r.abs_error_estimate
 
 
+def test_zeta_error_estimate_honest_against_mpmath():
+    # 312 points: near the pole, real s in [1.02, 4], the strip, sigma > 1
+    # and sigma < 1/2
+    rng = np.random.default_rng(11)
+    pts = [1.000001 + 0j, 1.0001 + 0j]
+    pts += [complex(x, 0.0) for x in np.linspace(1.02, 4.0, 60)]
+    pts += [complex(rng.uniform(0.1, 0.95), rng.uniform(1, 500)) for _ in range(150)]
+    pts += [complex(rng.uniform(1.01, 3.0), rng.uniform(0, 100)) for _ in range(60)]
+    pts += [complex(rng.uniform(-0.5, 0.5), rng.uniform(1, 100)) for _ in range(40)]
+    for s in pts:
+        r = zeta_em(s)
+        assert abs(r.value - _mp_zeta(s)) <= r.abs_error_estimate, s
+
+
 def test_zeta_scalar_is_a_one_point_grid():
     for s in (2 + 0j, 0.75 + 14.5j, 0.3 - 250.25j):
         assert zeta_em(s).value == zeta_em_grid(s.real, [s.imag])[0]
@@ -119,6 +137,12 @@ def _moment_block(Tmax, lo, hi):
     return ts[(ts >= lo) & (ts < hi)]
 
 
+def _rounding_model(ts, ln, W):
+    # zeta_em's rounding model, per column
+    aW = np.abs(W)
+    return _EPS * ((np.abs(ts).max() + 1.0) * (aW * ln[:, None]).sum(axis=0) + aW.sum(axis=0))
+
+
 @pytest.mark.parametrize("ts, nterms, ncol", [
     (_moment_block(160.0, 100.0, 200.0), 12000, 2),  # series top block
     (_moment_block(800.0, 400.0, 800.0), 1599, 1),  # zeta top block
@@ -138,13 +162,98 @@ def test_phase_dot_matches_direct_sum(ts, nterms, ncol, rng):
     assert out.shape == (len(ts), ncol)
     if not len(ts):
         return
-    # zeta_em's rounding model, per column
-    aW = np.abs(W)
-    tol = _EPS * ((np.abs(ts).max() + 1.0) * (aW * ln[:, None]).sum(axis=0) + aW.sum(axis=0))
+    tol = _rounding_model(ts, ln, W)
     rows = np.unique(np.r_[np.arange(0, len(ts), 7), len(ts) - 1])
     for i in rows:
         ref = np.exp(-1j * ts[i] * ln) @ W
         assert np.all(np.abs(out[i] - ref) <= tol), i
+
+
+@pytest.mark.parametrize("ts, nterms", [
+    (_moment_block(160.0, 0.0, 50.0), 7400),  # the three series blocks
+    (_moment_block(160.0, 50.0, 100.0), 12000),
+    (_moment_block(160.0, 100.0, 200.0), 12000),
+    (_moment_block(1000.0, 800.0, 1600.0), 200000),  # criterion 8 top block
+    (7.0 + 3.1 * np.arange(500), 12000),  # phases wrap: h ln N = 29 > 2 pi
+    (7.0 + 3.1 * np.arange(501), 12000),
+    (7.0 + 3.1 * np.arange(2), 12000),
+    (7.0 + 3.1 * np.arange(3), 12000),
+    (100.0 + 0.01 * np.arange(2), 12000),
+    (100.0 + 0.01 * np.arange(3), 12000),
+    (3.5 + 0.1 * np.arange(2), 50),
+    (3.5 + 0.1 * np.arange(3), 50),
+    (3.5 + 0.1 * np.arange(4), 50),
+    (3.5 + 0.1 * np.arange(100), 50),
+    (-40.0 + 0.01 * np.arange(6001), 12000),  # negative t0
+    (-40.0 + 0.01 * np.arange(6000), 12000),
+])
+def test_nufft_matches_direct_sum(ts, nterms, rng):
+    n = np.arange(1, nterms + 1, dtype=np.float64)
+    ln = np.log(n)
+    W = rng.standard_normal((nterms, 2)) * n[:, None] ** -0.75
+    h = _grid_step(ts)
+    assert h is not None
+    out = _nufft(ts, h, ln, W)
+    assert out.shape == (len(ts), 2)
+    tol = _rounding_model(ts, ln, W)
+    # the first and last rows are the modes the deconvolution amplifies most
+    rows = np.unique(np.r_[np.arange(0, len(ts), max(7, len(ts) // 256)), len(ts) - 1])
+    for i in rows:
+        ref = np.exp(-1j * ts[i] * ln) @ W
+        assert np.all(np.abs(out[i] - ref) <= tol), i
+
+
+def test_nufft_is_deterministic(rng):
+    n = np.arange(1, 12001, dtype=np.float64)
+    ln = np.log(n)
+    W = rng.standard_normal((len(n), 2)) * n[:, None] ** -0.8
+    blocks = [_moment_block(160.0, lo, hi) for lo, hi in ((0, 50), (50, 100), (100, 200))]
+
+    def run(ts):
+        return _nufft(ts, _grid_step(ts), ln, W)
+
+    first = [run(ts) for ts in blocks]
+    again = [run(ts) for ts in blocks]
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        threaded = list(ex.map(run, blocks))
+    for a, b, c in zip(first, again, threaded):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_fft_len_is_5_smooth():
+    for n in (1, 2, 7, 97, 12002, 18003, 120003):
+        L = _fft_len(n)
+        assert L >= n
+        m = L
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        assert m == 1
+        assert all(_fft_len(k) == L for k in range(n, L + 1))
+    assert _fft_len(12002) == 12150
+
+
+def test_smoothed_grid_kernel_by_grid(rng):
+    # uniform grids of two or more points take the NUFFT; one-point and
+    # non-uniform grids keep _phase_dot's exact output
+    values = rng.standard_normal(3000)
+    sigma, Y = 0.8, 3000 / 74.0
+    n = np.arange(1, 3001, dtype=np.float64)
+    npw = values * n**-sigma
+    W = np.stack([npw * np.exp(-n / Y), npw * np.exp(-n / (2.0 * Y))], axis=1)
+    ln = np.log(n)
+    grids = [
+        (np.array([37.5]), False),
+        (np.sort(rng.uniform(1.0, 80.0, 300)), False),
+        (np.array([5.0, 5.5, 7.0]), False),
+        (5.0 + 0.01 * np.arange(2), True),
+        (5.0 + 0.01 * np.arange(777), True),
+    ]
+    for ts, uniform in grids:
+        acc = _nufft(ts, _grid_step(ts), ln, W) if uniform else _phase_dot(ts, ln, W)
+        got, spread = smoothed_grid(values, sigma, ts, Y)
+        assert np.array_equal(got, 2.0 * acc[:, 1] - acc[:, 0])
+        assert spread == float(np.abs(acc[:, 1] - acc[:, 0]).max())
 
 
 
