@@ -243,7 +243,7 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
 # ---------------------------------------------------------------------------
 
 def cmd_selfcheck(cfg: RunConfig) -> int:
-    from .evaluate import _grid_step, _nufft, _phase_rounding, chi_factor, zeta_em
+    from .evaluate import _phase_dot, chi_factor, zeta_em
 
     failures = []
 
@@ -262,18 +262,22 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
             worst = max(worst, abs(lhs - rhs))
     check("functional equation |zeta - chi zeta(1-s)| < 1e-8", worst < 1e-8, f"worst {worst:.2e}")
 
-    # the NUFFT phase sum on a series-sized block (6000 points, 12 000 terms,
-    # two columns) against a direct sum, as a fraction of the rounding model
-    ts = 100.0 + 0.01 * np.arange(6000)
-    n = np.arange(1.0, 12001.0)
-    ln = np.log(n)
-    W = np.random.default_rng(7).standard_normal((len(n), 2)) * (n ** -0.75)[:, None]
-    out = _nufft(ts, _grid_step(ts), ln, W)
-    bound = _phase_rounding(float(ts[-1]), ln, W)
-    worst = max(float((np.abs(out[i] - np.exp(-1j * ts[i] * ln) @ W) / bound).max())
-                for i in range(0, len(ts), 97))
-    check("NUFFT phase sum vs direct sum within the rounding model", worst < 1,
-          f"worst {worst:.3f} of the bound")
+    # the phase sum on uniform blocks (the NUFFT path) against a direct sum,
+    # as a fraction of the kernel's rounding bound: a series-sized block
+    # (6000 points, 12 000 terms, two columns) and a zeta-shaped one (t in
+    # [1, 50), 98 terms n^-0.75, one column)
+    rng = np.random.default_rng(7)
+    for name, ts, W in (
+        ("series", 100.0 + 0.01 * np.arange(6000),
+         rng.standard_normal((12000, 2)) * (np.arange(1.0, 12001.0) ** -0.75)[:, None]),
+        ("zeta", 1.0 + 0.01 * np.arange(4900), (np.arange(1.0, 99.0) ** -0.75)[:, None]),
+    ):
+        ln = np.log(np.arange(1.0, len(W) + 1.0))
+        out, bound = _phase_dot(ts, ln, W)
+        worst = max(float((np.abs(out[i] - np.exp(-1j * ts[i] * ln) @ W) / bound).max())
+                    for i in np.r_[0:len(ts):97, len(ts) - 1])
+        check(f"NUFFT phase sum vs direct sum within its rounding bound ({name} block)",
+              worst < 1, f"worst {worst:.3f} of the bound")
 
     # Hecke relations on tau up to 1e4 (cache-aware so corruption is caught)
     N = 10**4

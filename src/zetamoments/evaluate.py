@@ -22,20 +22,20 @@ combination 2 v(2Y) - v(Y) (the O(1/Y) term from the Gamma pole at w=-1
 cancels); the Y-doubling difference is the reported error estimate.
 
 Every grid evaluation is a phase sum sum_n W_n e^{-it ln n} with one or two
-weight columns, done by one of two kernels.  `_phase_dot` is exact to the
-rounding of the phases: a tiled complex GEMM over blocks of ceil(sqrt(points))
-t-values, costing points x terms.  `_nufft` serves `smoothed_grid` on uniform
-grids of two or more points, where terms (74 Y ~ 150 t) far outnumber points:
-a type-1 nonuniform FFT with the t-grid as its modes and h ln n as its
-sources, costing O(terms + points log points).  It uses Gaussian gridding
+weight columns, and `_phase_dot` is its one entry; the grid's shape alone
+picks the kernel.  A uniform grid of two or more points -- every moment
+block, zeta's and the series' alike -- goes to `_nufft`, a type-1
+nonuniform FFT with the t-grid as its modes and h ln n as its sources,
+costing O(terms + points log points).  It uses Gaussian gridding
 (Greengard-Lee, SIAM Review 2004) rather than the "exponential of
 semicircle" kernel (Barnett-Magland-af Klinteberg, SISC 2019), whose Fourier
-transform has no closed form to deconvolve by.  Its rounding is a few eps
-times e^{m^2 tau} sum |W_n|, which the phase-rounding model covers only when
-(|t| + 1) ln n is large.  Zeta keeps the GEMM: its sums are short (2|t|
-terms), its values stay bit for bit what the zeta ledgers were pinned with,
-and at oversampling 2 a NUFFT zeta grid on t in [1, 3) (49 terms) was 1.36
-times the method's error estimate from mpmath (0.56 at the 2.5 used here).
+transform has no closed form to deconvolve by.  Any other grid (one point,
+as in the scalar calls, or non-uniform) is summed directly,
+exp(-i outer(t, ln n)) @ W, in row tiles.  The rounding bound is
+eps((max|t| + 1) sum |W_n| ln n + sum |W_n|) on both paths; the NUFFT adds
+eps e^{pi H / (4R(R - 1/2))} sum |W_n| (12.3 sum |W_n| at half-width H = 16
+and oversampling R = 2.5), the rounding its deconvolution amplifies at the
+grid's edge modes, which dominates at small |t|.
 """
 
 from __future__ import annotations
@@ -90,9 +90,9 @@ def zeta_em(s: complex, target_abs_err: float = 1e-9, M: int | None = None) -> E
     A one-point `_zeta_em`, so its value is bit-identical to `zeta_em_grid`
     at the same point.  M overrides the summation cut (default
     max(2|t|, 50)); it must stay >= |t|/pi for the Bernoulli tail to converge.
-    The target is held against the method's part of the estimate (remainder
-    and phase rounding); the reported estimate also carries the rounding of
-    the tail and the value, which near the pole grows like eps |zeta(s)|.
+    The target is held against the full estimate: the method's part
+    (remainder and phase rounding) plus the rounding of the tail and the
+    value, which near the pole grows like eps |zeta(s)|.
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-12:
@@ -106,14 +106,15 @@ def zeta_em(s: complex, target_abs_err: float = 1e-9, M: int | None = None) -> E
     elif M < abs(s.imag) / math.pi:
         raise ValueError("cut M below |t|/pi: Euler-Maclaurin tail would diverge")
     value, est, rnd = _zeta_em(s.real, np.array([s.imag]), M)
+    est += rnd
     if est > target_abs_err:
         raise PrecisionError(
             f"zeta_em cannot reach {target_abs_err:g} at s={s} (estimate {est:g})"
         )
-    return EvalResult(complex(value[0]), est + rnd)
+    return EvalResult(complex(value[0]), est)
 
 
-_N_TILE = 64  # terms per GEMM; small so the per-tile temporaries stay small
+_DIRECT_TILE = 1 << 18  # phase-matrix entries per direct-sum tile (4 MB)
 
 
 def _grid_step(ts: np.ndarray) -> float | None:
@@ -127,46 +128,36 @@ def _grid_step(ts: np.ndarray) -> float | None:
     return h if drift <= 8 * _EPS * np.abs(ts).max() else None
 
 
-def _phase_rounding(tmax: float, ln: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The rounding model of a phase sum up to |t| = tmax, per weight column:
-    the phase of n^{-it} is known to eps |t log n| and each term rounds once."""
-    aW = np.abs(W)
-    return _EPS * ((tmax + 1.0) * (ln @ aW) + aW.sum(axis=0))
+def _phase_dot(ts: np.ndarray, ln: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """out[i, :] = sum_n exp(-i ts[i] ln[n]) W[n, :], and its rounding bound
+    per weight column.
 
-
-def _phase_dot(ts: np.ndarray, ln: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """out[i, :] = sum_n exp(-i ts[i] ln[n]) W[n, :], as one tiled complex GEMM.
-
-    The grid is cut into A blocks of B = ceil(sqrt(len(ts))) points.  On a
-    uniform grid t[aB+b] = t[aB] + b h, so exp(-i t ln n) factors exactly
-    into a block-start matrix U[a, n] = exp(-i t[aB] ln n) and an offset
-    matrix R[n, (b, j)] = exp(-i b h ln n) W[n, j], and each n-tile adds
-    U @ R to all A*B rows at once.  The block starts are the grid points
-    themselves and h = (t[-1] - t[0]) / (len - 1), so the phases carry no
-    drift from an accumulated step.  A non-uniform grid is the same product
-    with B = 1.  Tile boundaries and the reduction order are fixed, so the
-    result depends only on the inputs.
+    The grid's shape alone picks the kernel: a uniform grid of two or more
+    points goes to `_nufft`, any other grid is summed directly, a few rows
+    at a time so the phase matrix stays under _DIRECT_TILE entries.  The
+    bound is eps ((max|t| + 1) sum |W_n| ln n + sum |W_n|), since the phase
+    of n^{-it} is known to eps |t ln n| and each term rounds once; the NUFFT
+    adds eps _NU_AMP sum |W_n| for its deconvolution.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    npts, ncol = len(ts), W.shape[1]
-    if not npts:
-        return np.zeros((0, ncol), dtype=np.complex128)
+    aW = np.abs(W)
+    tmax = float(np.abs(ts).max()) if len(ts) else 0.0
+    rnd = _EPS * ((tmax + 1.0) * (ln @ aW) + aW.sum(axis=0))
     h = _grid_step(ts)
-    B = 1 if h is None else math.isqrt(npts - 1) + 1
-    offsets = (h or 0.0) * np.arange(npts)
-    starts = ts[::B]
-    acc = np.zeros((len(starts), B * ncol), dtype=np.complex128)
-    for j0 in range(0, len(ln), _N_TILE):
-        lnt = ln[j0: j0 + _N_TILE]
-        U = np.exp(-1j * np.outer(starts, lnt))
-        R = np.exp(-1j * np.outer(lnt, offsets[:B]))[:, :, None] * W[j0: j0 + _N_TILE, None, :]
-        acc += U @ R.reshape(len(lnt), B * ncol)
-    return acc.reshape(-1, ncol)[:npts]
+    if h is not None:
+        return _nufft(ts, h, ln, W), rnd + _EPS * _NU_AMP * aW.sum(axis=0)
+    rows = max(1, _DIRECT_TILE // max(len(ln), 1))
+    out = np.empty((len(ts), W.shape[1]), dtype=np.complex128)
+    for i0 in range(0, len(ts), rows):
+        out[i0: i0 + rows] = np.exp(-1j * np.outer(ts[i0: i0 + rows], ln)) @ W
+    return out, rnd
 
 
 _NU_HALF = 16  # Gaussian half-width, in fine-grid cells
 _NU_OVERSAMPLE = 2.5  # fine-grid cells per output point; 2 is too coarse, see _nufft
 _NU_TILE = 4096  # terms spread per pass; bounds the per-call temporaries
+# the deconvolution's largest gain on rounding, exp(pi H / (4 R (R - 1/2))): 12.3
+_NU_AMP = math.exp(math.pi * _NU_HALF / (4.0 * _NU_OVERSAMPLE * (_NU_OVERSAMPLE - 0.5)))
 
 
 def _fft_len(n: int) -> int:
@@ -183,8 +174,8 @@ def _fft_len(n: int) -> int:
 
 
 def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """`_phase_dot` on a uniform grid ts[j] = ts[mid] + m h, m = j - mid, as a
-    type-1 nonuniform FFT with Gaussian gridding (Greengard-Lee 2004).
+    """The phase sum on a uniform grid ts[j] = ts[mid] + m h, m = j - mid, as
+    a type-1 nonuniform FFT with Gaussian gridding (Greengard-Lee 2004).
 
     With c_n = W_n exp(-i ts[mid] ln n) and x_n = h ln n, out[j] is
     sum_n c_n exp(-i m x_n).  Each c_n is spread onto the 2H nearest cells
@@ -194,7 +185,8 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray) -> np.ndarra
     Gaussian's Fourier transform sqrt(tau/pi) exp(-m^2 tau) leaves a
     truncation and aliasing error near exp(-pi H (R-1)/(R-1/2)) of
     sum |c_n|.  The division amplifies the rounding of the edge modes by
-    exp(tau P^2/4) = exp(pi H / (4 R (R - 1/2))): 66 at R = 2, 12 at R = 2.5.
+    exp(tau P^2/4) <= exp(pi H / (4 R (R - 1/2))) = _NU_AMP: 66 at R = 2,
+    12 at R = 2.5.
     The kernel factors as exp(-a o^2) exp(-a f^2) exp(2 a f)^o for a term at
     fraction f of its cell and offset o, and x_n is monotone in n, so each
     offset is one `np.add.reduceat` over the runs of terms that share a cell.
@@ -235,17 +227,18 @@ def _zeta_em(sigma: float, ts: np.ndarray, M: int) -> tuple[np.ndarray, float, f
     estimate in two parts: the method's and the rounding of tail and value.
 
     The method's part is the remainder bound (first omitted Bernoulli term
-    times |s+2R+1|/(sigma+2R+1)) plus the rounding of the main sum, whose
-    phases n^{-it} are known to eps*|t log n|; both grow with |t|, so they
-    are taken at the grid's largest |t|.  The second part holds M^{-s} =
-    exp(-s log M) to eps*|s log M| relative and lets each of the 13
-    additions into the value round by half an ulp; the tail and the value
-    enter at their largest modulus on the grid.
+    times |s+2R+1|/(sigma+2R+1)) plus the main sum's rounding bound from
+    `_phase_dot`; both grow with |t|, so they are taken at the grid's
+    largest |t|.  The second part holds M^{-s} = exp(-s log M) to
+    eps*|s log M| relative and lets each of the 13 additions into the value
+    round by half an ulp; the tail and the value enter at their largest
+    modulus on the grid.
     """
     n = np.arange(1, M, dtype=np.float64)
     ln = np.log(n)
     npw = n ** (-sigma)
-    out = _phase_dot(ts, ln, npw[:, None])[:, 0]
+    out, rnd = _phase_dot(ts, ln, npw[:, None])
+    out = out[:, 0]
     sv = sigma + 1j * ts
     Ms = M ** (-sv)
     tail = Ms * (0.5 + M / (sv - 1.0))
@@ -264,10 +257,9 @@ def _zeta_em(sigma: float, ts: np.ndarray, M: int) -> tuple[np.ndarray, float, f
         * M ** (1.0 - 2 * r - sigma) * abs(top)
         * abs(s + 2 * _EM_TERMS + 1) / (sigma + 2 * _EM_TERMS + 1)
     )
-    rnd = float(_phase_rounding(abs(s.imag), ln, npw[:, None])[0])
     rnd_value = _EPS * (tail * (abs(s) * math.log(M) + 2.0)
                         + 0.5 * (_EM_TERMS + 1) * float(np.abs(out).max()))
-    return out, trunc + rnd, rnd_value
+    return out, trunc + float(rnd[0]), rnd_value
 
 
 def zeta_em_grid(sigma: float, ts: np.ndarray) -> np.ndarray:
@@ -374,12 +366,6 @@ def chi_factor(s: complex) -> EvalResult:
 # Smoothed Dirichlet evaluation (the contour-shift device)
 # ---------------------------------------------------------------------------
 
-def _pole_term(residue: float, s, Y: float):
-    """residue * Gamma(1-s) * Y^(1-s); s may be an array."""
-    one_m_s = 1.0 - np.asarray(s, dtype=np.complex128)
-    return residue * np.exp(loggamma(one_m_s) + one_m_s * math.log(Y))
-
-
 def _check_pole_collision(s: complex) -> None:
     w = 1.0 - s
     if abs(w.imag) < 1e-8 and w.real <= 1e-8 and abs(w.real - round(w.real)) < 1e-8:
@@ -431,8 +417,8 @@ def smoothed_grid(
 ) -> tuple[np.ndarray, float]:
     """Richardson-smoothed values on a t-grid plus the max Y-doubling spread.
 
-    The Y and 2Y weights are the two columns of one phase sum: `_nufft` on
-    a uniform grid of two or more points, `_phase_dot` otherwise.
+    The Y and 2Y weights are the two columns of one `_phase_dot`, and the
+    pole term residue Gamma(1-s) Y^(1-s) shares one loggamma between them.
     Terms run to n = 74 Y (or the table's end), where e^{-n/(2Y)} < 1e-16.
     """
     ts = np.asarray(ts, dtype=np.float64)
@@ -440,14 +426,13 @@ def smoothed_grid(
     n = np.arange(1, cut2 + 1, dtype=np.float64)
     npw = values[:cut2] * n ** (-sigma)
     W = np.stack([npw * np.exp(-n / Y), npw * np.exp(-n / (2.0 * Y))], axis=1)
-    h = _grid_step(ts)
-    ln = np.log(n)
-    acc = _phase_dot(ts, ln, W) if h is None else _nufft(ts, h, ln, W)
+    acc = _phase_dot(ts, np.log(n), W)[0]
     v1 = acc[:, 0]
     v2 = acc[:, 1]
     if residue is not None:
-        sv = sigma + 1j * ts
-        v1 -= _pole_term(residue, sv, Y)
-        v2 -= _pole_term(residue, sv, 2.0 * Y)
+        one_m_s = 1.0 - (sigma + 1j * ts)
+        lg = loggamma(one_m_s)
+        v1 -= residue * np.exp(lg + one_m_s * math.log(Y))
+        v2 -= residue * np.exp(lg + one_m_s * math.log(2.0 * Y))
     spread = float(np.abs(v2 - v1).max()) if len(ts) else 0.0
     return 2.0 * v2 - v1, spread

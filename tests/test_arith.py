@@ -152,7 +152,7 @@ def test_stieltjes_vs_zeta_limit(gammas):
     # zeta(1+eps) - 1/eps -> gamma_0 (eps as actually represented in double)
     s = 1.0 + 1e-6
     eps = s - 1.0
-    z = zm.zeta_em(complex(s, 0), 1e-10).value.real
+    z = zm.zeta_em(complex(s, 0), 1e-8).value.real  # the estimate here is 2.7e-9
     assert abs((z - 1 / eps) - gammas[0]) < 1e-6
 
 

@@ -16,6 +16,7 @@ from zetamoments.evaluate import (
     _grid_step,
     _nufft,
     _phase_dot,
+    _zeta_em,
     chi_factor,
     gamma_fn,
     loggamma,
@@ -66,6 +67,12 @@ def test_zeta_desk_range_guard():
         zeta_em(0.75 + 10j, target_abs_err=1e-13)
 
 
+def test_zeta_target_held_against_the_full_estimate():
+    # near the pole the value's own rounding (|zeta| ~ 1e6) exceeds 1e-10
+    with pytest.raises(PrecisionError):
+        zeta_em(1 + 1e-6, 1e-10)
+
+
 def test_zeta_conjugate_symmetry():
     for s in (0.7 + 13.3j, 0.51 + 99.2j, 0.9 + 4.4j):
         a = zeta_em(s).value
@@ -99,8 +106,21 @@ def test_zeta_error_estimate_honest_against_mpmath():
     pts += [complex(rng.uniform(1.01, 3.0), rng.uniform(0, 100)) for _ in range(60)]
     pts += [complex(rng.uniform(-0.5, 0.5), rng.uniform(1, 100)) for _ in range(40)]
     for s in pts:
-        r = zeta_em(s)
+        r = zeta_em(s, 1e-8)  # the estimate at s = 1 + 1e-6 is 2.7e-9
         assert abs(r.value - _mp_zeta(s)) <= r.abs_error_estimate, s
+
+
+def test_zeta_grid_estimate_honest_against_mpmath():
+    # _zeta_em's own estimate on short uniform grids (the NUFFT path) at
+    # small |t|, where the deconvolution's rounding term dominates the bound
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        sigma = float(rng.uniform(-0.5, 2.5))
+        t0 = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3.0, math.log10(5.0)))
+        ts = t0 + 10 ** rng.uniform(-3.0, -1.0) * np.arange(rng.integers(2, 30))
+        vals, est, rnd = _zeta_em(sigma, ts, _em_cut(np.abs(ts).max()))
+        for t, v in zip(ts, vals):
+            assert abs(v - _mp_zeta(complex(sigma, t))) <= est + rnd, (sigma, t)
 
 
 def test_zeta_scalar_is_a_one_point_grid():
@@ -152,13 +172,13 @@ def _rounding_model(ts, ln, W):
     (3.5 + 0.1 * np.arange(2), 50, 2),
     (3.5 + 0.1 * np.arange(3), 50, 2),
     (3.5 + 0.1 * np.arange(4), 50, 2),
-    (10.0 + 0.01 * np.arange(4907), 1599, 1),  # 70 blocks of 71 overrun 4907 points
+    (10.0 + 0.01 * np.arange(4907), 1599, 1),
 ])
 def test_phase_dot_matches_direct_sum(ts, nterms, ncol, rng):
     n = np.arange(1, nterms + 1, dtype=np.float64)
     ln = np.log(n)
     W = rng.standard_normal((nterms, ncol)) * n[:, None] ** -0.75
-    out = _phase_dot(ts, ln, W)
+    out = _phase_dot(ts, ln, W)[0]
     assert out.shape == (len(ts), ncol)
     if not len(ts):
         return
@@ -186,15 +206,27 @@ def test_phase_dot_matches_direct_sum(ts, nterms, ncol, rng):
     (3.5 + 0.1 * np.arange(100), 50),
     (-40.0 + 0.01 * np.arange(6001), 12000),  # negative t0
     (-40.0 + 0.01 * np.arange(6000), 12000),
+    # zeta-shaped, "zeta" meaning zeta_em_grid's own terms and weights: one
+    # column n^-0.75, n < M = _em_cut(max t); the five blocks of the T = 800
+    # moment grid, then short grids at |t| < 5
+    *[(_moment_block(800.0, lo, hi), "zeta")
+      for lo, hi in ((0, 50), (50, 100), (100, 200), (200, 400), (400, 800))],
+    (0.3 + 0.5 * np.arange(2), "zeta"),
+    (-4.9 + 0.013 * np.arange(3), "zeta"),
+    (-2.0 + 0.0045 * np.arange(1000), "zeta"),
 ])
 def test_nufft_matches_direct_sum(ts, nterms, rng):
-    n = np.arange(1, nterms + 1, dtype=np.float64)
+    if nterms == "zeta":
+        n = np.arange(1, _em_cut(np.abs(ts).max()), dtype=np.float64)
+        W = (n ** -0.75)[:, None]
+    else:
+        n = np.arange(1, nterms + 1, dtype=np.float64)
+        W = rng.standard_normal((nterms, 2)) * n[:, None] ** -0.75
     ln = np.log(n)
-    W = rng.standard_normal((nterms, 2)) * n[:, None] ** -0.75
     h = _grid_step(ts)
     assert h is not None
     out = _nufft(ts, h, ln, W)
-    assert out.shape == (len(ts), 2)
+    assert out.shape == (len(ts), W.shape[1])
     tol = _rounding_model(ts, ln, W)
     # the first and last rows are the modes the deconvolution amplifies most
     rows = np.unique(np.r_[np.arange(0, len(ts), max(7, len(ts) // 256)), len(ts) - 1])
@@ -233,9 +265,18 @@ def test_fft_len_is_5_smooth():
     assert _fft_len(12002) == 12150
 
 
-def test_smoothed_grid_kernel_by_grid(rng):
-    # uniform grids of two or more points take the NUFFT; one-point and
-    # non-uniform grids keep _phase_dot's exact output
+def test_phase_sum_kernel_by_grid(rng, monkeypatch):
+    # smoothed_grid and zeta_em_grid both go through _phase_dot, which takes
+    # the NUFFT on a uniform grid of two or more points and the direct sum on
+    # any other grid
+    nufft = zm.evaluate._nufft
+    calls = []
+
+    def spy(ts, h, ln, W):
+        calls.append(len(ts))
+        return nufft(ts, h, ln, W)
+
+    monkeypatch.setattr(zm.evaluate, "_nufft", spy)
     values = rng.standard_normal(3000)
     sigma, Y = 0.8, 3000 / 74.0
     n = np.arange(1, 3001, dtype=np.float64)
@@ -250,11 +291,18 @@ def test_smoothed_grid_kernel_by_grid(rng):
         (5.0 + 0.01 * np.arange(777), True),
     ]
     for ts, uniform in grids:
-        acc = _nufft(ts, _grid_step(ts), ln, W) if uniform else _phase_dot(ts, ln, W)
+        calls.clear()
         got, spread = smoothed_grid(values, sigma, ts, Y)
-        assert np.array_equal(got, 2.0 * acc[:, 1] - acc[:, 0])
-        assert spread == float(np.abs(acc[:, 1] - acc[:, 0]).max())
-
+        zeta_em_grid(0.75, ts)
+        assert calls == ([len(ts)] * 2 if uniform else [])
+        if uniform:  # the NUFFT's own output, bit for bit
+            acc = nufft(ts, _grid_step(ts), ln, W)
+            assert np.array_equal(got, 2.0 * acc[:, 1] - acc[:, 0])
+            assert spread == float(np.abs(acc[:, 1] - acc[:, 0]).max())
+        else:  # the direct sum, within the rounding of its row tiles
+            acc = np.exp(-1j * np.outer(ts, ln)) @ W
+            tol = _rounding_model(ts, ln, W)
+            assert np.all(np.abs(got - (2.0 * acc[:, 1] - acc[:, 0])) <= 2 * tol[1] + tol[0])
 
 
 # ---------------------------------------------------------------------------
