@@ -11,7 +11,13 @@ and the error-term curves Delta_k(x) together with the cumulative mean
 square  int_1^X Delta_k(y)^2 dy.
 
 All d_k tables are exact integers (int64, with an explicit capacity guard);
-convolutions of integer tables stay integer.  P_{k-1} is obtained as the
+convolutions of integer tables stay integer.  A Dirichlet convolution to N
+adds a(d) b(j) into out[dj] as one strided pass per d <= sqrt(N), then one
+fancy-indexed pass per block of the d > sqrt(N) with equal quotient q = N//d
+(j <= q): about 2 sqrt(N) passes, not N.  No index repeats within a block,
+since d2/d1 < (q+1)/q <= j1/j2 there, and the blocks run in ascending d, so
+every out[n] still adds its terms in ascending d and float results are
+bit-identical to a plain loop over d.  P_{k-1} is obtained as the
 residue at s=1 of zeta(s)^k x^s / s, expanded in powers of log x from the
 truncated Laurent series of zeta at 1.
 """
@@ -192,7 +198,9 @@ def dirichlet_convolve(a: CoeffTable, b: CoeffTable) -> CoeffTable:
     """(a*b)(n) = sum_{d|n} a(d) b(n/d), exact for integer inputs.
 
     Integer (x) integer stays int64 with an overflow pre-check; any real
-    operand promotes the result to float64.
+    operand promotes the result to float64.  About 2 sqrt(N) NumPy passes
+    (see the module docstring), and every out[n] adds its terms in
+    ascending d, so float results do not depend on the blocking.
     """
     if a.N != b.N:
         raise ValueError(f"length mismatch: {a.N} != {b.N}")
@@ -210,10 +218,17 @@ def dirichlet_convolve(a: CoeffTable, b: CoeffTable) -> CoeffTable:
         out = np.zeros(N, dtype=np.float64)
         av = a.values.astype(np.float64)
         bv = b.values.astype(np.float64)
-    for d in range(1, N + 1):
+    r = math.isqrt(N)
+    for d in range(1, r + 1):
         ad = av[d - 1]
         if ad:
             out[d - 1:: d] += ad * bv[: N // d]
+    big = r + 1 + np.flatnonzero(av[r:])  # the d > sqrt(N) with a(d) != 0
+    quot = N // big
+    starts = np.flatnonzero(np.diff(quot, prepend=0))  # where each quotient block begins
+    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(big)]):
+        ds, q = big[lo:hi], int(quot[lo])
+        out[ds[:, None] * np.arange(1, q + 1) - 1] += av[ds - 1, None] * bv[:q]
     label = f"({a.label})*({b.label})"
     return CoeffTable(label, N, out, {"left": a.label, "right": b.label})
 

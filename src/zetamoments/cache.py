@@ -77,15 +77,25 @@ def save_table(path, label: str, params: dict, values) -> str:
     return checksum
 
 
+def _read_header(f, path) -> tuple:
+    if f.read(4) != MAGIC:
+        raise CacheError(f"{path}: bad magic (not a ZML1 cache)")
+    n = struct.unpack("<Q", f.read(8))[0]
+    hlen = struct.unpack("<Q", f.read(8))[0]
+    return n, json.loads(f.read(hlen))
+
+
+def table_header(path) -> dict:
+    """The JSON header of a cache file (label, params, dtype, sha256), unverified."""
+    with open(path, "rb") as f:
+        return _read_header(f, path)[1]
+
+
 def load_table(path):
     """Read a cache file -> (label, params, values). Verifies the checksum."""
     path = Path(path)
     with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise CacheError(f"{path}: bad magic (not a ZML1 cache)")
-        n = struct.unpack("<Q", f.read(8))[0]
-        hlen = struct.unpack("<Q", f.read(8))[0]
-        header = json.loads(f.read(hlen))
+        n, header = _read_header(f, path)
         payload = f.read()
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise CacheError(f"{path}: checksum mismatch (corrupted cache)")

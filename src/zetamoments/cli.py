@@ -18,8 +18,9 @@ lines, one experiment cell per block:
 sigma may list several values (one cell each).  Records append to
 ledger.csv (header: family,k,sigma,T,integral,main,residual,quad_err) and a
 JSON summary per run records slope / theory_exponent / pass, the quadrature
-diagnostics and each cell's wall seconds per stage (`stage_s`: table_load,
-main_term, integrand, simpson_fit), none of which reach ledger.csv.
+diagnostics, each cell's wall seconds per stage (`stage_s`: table_load,
+main_term, integrand, simpson_fit) and the sha256 of the cached table the
+cell read (`table_sha256`, null for zeta), none of which reach ledger.csv.
 Identical manifests re-run against the same cache append identical value
 rows, independent of --workers.
 """
@@ -196,6 +197,7 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
             raise ValueError(f"sigma={sigma} outside (1/2, 1)")
         coeffs = None
         pole_residue = None
+        table_sha256 = None
         t0 = time.perf_counter()
         if family in _FAMILY_TABLE:
             label = _FAMILY_TABLE[family]
@@ -206,6 +208,7 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
                     f"required table missing: run `zetamoments build-tables {label}={N}` first"
                 )
             coeffs = load_coeff_table(cfg, label, N)
+            table_sha256 = cache.table_header(path)["sha256"]
             if family == "Z2":
                 rd = modularforms.RankinData(N, coeffs.values)
                 pole_residue = modularforms.rankin_A(rd, N)
@@ -229,6 +232,7 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
             "level": max(r.level for r in res.records),
             "points": max(r.points for r in res.records),
             "stage_s": dict(res.stage_s, table_load=table_load_s),
+            "table_sha256": table_sha256,
         })
         status = "PASS" if res.fit.pass_ else "FAIL"
         print(f"[{status}] {family} k={k} sigma={sigma}: slope {res.fit.slope:.3f} "

@@ -8,6 +8,14 @@ times: E^24 = ((E^3)^2)^2)^2.  Every squaring, E^2 included, is an exact
 convolution by float FFT on balanced 11-bit limbs whose rounding is
 certified (_square), so the table is exact arbitrary-precision integers.
 
+Every tau table is certified against Deligne's bound tau(n)^2 <= d(n)^2 n^11
+before it is normalized.  The check runs in float64 with a margin of 64 eps,
+four times its worst rounding, so a pass in floats implies the exact bound;
+each n inside the margin (on real tables only n = 1) is settled in exact
+integer arithmetic.  The int64 guard of a squaring, |a|_2^2 < 2^61, is decided
+the same way: by one float dot product when it is clear of its error band,
+else by the exact sum.
+
 Derived tables: the Deligne-normalized a~(n) = tau(n) n^{-11/2}, the
 self-convolution a~*a~ (coefficients of F^2), and the Rankin-Selberg
 coefficients c_n = sum_{d^2 m = n} a~(m)^2 with
@@ -95,6 +103,21 @@ def _times_sparse(dense: np.ndarray, sparse: np.ndarray) -> np.ndarray:
     return out
 
 
+def _norm2_at_least(a: np.ndarray, limit: int) -> bool:
+    """Exactly whether sum a_i^2 >= limit for an int64 array a.
+
+    One float dot product decides when it is clear of the limit: conversion
+    and summation err by at most (len + 2) eps relative, taken twice.  Only a
+    norm within that band of the limit is summed in Python ints.
+    """
+    af = a.astype(np.float64)
+    s = float(af @ af)
+    err = (len(a) + 2) * 2 * _EPS * s
+    if abs(s - limit) > err:
+        return s > limit
+    return sum(x * x for x in a.tolist()) >= limit
+
+
 def _square(a: np.ndarray, big: bool) -> tuple:
     """Exact truncated square sum_{i+j=n} a_i a_j, n <= M = len(a) - 1, by FFT.
 
@@ -110,7 +133,7 @@ def _square(a: np.ndarray, big: bool) -> tuple:
     every coefficient and Horner partial sum.  Returns (square, (largest
     a-priori bound, largest observed deviation)).
     """
-    if not big and sum(x * x for x in a.tolist()) >= _INT64_SAFE:
+    if not big and _norm2_at_least(a, _INT64_SAFE):
         raise CapacityError("square of the series may overflow int64")
     M = len(a) - 1
     half = 1 << (_LIMB_BITS - 1)
@@ -180,17 +203,28 @@ def _check_jacobi(e3: np.ndarray, M: int) -> None:
 def normalize(tau: TauTable) -> CoeffTable:
     """a~(n) = tau(n) n^{-11/2} (weight 12) as float64; verifies Deligne exactly.
 
-    The bound |a~(n)| <= d(n) is checked in exact integer arithmetic as
-    tau(n)^2 <= d(n)^2 n^11 before any float conversion.
+    The bound |a~(n)| <= d(n), i.e. tau(n)^2 <= d(n)^2 n^11, is certified in
+    float64: t = fl(tau(n)) is correctly rounded, n^11 is 10 products and
+    d(n)^2 is exact, so the float test t^2 <= d^2 n^11 (1 - 64 eps) errs by
+    under 16 eps relative and implies the exact bound.  Every n that misses
+    the margin (on real tables only n = 1) is checked in exact integers.
     """
     N = tau.N
     d = sieve_dk(2, N).values
-    for n in range(1, N + 1):
-        t = tau.tau[n - 1]
-        if t * t > int(d[n - 1]) ** 2 * n**11:
-            raise DeligneBoundError(f"|a~({n})| > d({n}): tau table corrupt")
-    vals = np.array([float(t) for t in tau.tau]) * np.arange(1, N + 1, dtype=np.float64) ** (-5.5)
-    return CoeffTable("a_tilde", N, vals, {"kappa": 12})
+    try:
+        t = np.array(tau.tau, dtype=np.float64)  # each value correctly rounded
+    except OverflowError:  # |tau(n)| > 2^1024 breaks the bound for any feasible n
+        t = np.full(N, np.inf)
+    n = np.arange(1, N + 1, dtype=np.float64)
+    n11 = n.copy()
+    for _ in range(10):
+        n11 *= n
+    d2 = (d * d).astype(np.float64)
+    unsure = np.flatnonzero(~(t * t <= d2 * n11 * (1.0 - 64 * _EPS)))
+    for i in unsure.tolist():
+        if tau.tau[i] ** 2 > int(d[i]) ** 2 * (i + 1) ** 11:
+            raise DeligneBoundError(f"|a~({i + 1})| > d({i + 1}): tau table corrupt")
+    return CoeffTable("a_tilde", N, t * n ** (-5.5), {"kappa": 12})
 
 
 def self_convolve(a_tilde: CoeffTable) -> CoeffTable:

@@ -176,15 +176,23 @@ def main_term_zeta(k: int, sigma: float, prime_cut: int = 10**6) -> MainTermCons
     x = primes.astype(np.float64) ** (-s2)
     loc = np.ones_like(x)
     term = np.ones_like(x)
+    m = len(x)  # the primes still summed: a prefix, as x falls with p
     j = 0
     while True:
         j += 1
-        term = term * x * ((k - 1 + j) / j) ** 2
-        loc += term
-        if float(term.max()) < 1e-20:
+        t = term[:m]
+        t *= x[:m]
+        t *= ((k - 1 + j) / j) ** 2
+        loc[:m] += t
+        if float(t.max()) < 1e-20:
             break
         if j > 400:
             raise PrecisionError("local factor series failed to converge")
+        # a term below 2^-54 whose ratio x ((k+j)/(j+1))^2 is at most 1 has
+        # falling successors, each below half an ulp of loc >= 1: adding them
+        # would not change loc, so drop the primes past the last other one
+        keep = np.flatnonzero((t >= 2.0**-54) | (x[:m] * ((k + j) / (j + 1)) ** 2 > 1.0))
+        m = int(keep[-1]) + 1 if keep.size else 1
     log_g = k * k * np.log1p(-x) + np.log(loc)
     value = zs ** (k * k) * math.exp(float(log_g.sum()))
     # prime tail: |log g_p| <= 2 c2 p^{-4 sigma} with c2 = (k(k-1)/2)^2

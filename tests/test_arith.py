@@ -131,6 +131,29 @@ def test_convolution_length_mismatch():
         zm.dirichlet_convolve(zm.ones_table(10), zm.ones_table(11))
 
 
+def _convolve_per_d(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """The plain loop: one strided pass for every d with a(d) != 0."""
+    N = len(av)
+    out = np.zeros(N, dtype=np.result_type(av, bv))
+    for d in range(1, N + 1):
+        if av[d - 1]:
+            out[d - 1:: d] += av[d - 1] * bv[: N // d]
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 99, 100, 101, 9973, 15000])
+def test_convolution_bytes_match_per_d_loop(N, rng):
+    # random tables with zero and negative entries, in both dtypes; the
+    # quotient blocks must keep every out[n]'s ascending-d order
+    ints = rng.integers(-1000, 1000, N)
+    floats = rng.standard_normal(N) * 10.0 ** rng.integers(-8, 8, N)
+    for av, bv in ((ints, rng.integers(-1000, 1000, N)), (floats, rng.standard_normal(N))):
+        av[rng.random(N) < 0.3] = 0
+        got = zm.dirichlet_convolve(zm.CoeffTable("a", N, av), zm.CoeffTable("b", N, bv)).values
+        ref = _convolve_per_d(av, bv)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 def test_convolution_promotes_to_float():
     a = zm.ones_table(20)
     b = zm.CoeffTable("f", 20, np.ones(20) * 0.5)

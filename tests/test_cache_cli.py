@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -199,6 +200,10 @@ def test_experiment_summary_carries_quadrature_diagnostics(tmp_path):
         assert cell["points"] == int(round((50.0 - 1.0) / h2)) + 1
     assert f2["spread"] > 0
     assert zeta["spread"] == 0
+    # the checksum of the table each cell read; zeta reads none
+    _, _, values = cache.load_table(tmp_path / "c" / "a_tilde_N8000.zml")
+    assert f2["table_sha256"] == hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+    assert zeta["table_sha256"] is None
     header = (out / "ledger.csv").read_text().splitlines()[0]
     assert header == "family,k,sigma,T,integral,main,residual,quad_err"
 

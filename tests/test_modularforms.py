@@ -137,6 +137,49 @@ def test_square_int64_guard_raises():
     assert mf._square(a, big=True)[0][-1] == 10 * 2**58
 
 
+def test_square_int64_guard_decides_exactly():
+    # norm^2 = 2^61 - 2^31 + 1 passes; exactly 2^61 is inside the float
+    # dot product's error band, so the exact sum decides, and refuses
+    ok = np.array([2**30, 2**30 - 1], dtype=np.int64)
+    assert mf._square(ok, big=False)[0].tolist() == schoolbook_square(ok.tolist(), 1)
+    with pytest.raises(CapacityError):
+        mf._square(np.array([2**30, 2**30], dtype=np.int64), big=False)
+    # norm^2 = 2^61 - 1, also decided by the exact sum, passes
+    edge = np.array([2**30, 2**30 - 1, 46340, 296, 20, 5, 2, 1], dtype=np.int64)
+    assert sum(x * x for x in edge.tolist()) == 2**61 - 1
+    assert not mf._norm2_at_least(edge, 2**61)
+
+
+def test_deligne_corruption_near_N_raises(tau_1e5):
+    n = tau_1e5.N - 7
+    d = int(zm.sieve_dk(2, n).value(n))
+    tau = list(tau_1e5.tau)
+    tau[n - 1] = -(math.isqrt(d * d * n**11) + 1)  # just above d(n) n^5.5
+    with pytest.raises(DeligneBoundError, match=rf"a~\({n}\)"):
+        zm.normalize(zm.TauTable(tau_1e5.N, tau))
+
+
+def test_deligne_value_beyond_float_range_raises():
+    tau = zm.tau_table(10).tau
+    tau[1] = -(10**400)
+    with pytest.raises(DeligneBoundError, match=r"a~\(2\)"):
+        zm.normalize(zm.TauTable(10, tau))
+
+
+def test_deligne_value_on_the_bound_passes(tau_1e5):
+    # n = m^2 makes d(n) m^11 hit the bound exactly; the float margin cannot
+    # certify it, so the exact integer test must admit it
+    m = math.isqrt(tau_1e5.N)
+    n = m * m
+    d = int(zm.sieve_dk(2, n).value(n))
+    tau = list(tau_1e5.tau)
+    tau[n - 1] = d * m**11
+    t = float(tau[n - 1])
+    assert not t * t <= float(d * d) * float(n) ** 11 * (1.0 - 64 * mf._EPS)
+    a = zm.normalize(zm.TauTable(tau_1e5.N, tau))
+    assert a.value(n) == pytest.approx(d, rel=1e-14)
+
+
 def test_tau_budget():
     with pytest.raises(CapacityError):
         zm.tau_table(10**6)

@@ -62,6 +62,24 @@ def test_main_term_monotone_in_sigma():
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("k,sigma", [(2, 0.75), (3, 0.9), (3, 0.6), (4, 0.75), (6, 0.55)])
+def test_main_term_matches_all_primes_loop(k, sigma):
+    # the local factors summed over every prime below 10^6 in every round;
+    # dropping the primes whose terms can no longer move loc keeps it exact
+    s2 = 2.0 * sigma
+    x = prime_sieve(10**6).astype(np.float64) ** (-s2)
+    loc = np.ones_like(x)
+    term = np.ones_like(x)
+    j = 0
+    while float(term.max()) >= 1e-20:
+        j += 1
+        term = term * x * ((k - 1 + j) / j) ** 2
+        loc += term
+    log_g = k * k * np.log1p(-x) + np.log(loc)
+    ref = zeta_real(s2) ** (k * k) * math.exp(float(log_g.sum()))
+    assert main_term_zeta(k, sigma).value == ref
+
+
 def test_main_term_divergence_guard():
     with pytest.raises(ValueError):
         main_term_zeta(2, 0.5)
