@@ -15,12 +15,16 @@ lines, one experiment cell per block:
     sigma = 0.75
     T_grid = 250 500 1000 2000
 
-sigma may list several values (one cell each).  Records append to
+sigma may list several values (one cell each).  Other keys: rel_tol, slack,
+N.  Tables, k and default N come from moments.FAMILIES; an omitted k is the
+family's (1 for zeta), and an unknown key or family or a contradicting k is
+an error before any cell runs.  Records append to
 ledger.csv (header: family,k,sigma,T,integral,main,residual,quad_err) and a
 JSON summary per run records slope / theory_exponent / pass, the quadrature
 diagnostics, each cell's wall seconds per stage (`stage_s`: table_load,
-main_term, integrand, simpson_fit) and the sha256 of the cached table the
-cell read (`table_sha256`, null for zeta), none of which reach ledger.csv.
+main_term, integrand with a pole's residue, simpson_fit) and the sha256 of
+the cached table the cell read (`table_sha256`, null for zeta), none of
+which reach ledger.csv.
 Identical manifests re-run against the same cache append identical value
 rows, independent of --workers.
 """
@@ -118,7 +122,7 @@ def build_table(cfg: RunConfig, label: str, N: int, verbose: bool = True):
     elif label == "tau":
         values = modularforms.tau_table(N).tau
     elif label == "a_tilde":
-        tau = modularforms.TauTable(N, list(build_table(cfg, "tau", N, verbose)))
+        tau = modularforms.TauTable(N, build_table(cfg, "tau", N, verbose))
         values = modularforms.normalize(tau).values
     elif label == "a_tilde_sq_conv":
         at = load_coeff_table(cfg, "a_tilde", N)
@@ -137,9 +141,7 @@ def build_table(cfg: RunConfig, label: str, N: int, verbose: bool = True):
 def load_coeff_table(cfg: RunConfig, label: str, N: int) -> arith.CoeffTable:
     if label == "tau":
         raise ValueError("tau is big-integer valued; use a_tilde for CoeffTable work")
-    values = build_table(cfg, label, N, verbose=False)
-    arr = values if isinstance(values, np.ndarray) else np.asarray(values)
-    return arith.CoeffTable(label, N, arr, _params(label))
+    return arith.CoeffTable(label, N, build_table(cfg, label, N, verbose=False), _params(label))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +168,12 @@ def parse_manifest(path) -> list[dict]:
     for blk in cells:
         if "family" not in blk:
             raise ValueError(f"manifest cell missing 'family': {blk}")
+        unknown = set(blk) - {"family", "k", "sigma", "T_grid", "rel_tol", "slack", "N"}
+        if unknown:
+            raise ValueError(f"unknown manifest key(s) {sorted(unknown)}")
         family = blk["family"]
-        k = int(blk.get("k", "1"))
+        fam = moments.family_of(family, int(blk["k"]) if "k" in blk else None)
+        k = int(blk.get("k", fam.k or 1))
         sigmas = [float(s) for s in blk.get("sigma", "0.75").split()]
         T_grid = [float(t) for t in blk.get("T_grid", "250 500 1000 2000").split()]
         for sg in sigmas:
@@ -182,26 +188,16 @@ def parse_manifest(path) -> list[dict]:
     return out
 
 
-_FAMILY_TABLE = {"F2": "a_tilde", "F4": "a_tilde_sq_conv", "Z2": "rankin_c"}
-_FAMILY_DEFAULT_N = {"F2": 160000, "F4": 160000, "Z2": 100000}
-_FAMILY_K = {"F2": 1, "F4": 2, "Z2": 1}  # k is free for zeta only
-
-
 def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
     all_pass = True
     summaries = []
     for cell in cells:
         family, k, sigma = cell["family"], cell["k"], cell["sigma"]
-        k = _FAMILY_K.get(family, k)
-        if not 0.5 < sigma < 1.0:
-            raise ValueError(f"sigma={sigma} outside (1/2, 1)")
-        coeffs = None
-        pole_residue = None
-        table_sha256 = None
+        label = moments.FAMILIES[family].table
+        coeffs = table_sha256 = None
         t0 = time.perf_counter()
-        if family in _FAMILY_TABLE:
-            label = _FAMILY_TABLE[family]
-            N = cell.get("N", _FAMILY_DEFAULT_N[family])
+        if label is not None:
+            N = cell.get("N", moments.FAMILIES[family].default_N)
             path = _cache_path(cfg, label, N)
             if not path.exists():
                 raise FileNotFoundError(
@@ -209,13 +205,9 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
                 )
             coeffs = load_coeff_table(cfg, label, N)
             table_sha256 = cache.table_header(path)["sha256"]
-            if family == "Z2":
-                rd = modularforms.RankinData(N, coeffs.values)
-                pole_residue = modularforms.rankin_A(rd, N)
         table_load_s = time.perf_counter() - t0
         res = moments.exponent_experiment(
-            family, k, sigma, cell["T_grid"],
-            coeffs=coeffs, pole_residue=pole_residue,
+            family, k, sigma, cell["T_grid"], coeffs=coeffs,
             rel_tol=cell.get("rel_tol", cfg.rel_tol),
             slack=cell.get("slack", cfg.slack),
             workers=cfg.workers, budget=cfg.budget,
@@ -384,8 +376,8 @@ def main(argv=None) -> int:
             cache.export_csv(args.out, values)
             print(f"wrote {args.out}")
             return 0
-    except (ValueError, FileNotFoundError, arith.CapacityError,
-            arith.PrecisionError, cache.CacheError) as exc:
+    except (ValueError, FileNotFoundError, arith.CapacityError, arith.PrecisionError,
+            cache.CacheError, moments.BudgetError, moments.DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -379,12 +379,13 @@ def smoothed_dirichlet(
     coeffs: CoeffTable,
     s: complex,
     Y: float,
-    pole: tuple | None = None,
+    residue: float | None = None,
 ) -> EvalResult:
     """Evaluate sum a_n n^{-s} off absolute convergence via e^{-n/Y} smoothing.
 
-    pole = (location, residue) with location 1 subtracts the contour-shift
-    residue A Gamma(1-s) Y^{1-s} (case Z); entire targets (F) pass None.
+    A target with a simple pole at s = 1 of residue A passes residue = A,
+    which subtracts the contour-shift term A Gamma(1-s) Y^{1-s} (case Z);
+    entire targets (F) pass None.
     A one-point `smoothed_grid`: the value is 2 v(2Y) - v(Y) and the raw
     difference |v(2Y) - v(Y)| is the reported self-consistency estimate.
     """
@@ -397,11 +398,7 @@ def smoothed_dirichlet(
             f"table too short for Y={Y}: need N >= 74*Y = {need} (have {coeffs.N}) "
             "so that exp(-N/(2Y)) < 1e-16"
         )
-    residue = None
-    if pole is not None:
-        loc, residue = pole
-        if loc != 1:
-            raise ValueError("only a pole at s=1 is supported")
+    if residue is not None:
         _check_pole_collision(s)
     value, spread = smoothed_grid(coeffs.values.astype(np.float64), s.real,
                                   np.array([s.imag]), Y, residue)

@@ -79,7 +79,6 @@ class RankinData:
     c: np.ndarray
     A_estimate: float | None = None
     A_spread: float | None = None
-    delta_phi_samples: list = field(default_factory=list)
 
 
 def _pentagonal(N: int) -> np.ndarray:
@@ -279,9 +278,7 @@ def delta_phi(rd: RankinData, x: float) -> float:
         raise RuntimeError("A_estimate not set; call rankin_A first")
     if not 1 <= x <= rd.N:
         raise ValueError(f"x={x} outside table range")
-    val = float(np.sum(rd.c[: int(x)])) - rd.A_estimate * x
-    rd.delta_phi_samples.append((x, val))
-    return val
+    return float(np.sum(rd.c[: int(x)])) - rd.A_estimate * x
 
 
 def delta_phi_mean_square(rd: RankinData, Xs) -> list:
@@ -295,6 +292,4 @@ def delta_phi_mean_square(rd: RankinData, Xs) -> list:
         raise RuntimeError("A_estimate not set; call rankin_A first")
     table = CoeffTable("rankin_c", rd.N, rd.c)
     poly = SummatoryPolynomial(1, np.array([rd.A_estimate]))
-    curve = delta_mean_square(1, Xs, table, poly)
-    rd.delta_phi_samples.extend(curve.samples)
-    return curve.cumulative_ms
+    return delta_mean_square(1, Xs, table, poly).cumulative_ms

@@ -16,6 +16,10 @@ of the CFKRS recipe with every shift at sigma - 1/2, integrated over the
 moment's range [1, T] (secondary_term); residual() keeps main = C * T there,
 and C * T + S_k is the prediction the moments are compared with.
 
+Each family is defined once, in FAMILIES, and every entry point checks
+family, k and table against it before any evaluation; a series pole's
+residue is estimated from the table being integrated.
+
 C(k, sigma) is computed two independent ways: an Euler product
 zeta(2s)^{k^2} prod_p (1-p^{-2s})^{k^2} 2F1(k,k;1;p^{-2s}) with a rigorous
 prime tail, and a direct sieve sum with a density-completed tail.  Moments
@@ -32,11 +36,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .arith import CoeffTable, PrecisionError, prime_sieve
 from .evaluate import smoothed_grid, zeta_em, zeta_em_grid
+from .modularforms import RankinData, rankin_A
 
 __all__ = [
     "MainTermConstant",
@@ -66,7 +72,42 @@ __all__ = [
     "ExperimentResult",
 ]
 
-FAMILIES = ("zeta", "F2", "F4", "Z2")
+
+class Family(NamedTuple):
+    """A moment family, the one definition the library and the CLI read."""
+
+    table: str | None  # coefficient table label; None: zeta, by Euler-Maclaurin
+    k: int | None  # None: any k (zeta)
+    tail: int | None  # main-term tail's log degree: a~^2 flat, (a~*a~)^2 log^3, c_n^2 log^1+eps
+    pole: bool  # at s = 1; a series takes the residue from its table
+    default_N: int | None  # table length of a manifest cell that names none
+
+
+FAMILIES = {
+    "zeta": Family(None, None, None, True, None),
+    "F2": Family("a_tilde", 1, 0, False, 160_000),
+    "F4": Family("a_tilde_sq_conv", 2, 3, False, 160_000),
+    "Z2": Family("rankin_c", 1, 1, True, 100_000),
+}
+
+
+def family_of(name: str, k: int | None = None) -> Family:
+    """The FAMILIES entry of `name`; a k that is given must be the family's."""
+    fam = FAMILIES.get(name)
+    if fam is None:
+        raise ValueError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
+    if k is not None and fam.k not in (None, k):
+        raise ValueError(f"family {name} has k={fam.k}, not k={k}")
+    return fam
+
+
+def _checked_family(name: str, k: int, coeffs: CoeffTable | None) -> Family:
+    """family_of(name, k), with coeffs checked to be the family's own table."""
+    fam = family_of(name, k)
+    label = None if coeffs is None else coeffs.label
+    if label != fam.table:
+        raise ValueError(f"family {name} takes the table {fam.table!r}, not {label!r}")
+    return fam
 
 
 class BudgetError(Exception):
@@ -291,30 +332,23 @@ def main_term_zeta_direct(k: int, sigma: float, table: CoeffTable) -> MainTermCo
     return MainTermConstant("zeta", k, sigma, value, uncert, "direct_sum")
 
 
-# family, k, completion log-degree per coefficient label
-_SERIES_FAMILY = {
-    "a_tilde": ("F2", 1, 0),
-    "a_tilde_sq_conv": ("F4", 2, 3),
-    "rankin_c": ("Z2", 1, 1),
-}
-
-
 def main_term_series(coeffs: CoeffTable, sigma: float) -> MainTermConstant:
     """sum coeffs(n)^2 n^{-2 sigma} with a density-completed tail.
 
-    The completion degree follows the mean-square growth of the family:
-    a~^2 has constant density (Rankin), (a~*a~)^2 grows like log^3, c_n^2
-    like log^{1+eps} (degree 1 used).
+    The family is the one whose table coeffs is, by label; the completion
+    degree is its `tail`.
     """
     if sigma <= 0.5:
         raise ValueError("the series diverges for sigma <= 1/2")
-    fam, k, q = _SERIES_FAMILY.get(coeffs.label, ("series", 1, 0))
-    value, uncert = _completed_sum(coeffs, sigma, q)
+    name = next((n for n, f in FAMILIES.items() if f.table == coeffs.label), None)
+    if name is None:
+        raise ValueError(f"no moment family has the table {coeffs.label!r}")
+    value, uncert = _completed_sum(coeffs, sigma, FAMILIES[name].tail)
     if sigma < 0.55 and uncert > 1e-3 * value:
         raise PrecisionError(
             f"tail too large near sigma=1/2: {uncert:.3g} vs value {value:.3g}"
         )
-    return MainTermConstant(fam, k, sigma, value, uncert, "direct_sum")
+    return MainTermConstant(name, FAMILIES[name].k, sigma, value, uncert, "direct_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -324,55 +358,37 @@ def main_term_series(coeffs: CoeffTable, sigma: float) -> MainTermConstant:
 _DYADIC_EDGES = [0.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0, 6400.0]
 
 
-def _integrand_grid(
-    family: str,
-    k: int,
-    sigma: float,
-    ts: np.ndarray,
-    coeffs: CoeffTable | None,
-    pole_residue: float | None,
-    workers: int,
-) -> tuple[np.ndarray, float]:
-    """|.|^{2k} on the grid.  Evaluation parameters (Euler-Maclaurin cut,
-    smoothing Y) are fixed per dyadic t-block, so values are independent of
-    the worker count; blocks are reduced in fixed order."""
-    y = np.empty(len(ts), dtype=np.float64)
-    blocks = []
-    for lo, hi in zip(_DYADIC_EDGES[:-1], _DYADIC_EDGES[1:]):
-        idx0 = int(np.searchsorted(ts, lo, side="left"))
-        idx1 = int(np.searchsorted(ts, hi, side="left"))
-        if idx1 > idx0:
-            blocks.append((idx0, idx1, hi))
-    if blocks and blocks[-1][1] < len(ts):
-        raise PrecisionError("t grid exceeds the configured dyadic range")
+def _block_evaluator(fam: Family, k: int, sigma: float, coeffs: CoeffTable | None):
+    """(|.|^{2k}, Y-doubling spread) of the family on a t-block below hi: zeta
+    by Euler-Maclaurin, a series smoothed at Y = min(max(2 hi, 100), N/74) with
+    a pole's residue A (sum_{n<=x} c_n = A x + Delta) estimated from its table."""
+    if fam.table is None:
+        return lambda tt, hi: (np.abs(zeta_em_grid(sigma, tt)) ** (2 * k), 0.0)
+    values = coeffs.values.astype(np.float64)
+    residue = rankin_A(RankinData(coeffs.N, coeffs.values), coeffs.N) if fam.pole else None
 
-    max_spread = 0.0
-    values = coeffs.values.astype(np.float64) if coeffs is not None else None
-
-    def run(block):
-        i0, i1, hi = block
-        tt = ts[i0:i1]
-        if family == "zeta":
-            z = zeta_em_grid(sigma, tt)
-            return i0, np.abs(z) ** (2 * k), 0.0
-        if coeffs is None:
-            raise ValueError(f"family {family} needs a coefficient table")
+    def block(tt, hi):
         Y = min(max(2.0 * hi, 100.0), coeffs.N / 74.0)
-        vals, spread = smoothed_grid(
-            values, sigma, tt, Y,
-            residue=pole_residue if family == "Z2" else None,
-        )
-        return i0, np.abs(vals) ** 2, spread
+        vals, spread = smoothed_grid(values, sigma, tt, Y, residue=residue)
+        return np.abs(vals) ** 2, spread
 
+    return block
+
+
+def _integrand_grid(ts: np.ndarray, block, workers: int) -> tuple[np.ndarray, float]:
+    """block(tt, hi) on the grid's nonempty dyadic t-blocks [lo, hi), joined,
+    and the max spread.  Evaluation parameters are fixed per block, so values
+    are independent of the worker count; blocks are joined in fixed order."""
+    cut = np.searchsorted(ts, _DYADIC_EDGES)
+    if cut[-1] < len(ts):
+        raise PrecisionError("t grid exceeds the configured dyadic range")
+    args = [(ts[i0:i1], hi) for i0, i1, hi in zip(cut[:-1], cut[1:], _DYADIC_EDGES[1:]) if i1 > i0]
     if workers <= 1:
-        results = [run(b) for b in blocks]
+        results = [block(*a) for a in args]
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run, blocks))
-    for i0, arr, spread in results:
-        y[i0: i0 + len(arr)] = arr
-        max_spread = max(max_spread, spread)
-    return y, max_spread
+            results = list(ex.map(block, *zip(*args)))
+    return np.concatenate([v for v, _ in results]), max(s for _, s in results)
 
 
 def _simpson_prefix(y: np.ndarray, h: float, m: int) -> float:
@@ -394,7 +410,6 @@ def integrate_moment_grid(
     T_grid,
     rel_tol: float = 1e-4,
     coeffs: CoeffTable | None = None,
-    pole_residue: float | None = None,
     workers: int = 1,
     budget: int = 5_000_000,
 ) -> list[MomentRecord]:
@@ -405,10 +420,8 @@ def integrate_moment_grid(
     difference is the recorded quadrature error (must clear rel_tol, else a
     further halving is attempted within the evaluation budget).
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if not 0.5 < sigma < 1.0:
-        raise ValueError("sigma must lie in (1/2, 1) for moment work")
+    fam = _checked_family(family, k, coeffs)
+    _check_sigma(sigma)
     if rel_tol < 1e-5:
         raise ValueError("rel_tol below the 1e-5 floor")
     T_grid = sorted(float(T) for T in T_grid)
@@ -424,6 +437,8 @@ def integrate_moment_grid(
     Tmax = todo[-1]
     h = moment_step(Tmax)
     level = 1  # current grid is at h/2
+    t0 = time.perf_counter()  # a pole's residue is timed with the integrand
+    block = _block_evaluator(fam, k, sigma, coeffs)
     integrand_s = simpson_s = 0.0
     while True:
         h2 = h / 2.0
@@ -431,8 +446,7 @@ def integrate_moment_grid(
         if npts > budget:
             raise BudgetError(f"refinement needs {npts} evaluations > budget {budget}")
         ts = 1.0 + h2 * np.arange(npts)
-        t0 = time.perf_counter()
-        y, spread = _integrand_grid(family, k, sigma, ts, coeffs, pole_residue, workers)
+        y, spread = _integrand_grid(ts, block, workers)
         t1 = time.perf_counter()
         integrand_s += t1 - t0
         ok = True
@@ -449,7 +463,8 @@ def integrate_moment_grid(
                 break
             out.append(MomentRecord(family, k, sigma, Ts, I_h2, quad_err=qerr,
                                     spread=spread, level=level, points=npts))
-        simpson_s += time.perf_counter() - t1
+        t0 = time.perf_counter()
+        simpson_s += t0 - t1
         if ok:
             records.extend(replace(r, integrand_s=integrand_s, simpson_s=simpson_s)
                            for r in out)
@@ -507,13 +522,14 @@ def _euler_arith_factor(A: np.ndarray, B: np.ndarray, logp: np.ndarray) -> np.nd
     return np.prod(theta_avg * np.prod(pair, axis=(1, 2)), axis=1)
 
 
-def _one_swap_terms(alpha: np.ndarray, beta: np.ndarray, logp: np.ndarray):
+def _one_swap_terms(alpha: np.ndarray, beta: np.ndarray, logp: np.ndarray, zeta):
     """Exponents alpha_i + beta_j and coefficients of the k^2 one-swap terms.
 
     Swapping alpha_i with beta_j gives A' = A - {alpha_i} + {-beta_j},
     B' = B - {beta_j} + {-alpha_i} and the coefficient
     prod_{a in A', b in B'} zeta(1 + a + b) A_k(A'; B'), with A_1 = 1,
-    A_2 = 1/zeta(2 + sum A' + sum B') and A_3 by Euler product.
+    A_2 = 1/zeta(2 + sum A' + sum B') and A_3 by Euler product (the
+    caller's zeta, which may reuse values).
     """
     k = len(alpha)
     rows_a, rows_b, expo, coef = [], [], [], []
@@ -526,14 +542,14 @@ def _one_swap_terms(alpha: np.ndarray, beta: np.ndarray, logp: np.ndarray):
             z = 1.0 + 0j
             for u in a:
                 for v in b:
-                    z *= zeta_em(1.0 + u + v, 1e-10).value
+                    z *= zeta(1.0 + u + v)
             rows_a.append(a)
             rows_b.append(b)
             expo.append(alpha[i] + beta[j])
             coef.append(z)
     coef = np.array(coef)
     if k == 2:
-        coef /= [zeta_em(2.0 + a.sum() + b.sum(), 1e-10).value for a, b in zip(rows_a, rows_b)]
+        coef /= [zeta(2.0 + a.sum() + b.sum()) for a, b in zip(rows_a, rows_b)]
     elif k == 3:
         coef *= _euler_arith_factor(np.array(rows_a), np.array(rows_b), logp)
     return np.array(expo), coef
@@ -545,13 +561,15 @@ def _one_swap_nodes(k: int, sigma: float, radius: float):
 
     The shifts are alpha_j = beta_j = sigma - 1/2 + eps_n d_j with distinct
     directions d_j = e^{2 pi i j/k}/2.  Returns the nodes and, per node, the
-    k^2 exponents and coefficients; only the t-weights depend on T.
+    k^2 exponents and coefficients; only the t-weights depend on T.  The nodes
+    share their zeta values, as most arguments 1 + a + b recur.
     """
     d = sigma - 0.5
     dirs = 0.5 * np.exp(2j * np.pi * np.arange(k) / k)
     eps = radius * np.exp(2j * np.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)
     logp = np.log(prime_sieve(_RECIPE_PRIME_CUT).astype(np.float64)) if k == 3 else None
-    terms = [_one_swap_terms(d + e * dirs, d + e * dirs, logp) for e in eps]
+    zeta = lru_cache(maxsize=None)(lambda s: zeta_em(s, 1e-10).value)
+    terms = [_one_swap_terms(d + e * dirs, d + e * dirs, logp, zeta) for e in eps]
     return eps, np.array([x for x, _ in terms]), np.array([c for _, c in terms])
 
 
@@ -820,7 +838,6 @@ def exponent_experiment(
     sigma: float,
     T_grid,
     coeffs: CoeffTable | None = None,
-    pole_residue: float | None = None,
     constant: MainTermConstant | None = None,
     rel_tol: float = 1e-4,
     slack: float = 0.25,
@@ -830,21 +847,18 @@ def exponent_experiment(
     """Integrate the moment over T_grid, extract residuals, fit |R| vs T and
     compare the slope against the theory exponent plus slack.
 
+    Family, k and coeffs are checked against FAMILIES before any evaluation.
     Within 0.05 of sigma = 1/2 the experiment runs but refuses to pass
     (slow convergence makes the claim unverifiable there).
     """
+    fam = _checked_family(family, k, coeffs)
     t0 = time.perf_counter()
     if constant is None:
-        if family == "zeta":
-            constant = main_term_zeta(k, sigma)
-        else:
-            if coeffs is None:
-                raise ValueError("series families need their coefficient table")
-            constant = main_term_series(coeffs, sigma)
+        constant = (main_term_zeta(k, sigma) if fam.table is None
+                    else main_term_series(coeffs, sigma))
     t1 = time.perf_counter()
     records = integrate_moment_grid(
-        family, k, sigma, T_grid, rel_tol,
-        coeffs=coeffs, pole_residue=pole_residue, workers=workers, budget=budget,
+        family, k, sigma, T_grid, rel_tol, coeffs=coeffs, workers=workers, budget=budget,
     )
     t2 = time.perf_counter()
     records = [residual(r, constant) for r in records]

@@ -245,8 +245,7 @@ def test_criterion_7_rankin_selberg(rankin_2e5):
     ms_fit = fit_power_law(ms)
     table = zm.CoeffTable("rankin_c", rd.N, rd.c)
     res = exponent_experiment("Z2", 1, 0.8, [125, 250, 500, 1000],
-                              coeffs=table, pole_residue=rd.A_estimate,
-                              workers=WORKERS, slack=0.3)
+                              coeffs=table, workers=WORKERS, slack=0.3)
     r_top = res.records[-1]
     dev = (r_top.integral / r_top.T - res.constant.value) / res.constant.value
     ok = (nonneg and spread_ok and ms_fit.slope <= 2.2

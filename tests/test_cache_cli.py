@@ -231,6 +231,59 @@ def test_experiment_summary_carries_stage_times(tmp_path):
     assert ledgers[0] == ledgers[1]
 
 
+def test_manifest_unknown_key_raises(tmp_path, capsys):
+    m = tmp_path / "m.txt"
+    m.write_text("family = zeta\nk = 1\nsigma = 0.75\nT-grid = 50 100\n")
+    with pytest.raises(ValueError, match="T-grid"):
+        parse_manifest(m)
+    assert main(["experiment", str(m), "--out-dir", str(tmp_path / "r")]) == 2
+    assert "error: unknown manifest key" in capsys.readouterr().err
+
+
+def test_manifest_k_defaults_to_the_family(tmp_path):
+    m = tmp_path / "m.txt"
+    m.write_text("family = zeta\n\nfamily = F2\n\nfamily = F4\n\nfamily = Z2\n"
+                 "\nfamily = F4\nk = 2\n")
+    assert [c["k"] for c in parse_manifest(m)] == [1, 1, 2, 1, 2]
+
+
+def test_manifest_k_contradicting_the_family_exits_2(tmp_path, capsys):
+    # nothing runs: the check precedes the first cell
+    m = tmp_path / "m.txt"
+    m.write_text("family = zeta\nk = 1\nsigma = 0.75\nT_grid = 50 100\n\n"
+                 "family = F2\nk = 3\nsigma = 0.8\nT_grid = 50 100\n")
+    out = tmp_path / "r"
+    assert main(["--cache-dir", str(tmp_path / "c"), "experiment", str(m),
+                 "--out-dir", str(out)]) == 2
+    assert "error: family F2 has k=1, not k=3" in capsys.readouterr().err
+    assert not (out / "ledger.csv").exists()
+
+
+def test_experiment_f4_cell_without_k_writes_k2_rows(tmp_path):
+    cache_dir = str(tmp_path / "c")
+    assert main(["--cache-dir", cache_dir, "build-tables", "a_tilde_sq_conv=8000"]) == 0
+    m = tmp_path / "m.txt"
+    m.write_text("family = F4\nsigma = 0.8\nT_grid = 25 50\nN = 8000\n")
+    out = tmp_path / "r"
+    assert main(["--cache-dir", cache_dir, "experiment", str(m), "--out-dir", str(out)]) in (0, 1)
+    rows = (out / "ledger.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(r.split(",")[:2] == ["F4", "2"] for r in rows)
+    assert json.loads((out / "summary.json").read_text())["cells"][0]["k"] == 2
+
+
+@pytest.mark.parametrize("argv, manifest, message", [
+    ([], "T_grid = 50\n", "fewer than 2 usable points"),
+    (["--budget", "100"], "T_grid = 50 100\n", "budget 100"),
+])
+def test_experiment_run_errors_exit_2(tmp_path, capsys, argv, manifest, message):
+    m = tmp_path / "m.txt"
+    m.write_text("family = zeta\nk = 1\nsigma = 0.75\n" + manifest)
+    assert main(["--cache-dir", str(tmp_path / "c"), *argv, "experiment", str(m),
+                 "--out-dir", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_experiment_rerun_appends_identical_rows(tmp_path):
     m = tmp_path / "m.txt"
     m.write_text("family = zeta\nk = 1\nsigma = 0.75\nT_grid = 50 100\n")

@@ -399,19 +399,19 @@ def test_smoothed_reproduces_zeta_in_strip(ones_2e5):
     s = 0.75 + 20j
     ref = zeta_em(s).value
     for Y in (500.0, 1000.0, 2000.0):
-        r = smoothed_dirichlet(ones_2e5, s, Y, pole=(1, 1.0))
+        r = smoothed_dirichlet(ones_2e5, s, Y, residue=1.0)
         assert abs(r.value - ref) <= r.abs_error_estimate
 
 
 def test_smoothed_tight_agreement_at_large_Y(ones_2e5):
     s = 0.75 + 10j
-    r = smoothed_dirichlet(ones_2e5, s, 2000.0, pole=(1, 1.0))
+    r = smoothed_dirichlet(ones_2e5, s, 2000.0, residue=1.0)
     assert abs(r.value - zeta_em(s).value) < 1e-6
 
 
 def test_smoothed_pole_collision_raises(ones_2e5):
     with pytest.raises(PoleError):
-        smoothed_dirichlet(ones_2e5, 2 + 0j, 1000.0, pole=(1, 1.0))
+        smoothed_dirichlet(ones_2e5, 2 + 0j, 1000.0, residue=1.0)
 
 
 def test_smoothed_convergent_region_no_pole(ones_2e5):
@@ -431,8 +431,8 @@ def test_smoothed_rankin_stability(rankin_16e4):
     table = zm.CoeffTable("rankin_c", rankin_16e4.N, rankin_16e4.c)
     s = 0.9 + 10j
     A = rankin_16e4.A_estimate
-    r1 = smoothed_dirichlet(table, s, 300.0, pole=(1, A))
-    r2 = smoothed_dirichlet(table, s, 600.0, pole=(1, A))
+    r1 = smoothed_dirichlet(table, s, 300.0, residue=A)
+    r2 = smoothed_dirichlet(table, s, 600.0, residue=A)
     assert abs(r1.value - r2.value) / abs(r2.value) < 1e-3
 
 

@@ -169,6 +169,48 @@ def test_integrate_workers_deterministic():
         assert x.integral == y.integral and x.quad_err == y.quad_err
 
 
+@pytest.fixture(scope="module")
+def atilde_12e3():
+    return zm.normalize(zm.tau_table(12_000))
+
+
+def test_z2_residue_comes_from_its_table(atilde_12e3):
+    # the integral the same call gave when the caller passed the residue
+    # rankin_A(RankinData(N, c), N) of the table by hand
+    rd = zm.rankin_c(atilde_12e3)
+    table = zm.CoeffTable("rankin_c", rd.N, rd.c)
+    assert integrate_moment("Z2", 1, 0.8, 40.0, coeffs=table).integral == 53.59574120175502
+
+
+def test_family_mismatch_raises_before_any_evaluation(atilde_12e3, monkeypatch):
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return zm.evaluate.smoothed_grid(*args, **kw)
+
+    monkeypatch.setattr(zm.moments, "smoothed_grid", spy)
+    conv = zm.self_convolve(atilde_12e3)
+    for family, k, coeffs in (("F4", 2, atilde_12e3),  # F2's table
+                              ("F2", 3, atilde_12e3),  # F2 is k = 1
+                              ("F4", 1, conv),         # F4 is k = 2
+                              ("Z2", 1, None),         # no table
+                              ("zeta", 1, conv)):      # zeta takes none
+        with pytest.raises(ValueError):
+            exponent_experiment(family, k, 0.8, [20, 40], coeffs=coeffs)
+        with pytest.raises(ValueError):
+            integrate_moment_grid(family, k, 0.8, [20, 40], coeffs=coeffs)
+    assert calls == []
+    assert len(integrate_moment_grid("F4", 2, 0.8, [20, 40], coeffs=conv)) == 2
+    assert calls
+
+
+def test_main_term_series_unknown_label_raises():
+    t = zm.CoeffTable("d_2", 1000, np.ones(1000))
+    with pytest.raises(ValueError, match="d_2"):
+        main_term_series(t, 0.75)
+
+
 # ---------------------------------------------------------------------------
 # residuals
 # ---------------------------------------------------------------------------
@@ -271,6 +313,30 @@ def test_secondary_term_rejects_bad_args():
         for sigma in (0.5, 1.0, 0.3):
             with pytest.raises(ValueError):
                 secondary_term(sigma, 100.0, k)
+
+
+def test_secondary_term_evaluates_each_zeta_argument_once(monkeypatch):
+    nodes = zm.moments._one_swap_nodes
+    args = []  # the zeta arguments of each set of Cauchy nodes
+
+    def nodes_spy(*a):
+        args.append([])
+        return nodes(*a)
+
+    def zeta_spy(s, *a):
+        args[-1].append(complex(s))
+        return zm.evaluate.zeta_em(s, *a)
+
+    monkeypatch.setattr(zm.moments, "_one_swap_nodes", nodes_spy)
+    monkeypatch.setattr(zm.moments, "zeta_em", zeta_spy)
+    nodes.cache_clear()
+    # the values each one-swap zeta factor evaluated anew gives
+    assert secondary_term(0.75, 2000.0, 2) == -31340.143772946903
+    assert secondary_term(0.9, 2000.0, 3) == -105133.57157592417
+    assert len(args) == 4 and all(len(a) == len(set(a)) for a in args)
+    # without reuse, each radius costs 32 nodes x k^2 terms x k^2 factors
+    # (and one A_2 factor per term for k = 2): 640 calls for k = 2, 2592 for 3
+    assert sum(map(len, args)) < 2 * (640 + 2592) / 3
 
 
 # ---------------------------------------------------------------------------
