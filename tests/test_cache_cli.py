@@ -97,6 +97,14 @@ def test_build_tables_tau_spot_value(tmp_path):
     assert lines[2] == "2,-24"
 
 
+def test_build_tables_tau_bytes_pinned(tmp_path):
+    # tau is exact integers, so its cache payload is the same on every platform
+    build_table(RunConfig(tmp_path), "tau", 2000)
+    path = tmp_path / cache.cache_key("tau", {}, 2000)
+    assert cache.table_header(path)["sha256"] == (
+        "dd37370837ae6711f9c35f5ef44d96a2a7a906dcba5e16fa7f93476584a2edeb")
+
+
 def test_build_tables_dependency_chain(tmp_path):
     cfg = RunConfig(tmp_path)
     build_table(cfg, "rankin_c", 2000)
