@@ -29,7 +29,6 @@ from .evaluate import (
     zeta_em,
 )
 from .modularforms import (
-    RankinData,
     TauTable,
     delta_phi,
     delta_phi_mean_square,

@@ -108,12 +108,12 @@ def cache_key(label: str, params: dict, N: int) -> str:
     return "_".join(str(p) for p in parts) + ".zml"
 
 
-def export_csv(path, values, header: str = "n,value") -> None:
+def export_csv(path, values) -> None:
     """Write (n, value) rows; integers exactly, floats via repr."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        f.write(header + "\n")
+        f.write("n,value\n")
         for i, v in enumerate(values, start=1):
             if isinstance(v, (int, np.integer)):
                 f.write(f"{i},{int(v)}\n")

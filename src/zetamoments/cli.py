@@ -129,7 +129,7 @@ def build_table(cfg: RunConfig, label: str, N: int, verbose: bool = True):
         values = modularforms.self_convolve(at).values
     elif label == "rankin_c":
         at = load_coeff_table(cfg, "a_tilde", N)
-        values = modularforms.rankin_c(at).c
+        values = modularforms.rankin_c(at).values
     else:  # pragma: no cover
         raise AssertionError(label)
     cache.save_table(path, label, dict(_params(label), N=N), values)
@@ -173,6 +173,8 @@ def parse_manifest(path) -> list[dict]:
             raise ValueError(f"unknown manifest key(s) {sorted(unknown)}")
         family = blk["family"]
         fam = moments.family_of(family, int(blk["k"]) if "k" in blk else None)
+        if "N" in blk and fam.table is None:
+            raise ValueError(f"family {family} reads no table; it takes no N")
         k = int(blk.get("k", fam.k or 1))
         sigmas = [float(s) for s in blk.get("sigma", "0.75").split()]
         T_grid = [float(t) for t in blk.get("T_grid", "250 500 1000 2000").split()]

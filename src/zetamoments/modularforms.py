@@ -1,12 +1,11 @@
 """Exact coefficients of the weight-12 cusp form and the Rankin-Selberg data.
 
 Ramanujan tau via the eta product: tau(n) is the coefficient of q^n in
-q prod_{m>=1} (1-q^m)^24.  The Euler product E = prod (1-q^m) is read off
-the pentagonal-number theorem, cubed as E^2 * E (and checked against
-Jacobi's identity E^3 = sum (-1)^m (2m+1) q^{m(m+1)/2}), then squared three
-times: E^24 = ((E^3)^2)^2)^2.  Every squaring, E^2 included, is an exact
-convolution by float FFT on balanced 11-bit limbs whose rounding is
-certified (_square), so the table is exact arbitrary-precision integers.
+q prod_{m>=1} (1-q^m)^24.  The cube of the Euler product E = prod (1-q^m) is
+read off Jacobi's identity E^3 = sum (-1)^m (2m+1) q^{m(m+1)/2}, then squared
+three times: E^24 = ((E^3)^2)^2)^2.  Every squaring is an exact convolution by
+float FFT on balanced 11-bit limbs whose rounding is certified (_square), so
+the table is exact arbitrary-precision integers.
 
 Every tau table is certified against Deligne's bound tau(n)^2 <= d(n)^2 n^11
 before it is normalized.  The check runs in float64 with a margin of 64 eps,
@@ -37,7 +36,6 @@ from .arith import (_INT64_SAFE, CapacityError, CoeffTable, PrecisionError,
 
 __all__ = [
     "TauTable",
-    "RankinData",
     "DeligneBoundError",
     "tau_table",
     "normalize",
@@ -64,42 +62,11 @@ class TauTable:
 
     N: int
     tau: list
-    # FFT squaring ("e^2" .. "e12^2") -> certified (a-priori bound, observed deviation)
+    # FFT squaring ("e3^2", "e6^2", "e12^2") -> certified (a-priori bound, observed deviation)
     rounding: dict = field(default_factory=dict, compare=False)
 
     def value(self, n: int) -> int:
         return self.tau[n - 1]
-
-
-@dataclass
-class RankinData:
-    """Rankin-Selberg coefficients c_n plus the average A and Delta(x,phi)."""
-
-    N: int
-    c: np.ndarray
-    A_estimate: float | None = None
-    A_spread: float | None = None
-
-
-def _pentagonal(N: int) -> np.ndarray:
-    """prod(1-q^m) to degree N: the +-1 at the generalized pentagonal numbers."""
-    e = np.zeros(N + 1, dtype=np.int64)
-    e[0] = 1
-    j = 1
-    while j * (3 * j - 1) // 2 <= N:
-        s = -1 if j % 2 else 1
-        e[j * (3 * j - 1) // 2] = s
-        if j * (3 * j + 1) // 2 <= N:
-            e[j * (3 * j + 1) // 2] = s
-        j += 1
-    return e
-
-
-def _times_sparse(dense: np.ndarray, sparse: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(dense)
-    for p in np.nonzero(sparse)[0]:
-        out[p:] += sparse[p] * dense[: len(dense) - p]
-    return out
 
 
 def _norm2_at_least(a: np.ndarray, limit: int) -> bool:
@@ -117,7 +84,7 @@ def _norm2_at_least(a: np.ndarray, limit: int) -> bool:
     return sum(x * x for x in a.tolist()) >= limit
 
 
-def _square(a: np.ndarray, big: bool) -> tuple:
+def _square(a: np.ndarray) -> tuple:
     """Exact truncated square sum_{i+j=n} a_i a_j, n <= M = len(a) - 1, by FFT.
 
     With balanced limbs a = sum_i d_i 2^(11 i), d_i in [-2^10, 2^10), each d_i
@@ -127,13 +94,11 @@ def _square(a: np.ndarray, big: bool) -> tuple:
         sum_{i+j=s} |d_i|_2 |d_j|_2 ((1+eps)^3n (1+eps sqrt5)^(3n+1) (1+beta)^3n - 1) < 1/4,
     beta = 2^-51 assumed for numpy's twiddles (an rfft of a unit impulse
     returns them within 2.4 eps at L = 2^19), and max|c_s - rint(c_s)| < 1/4;
-    else PrecisionError.  Horner's rule recombines the c_s in Python ints if
-    big, else in int64 once |a|_2^2 < 2^61, which by Cauchy-Schwarz bounds
-    every coefficient and Horner partial sum.  Returns (square, (largest
+    else PrecisionError.  Horner's rule recombines the c_s in int64 when
+    |a|_2^2 < 2^61, which by Cauchy-Schwarz bounds every coefficient and
+    Horner partial sum, else in Python ints.  Returns (square, (largest
     a-priori bound, largest observed deviation)).
     """
-    if not big and _norm2_at_least(a, _INT64_SAFE):
-        raise CapacityError("square of the series may overflow int64")
     M = len(a) - 1
     half = 1 << (_LIMB_BITS - 1)
     limbs, r = [], a
@@ -161,14 +126,14 @@ def _square(a: np.ndarray, big: bool) -> tuple:
         if observed >= 0.25:
             raise PrecisionError(f"FFT rounding deviation {observed:.3g} >= 1/4 for limb sum {s}")
         sums.append(ci.astype(np.int64))
-    acc = sums.pop().astype(object if big else np.int64)
+    acc = sums.pop().astype(object if _norm2_at_least(a, _INT64_SAFE) else np.int64)
     for c in reversed(sums):
         acc = (acc << _LIMB_BITS) + c
     return acc, (bound, observed)
 
 
 def tau_table(N: int) -> TauTable:
-    """Exact tau(1..N) from the eta product (E^2, E^3, three more squarings).
+    """Exact tau(1..N) from the eta product (E^3 by Jacobi, three squarings).
 
     Raises PrecisionError if an FFT squaring cannot be certified exact.
     """
@@ -177,26 +142,14 @@ def tau_table(N: int) -> TauTable:
     if N > _TAU_BUDGET:
         raise CapacityError(f"N={N} exceeds the exact big-integer budget {_TAU_BUDGET}")
     M = N - 1  # degree needed in E^24
-    e = _pentagonal(M)
+    m = np.arange((math.isqrt(8 * M + 1) + 1) // 2)  # m(m+1)/2 <= M
+    e3 = np.zeros(M + 1, dtype=np.int64)
+    e3[m * (m + 1) // 2] = (1 - 2 * (m % 2)) * (2 * m + 1)  # E^3 by Jacobi's identity
     rounding = {}
-    e2, rounding["e^2"] = _square(e, big=False)
-    e3 = _times_sparse(e2, e)
-    _check_jacobi(e3, M)  # e3 = e2 * e, so this also proves e2 exact
-    e6, rounding["e3^2"] = _square(e3, big=False)
-    e12, rounding["e6^2"] = _square(e6, big=False)
-    e24, rounding["e12^2"] = _square(e12, big=True)
+    e6, rounding["e3^2"] = _square(e3)
+    e12, rounding["e6^2"] = _square(e6)
+    e24, rounding["e12^2"] = _square(e12)
     return TauTable(N, e24.tolist(), rounding)
-
-
-def _check_jacobi(e3: np.ndarray, M: int) -> None:
-    # E^3 = sum_m (-1)^m (2m+1) q^{m(m+1)/2}
-    ref = np.zeros(M + 1, dtype=np.int64)
-    m = 0
-    while m * (m + 1) // 2 <= M:
-        ref[m * (m + 1) // 2] = (-1 if m % 2 else 1) * (2 * m + 1)
-        m += 1
-    if not np.array_equal(e3, ref):
-        raise AssertionError("eta-product cube fails Jacobi's identity")
 
 
 def normalize(tau: TauTable) -> CoeffTable:
@@ -234,7 +187,7 @@ def self_convolve(a_tilde: CoeffTable) -> CoeffTable:
     return CoeffTable("a_tilde_sq_conv", a_tilde.N, conv.values, {"kappa": 12})
 
 
-def rankin_c(a_tilde: CoeffTable) -> RankinData:
+def rankin_c(a_tilde: CoeffTable) -> CoeffTable:
     """c_n = sum_{d^2 m = n} a~(m)^2 (Dirichlet product of zeta(2s) with a~^2)."""
     N = a_tilde.N
     asq = a_tilde.values**2
@@ -245,51 +198,43 @@ def rankin_c(a_tilde: CoeffTable) -> RankinData:
         m = N // d2
         c[d2 - 1:: d2] += asq[:m]
         d += 1
-    return RankinData(N, c)
+    return CoeffTable("rankin_c", N, c)
 
 
-def rankin_A(rd: RankinData, X: float) -> float:
-    """Estimate A in sum_{n<=x} c_n = A x + Delta(x,phi) by Cesaro smoothing.
+def rankin_A(c: CoeffTable, X: float) -> tuple:
+    """(A, spread): A in sum_{n<=x} c_n = A x + Delta(x,phi) by Cesaro smoothing.
 
     A ~ (2/X) sum_{n<=X} c_n (1 - n/X), averaged over the top three dyadic
-    cuts X, X/2, X/4; the dyadic spread is stored and must stay below 5%.
+    cuts X, X/2, X/4; their relative spread must stay below 5%.
     """
     X = int(X)
-    if not 8 <= X <= rd.N:
+    if not 8 <= X <= c.N:
         raise ValueError(f"X={X} outside table range")
     ests = []
     for cut in (X, X // 2, X // 4):
         n = np.arange(1, cut + 1, dtype=np.float64)
-        ests.append(2.0 / cut * float(np.sum(rd.c[:cut] * (1.0 - n / cut))))
+        ests.append(2.0 / cut * float(np.sum(c.values[:cut] * (1.0 - n / cut))))
     A = float(np.mean(ests))
     spread = (max(ests) - min(ests)) / A
     if spread > 0.05:
         raise ValueError(
             f"Cesaro estimate unstable: dyadic spread {spread:.2%} > 5% (X too small)"
         )
-    rd.A_estimate = A
-    rd.A_spread = spread
-    return A
+    return A, spread
 
 
-def delta_phi(rd: RankinData, x: float) -> float:
-    """Delta(x, phi) = sum_{n<=x} c_n - A x (requires a prior rankin_A)."""
-    if rd.A_estimate is None:
-        raise RuntimeError("A_estimate not set; call rankin_A first")
-    if not 1 <= x <= rd.N:
+def delta_phi(c: CoeffTable, A: float, x: float) -> float:
+    """Delta(x, phi) = sum_{n<=x} c_n - A x."""
+    if not 1 <= x <= c.N:
         raise ValueError(f"x={x} outside table range")
-    return float(np.sum(rd.c[: int(x)])) - rd.A_estimate * x
+    return float(np.sum(c.values[: int(x)])) - A * x
 
 
-def delta_phi_mean_square(rd: RankinData, Xs) -> list:
+def delta_phi_mean_square(c: CoeffTable, A: float, Xs) -> list:
     """Cumulative int_1^X Delta(x,phi)^2 dx on the grid Xs.
 
     Reuses the divisor-problem quadrature with the degree-0 main polynomial
     P(u) = A, i.e. main term A*x; Gauss order 8 is exact here since the
     integrand is piecewise quadratic.
     """
-    if rd.A_estimate is None:
-        raise RuntimeError("A_estimate not set; call rankin_A first")
-    table = CoeffTable("rankin_c", rd.N, rd.c)
-    poly = SummatoryPolynomial(1, np.array([rd.A_estimate]))
-    return delta_mean_square(1, Xs, table, poly).cumulative_ms
+    return delta_mean_square(1, Xs, c, SummatoryPolynomial(1, np.array([A]))).cumulative_ms

@@ -42,7 +42,7 @@ import numpy as np
 
 from .arith import CoeffTable, PrecisionError, prime_sieve
 from .evaluate import smoothed_grid, zeta_em, zeta_em_grid
-from .modularforms import RankinData, rankin_A
+from .modularforms import rankin_A
 
 __all__ = [
     "MainTermConstant",
@@ -365,7 +365,7 @@ def _block_evaluator(fam: Family, k: int, sigma: float, coeffs: CoeffTable | Non
     if fam.table is None:
         return lambda tt, hi: (np.abs(zeta_em_grid(sigma, tt)) ** (2 * k), 0.0)
     values = coeffs.values.astype(np.float64)
-    residue = rankin_A(RankinData(coeffs.N, coeffs.values), coeffs.N) if fam.pole else None
+    residue = rankin_A(coeffs, coeffs.N)[0] if fam.pole else None
 
     def block(tt, hi):
         Y = min(max(2.0 * hi, 100.0), coeffs.N / 74.0)
@@ -838,7 +838,6 @@ def exponent_experiment(
     sigma: float,
     T_grid,
     coeffs: CoeffTable | None = None,
-    constant: MainTermConstant | None = None,
     rel_tol: float = 1e-4,
     slack: float = 0.25,
     workers: int = 1,
@@ -853,9 +852,8 @@ def exponent_experiment(
     """
     fam = _checked_family(family, k, coeffs)
     t0 = time.perf_counter()
-    if constant is None:
-        constant = (main_term_zeta(k, sigma) if fam.table is None
-                    else main_term_series(coeffs, sigma))
+    constant = (main_term_zeta(k, sigma) if fam.table is None
+                else main_term_series(coeffs, sigma))
     t1 = time.perf_counter()
     records = integrate_moment_grid(
         family, k, sigma, T_grid, rel_tol, coeffs=coeffs, workers=workers, budget=budget,

@@ -21,9 +21,7 @@ def atilde_16e4():
 
 @pytest.fixture(scope="session")
 def rankin_16e4(atilde_16e4):
-    rd = zm.rankin_c(atilde_16e4)
-    zm.rankin_A(rd, rd.N)
-    return rd
+    return zm.rankin_c(atilde_16e4)
 
 
 @pytest.fixture(scope="session")

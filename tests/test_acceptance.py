@@ -41,9 +41,7 @@ def atilde_2e5():
 
 @pytest.fixture(scope="module")
 def rankin_2e5(atilde_2e5):
-    rd = zm.rankin_c(atilde_2e5)
-    zm.rankin_A(rd, rd.N)
-    return rd
+    return zm.rankin_c(atilde_2e5)
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +236,20 @@ def test_criterion_6_higher_moments():
 
 def test_criterion_7_rankin_selberg(rankin_2e5):
     t0 = time.time()
-    rd = rankin_2e5
-    nonneg = float(rd.c[: 10**5].min()) >= 0.0
-    spread_ok = rd.A_spread < 0.02
-    ms = zm.delta_phi_mean_square(rd, np.geomspace(1e3, 1e5, 41))
+    c = rankin_2e5
+    nonneg = float(c.values[: 10**5].min()) >= 0.0
+    A, spread = zm.rankin_A(c, c.N)
+    spread_ok = spread < 0.02
+    ms = zm.delta_phi_mean_square(c, A, np.geomspace(1e3, 1e5, 41))
     ms_fit = fit_power_law(ms)
-    table = zm.CoeffTable("rankin_c", rd.N, rd.c)
     res = exponent_experiment("Z2", 1, 0.8, [125, 250, 500, 1000],
-                              coeffs=table, workers=WORKERS, slack=0.3)
+                              coeffs=c, workers=WORKERS, slack=0.3)
     r_top = res.records[-1]
     dev = (r_top.integral / r_top.T - res.constant.value) / res.constant.value
     ok = (nonneg and spread_ok and ms_fit.slope <= 2.2
           and abs(dev) <= 0.05 and res.fit.pass_)
-    report(7, ok, f"c_n >= 0: {nonneg}; A = {rd.A_estimate:.6f} spread "
-                  f"{rd.A_spread:.2%} (<2%); Delta(x,phi) ms slope {ms_fit.slope:.3f} "
+    report(7, ok, f"c_n >= 0: {nonneg}; A = {A:.6f} spread "
+                  f"{spread:.2%} (<2%); Delta(x,phi) ms slope {ms_fit.slope:.3f} "
                   f"(<=2.2); Z I(1000)/1000 = {r_top.integral / 1000:.4f} vs "
                   f"C = {res.constant.value:.4f} ({dev:+.1%}, cap 5%); slope "
                   f"{res.fit.slope:.3f} <= {res.fit.theory_exponent:.1f}+0.3; "

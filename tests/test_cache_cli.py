@@ -282,6 +282,7 @@ def test_experiment_f4_cell_without_k_writes_k2_rows(tmp_path):
 @pytest.mark.parametrize("argv, manifest, message", [
     ([], "T_grid = 50\n", "fewer than 2 usable points"),
     (["--budget", "100"], "T_grid = 50 100\n", "budget 100"),
+    ([], "T_grid = 50 100\nN = 5\n", "family zeta reads no table; it takes no N"),
 ])
 def test_experiment_run_errors_exit_2(tmp_path, capsys, argv, manifest, message):
     m = tmp_path / "m.txt"

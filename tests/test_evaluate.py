@@ -428,11 +428,10 @@ def test_smoothed_cusp_form_stability(atilde_16e4):
 
 
 def test_smoothed_rankin_stability(rankin_16e4):
-    table = zm.CoeffTable("rankin_c", rankin_16e4.N, rankin_16e4.c)
     s = 0.9 + 10j
-    A = rankin_16e4.A_estimate
-    r1 = smoothed_dirichlet(table, s, 300.0, residue=A)
-    r2 = smoothed_dirichlet(table, s, 600.0, residue=A)
+    A, _ = zm.rankin_A(rankin_16e4, rankin_16e4.N)
+    r1 = smoothed_dirichlet(rankin_16e4, s, 300.0, residue=A)
+    r2 = smoothed_dirichlet(rankin_16e4, s, 600.0, residue=A)
     assert abs(r1.value - r2.value) / abs(r2.value) < 1e-3
 
 
