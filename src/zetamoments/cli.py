@@ -21,10 +21,11 @@ family's (1 for zeta), and an unknown key or family or a contradicting k is
 an error before any cell runs.  Records append to
 ledger.csv (header: family,k,sigma,T,integral,main,residual,quad_err) and a
 JSON summary per run records slope / theory_exponent / pass, the quadrature
-diagnostics, each cell's wall seconds per stage (`stage_s`: table_load,
-main_term, integrand with a pole's residue, simpson_fit) and the sha256 of
-the cached table the cell read (`table_sha256`, null for zeta), none of
-which reach ledger.csv.
+diagnostics (start step `h`, the top block's Euler-Maclaurin cut `em_cut`,
+null for series, the halving `level` and the integrand `points`), each
+cell's wall seconds per stage (`stage_s`: table_load, main_term, integrand
+with a pole's residue, simpson_fit) and the sha256 of the cached table the
+cell read (`table_sha256`, null for zeta), none of which reach ledger.csv.
 Identical manifests re-run against the same cache append identical value
 rows, independent of --workers.
 """
@@ -225,6 +226,8 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
             "spread": max(r.spread for r in res.records),
             "level": max(r.level for r in res.records),
             "points": max(r.points for r in res.records),
+            "h": res.records[-1].h,
+            "em_cut": res.records[-1].em_cut,
             "stage_s": dict(res.stage_s, table_load=table_load_s),
             "table_sha256": table_sha256,
         })
@@ -276,6 +279,15 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
                     for i in np.r_[0:len(ts):97, len(ts) - 1])
         check(f"NUFFT phase sum vs direct sum within its rounding bound ({name} block)",
               worst < 1, f"worst {worst:.3f} of the bound")
+
+    # the quadrature estimate against the same cell from a 4x finer start
+    cell = dict(family="zeta", k=1, sigma=0.75, T_grid=[200.0], rel_tol=cfg.rel_tol,
+                coeffs=None, workers=1, budget=cfg.budget)
+    rule = moments.integrate_moment_grid(**cell)[0]
+    finer = moments._integrate_moment_grid(**cell, refine=4)[0]
+    ratio = abs(rule.integral - finer.integral) / rule.quad_err
+    check("zeta k=1 moment to T=200 within its quad_err of a 4x finer start", ratio < 1,
+          f"|dI| = {ratio:.3f} quad_err")
 
     # Hecke relations on tau up to 1e4 (cache-aware so corruption is caught)
     N = 10**4

@@ -23,8 +23,12 @@ residue is estimated from the table being integrated.
 C(k, sigma) is computed two independent ways: an Euler product
 zeta(2s)^{k^2} prod_p (1-p^{-2s})^{k^2} 2F1(k,k;1;p^{-2s}) with a rigorous
 prime tail, and a direct sieve sum with a density-completed tail.  Moments
-are composite-Simpson integrals of |.|^{2k} with step h = min(0.02,
-0.4/log T), validated by step halving.  Residual magnitudes are fitted
+are composite-Simpson integrals of |.|^{2k} from the start step of
+moment_step, validated by step halving: for zeta the coarsest h = 1/(2q)
+that samples the integrand's top frequency k log M at least 4 times per
+period (M the top block's Euler-Maclaurin cut), for the series families
+min(0.02, 0.4/log T), as their integrand jumps where the smoothing Y
+changes between blocks.  Residual magnitudes are fitted
 log-log against T and compared with the tabulated error-term exponents
 (the beta-envelope and sigma*-energy routes plus older comparison bounds).
 """
@@ -41,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import CoeffTable, PrecisionError, prime_sieve
-from .evaluate import smoothed_grid, zeta_em, zeta_em_grid
+from .evaluate import _em_cut, smoothed_grid, zeta_em, zeta_em_grid
 from .modularforms import rankin_A
 
 __all__ = [
@@ -145,10 +149,13 @@ class MomentRecord:
     quad_err: float = float("nan")
     # diagnostics of the shared quadrature pass, for summary.json only (never
     # ledger.csv): the max Y-doubling spread of the smoothed values (0 for
-    # zeta), the step-halving level reached and the integrand point count
+    # zeta), the step-halving level reached, the integrand point count, the
+    # start step and, for zeta, the top block's Euler-Maclaurin cut
     spread: float = 0.0
     level: int = 0
     points: int = 0
+    h: float = 0.0
+    em_cut: int | None = None
     # wall seconds of the pass's integrand evaluations and Simpson sums,
     # summed over its step-halving levels (left out of comparisons)
     integrand_s: float = field(default=0.0, compare=False)
@@ -399,8 +406,25 @@ def _simpson_prefix(y: np.ndarray, h: float, m: int) -> float:
     return h / 3.0 * float(yy[0] + yy[-1] + 4.0 * yy[1:-1:2].sum() + 2.0 * yy[2:-1:2].sum())
 
 
-def moment_step(T: float) -> float:
-    return min(0.02, 0.4 / math.log(T)) if T > 1 else 0.02
+def moment_step(family: str, k: int, T_max: float) -> float:
+    """Simpson's start step h for the 2k-th moment of `family` over [1, T_max].
+
+    zeta: the coarsest h = 1/(2q), q a positive integer, with
+    h k log M <= pi/2, where M = _em_cut(T_max) is the top block's
+    Euler-Maclaurin cut.  |sum_{n<M} n^{-s}|^{2k} has frequencies of at most
+    k log M, so the nodes take at least 4 samples per period of the top one
+    at h and 8 at h/2; blocks with different cuts agree to rounding.  As
+    1/h is an even integer, (T - 1)/(2h) is an integer for integer T, which
+    stays on the grid at every halving level.
+
+    F2, F4, Z2: min(0.02, 0.4/log T_max).  Their integrand jumps at the block
+    edges, where the smoothing Y changes, and at a coarser start the
+    step-halving difference no longer bounds the true error with a margin.
+    """
+    if family_of(family, k).table is not None:
+        return min(0.02, 0.4 / math.log(T_max)) if T_max > 1 else 0.02
+    q = math.ceil(k * math.log(_em_cut(T_max)) / math.pi)
+    return 1.0 / (2 * q)
 
 
 def integrate_moment_grid(
@@ -415,11 +439,19 @@ def integrate_moment_grid(
 ) -> list[MomentRecord]:
     """One shared quadrature pass producing a MomentRecord per T in T_grid.
 
-    The integrand is evaluated once on the half-step grid; each requested T
-    gets the Simpson value at step h plus the step-halved value, and their
-    difference is the recorded quadrature error (must clear rel_tol, else a
-    further halving is attempted within the evaluation budget).
+    The integrand is evaluated once on the half-step grid, from the start
+    step h = moment_step(family, k, max T); each requested T gets the
+    Simpson value at step h plus the step-halved value, and their difference
+    is the recorded quadrature error (must clear rel_tol, else a further
+    halving is attempted within the evaluation budget).
     """
+    return _integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs, workers, budget, 1)
+
+
+def _integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs, workers, budget,
+                           refine: int) -> list[MomentRecord]:
+    """integrate_moment_grid from the start step moment_step(...)/refine; a
+    refine > 1 gives the finer values its quad_err is checked against."""
     fam = _checked_family(family, k, coeffs)
     _check_sigma(sigma)
     if rel_tol < 1e-5:
@@ -435,7 +467,8 @@ def integrate_moment_grid(
     if not todo:
         return records
     Tmax = todo[-1]
-    h = moment_step(Tmax)
+    h = h0 = moment_step(family, k, Tmax) / refine
+    em_cut = _em_cut(Tmax) if fam.table is None else None
     level = 1  # current grid is at h/2
     t0 = time.perf_counter()  # a pole's residue is timed with the integrand
     block = _block_evaluator(fam, k, sigma, coeffs)
@@ -462,7 +495,8 @@ def integrate_moment_grid(
                 ok = False
                 break
             out.append(MomentRecord(family, k, sigma, Ts, I_h2, quad_err=qerr,
-                                    spread=spread, level=level, points=npts))
+                                    spread=spread, level=level, points=npts,
+                                    h=h0, em_cut=em_cut))
         t0 = time.perf_counter()
         simpson_s += t0 - t1
         if ok:

@@ -204,8 +204,10 @@ def test_experiment_summary_carries_quadrature_diagnostics(tmp_path):
     f2, zeta = json.loads((out / "summary.json").read_text())["cells"]
     for cell in (f2, zeta):
         assert cell["level"] >= 1
-        h2 = zm.moments.moment_step(50.0) / 2.0 ** cell["level"]
+        h2 = cell["h"] / 2.0 ** cell["level"]
         assert cell["points"] == int(round((50.0 - 1.0) / h2)) + 1
+    assert f2["h"] == zm.moments.moment_step("F2", 1, 50.0) and f2["em_cut"] is None
+    assert zeta["h"] == zm.moments.moment_step("zeta", 1, 50.0) and zeta["em_cut"] == 100
     assert f2["spread"] > 0
     assert zeta["spread"] == 0
     # the checksum of the table each cell read; zeta reads none

@@ -150,9 +150,9 @@ def test_zeta_grid_matches_pointwise_at_height():
 # the phase-sum kernel
 # ---------------------------------------------------------------------------
 
-def _moment_block(Tmax, lo, hi):
-    # one dyadic block of the moment integrand's half-step grid
-    h2 = moment_step(Tmax) / 2.0
+def _moment_block(family, k, Tmax, lo, hi):
+    # one dyadic block of the half-step grid the family's moment pass evaluates
+    h2 = moment_step(family, k, Tmax) / 2.0
     ts = 1.0 + h2 * np.arange(int(round((Tmax - 1.0) / h2)) + 1)
     return ts[(ts >= lo) & (ts < hi)]
 
@@ -164,8 +164,8 @@ def _rounding_model(ts, ln, W):
 
 
 @pytest.mark.parametrize("ts, nterms, ncol", [
-    (_moment_block(160.0, 100.0, 200.0), 12000, 2),  # series top block
-    (_moment_block(800.0, 400.0, 800.0), 1599, 1),  # zeta top block
+    (_moment_block("F2", 1, 160.0, 100.0, 200.0), 12000, 2),  # series top block
+    (_moment_block("zeta", 1, 800.0, 400.0, 800.0), 1599, 1),  # zeta top block
     (np.sort(np.random.default_rng(5).uniform(1.0, 800.0, 300)), 1599, 1),  # non-uniform
     (np.array([]), 50, 2),
     (np.array([3.5]), 50, 2),
@@ -190,10 +190,10 @@ def test_phase_dot_matches_direct_sum(ts, nterms, ncol, rng):
 
 
 @pytest.mark.parametrize("ts, nterms", [
-    (_moment_block(160.0, 0.0, 50.0), 7400),  # the three series blocks
-    (_moment_block(160.0, 50.0, 100.0), 12000),
-    (_moment_block(160.0, 100.0, 200.0), 12000),
-    (_moment_block(1000.0, 800.0, 1600.0), 200000),  # criterion 8 top block
+    (_moment_block("F2", 1, 160.0, 0.0, 50.0), 7400),  # the three series blocks
+    (_moment_block("F2", 1, 160.0, 50.0, 100.0), 12000),
+    (_moment_block("F2", 1, 160.0, 100.0, 200.0), 12000),
+    (_moment_block("F2", 1, 1000.0, 800.0, 1600.0), 200000),  # criterion 8 top block
     (7.0 + 3.1 * np.arange(500), 12000),  # phases wrap: h ln N = 29 > 2 pi
     (7.0 + 3.1 * np.arange(501), 12000),
     (7.0 + 3.1 * np.arange(2), 12000),
@@ -209,7 +209,7 @@ def test_phase_dot_matches_direct_sum(ts, nterms, ncol, rng):
     # zeta-shaped, "zeta" meaning zeta_em_grid's own terms and weights: one
     # column n^-0.75, n < M = _em_cut(max t); the five blocks of the T = 800
     # moment grid, then short grids at |t| < 5
-    *[(_moment_block(800.0, lo, hi), "zeta")
+    *[(_moment_block("zeta", 1, 800.0, lo, hi), "zeta")
       for lo, hi in ((0, 50), (50, 100), (100, 200), (200, 400), (400, 800))],
     (0.3 + 0.5 * np.arange(2), "zeta"),
     (-4.9 + 0.013 * np.arange(3), "zeta"),
@@ -239,7 +239,8 @@ def test_nufft_is_deterministic(rng):
     n = np.arange(1, 12001, dtype=np.float64)
     ln = np.log(n)
     W = rng.standard_normal((len(n), 2)) * n[:, None] ** -0.8
-    blocks = [_moment_block(160.0, lo, hi) for lo, hi in ((0, 50), (50, 100), (100, 200))]
+    blocks = [_moment_block("F2", 1, 160.0, lo, hi)
+              for lo, hi in ((0, 50), (50, 100), (100, 200))]
 
     def run(ts):
         return _nufft(ts, _grid_step(ts), ln, W)
@@ -458,7 +459,7 @@ def test_smoothed_grid_memory_stays_tiled(rng):
     # the series top block: 6000 points x 12 000 terms x 2 columns; an
     # untiled exponential matrix would need over a gigabyte
     values = rng.standard_normal(12000)
-    ts = _moment_block(160.0, 100.0, 200.0)
+    ts = _moment_block("F2", 1, 160.0, 100.0, 200.0)
     tracemalloc.start()
     try:
         smoothed_grid(values, 0.8, ts, 12000 / 74.0)

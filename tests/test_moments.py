@@ -8,6 +8,7 @@ from zetamoments.arith import prime_sieve
 from zetamoments.evaluate import gamma_fn
 from zetamoments.moments import (
     _euler_arith_factor,
+    _integrate_moment_grid,
     _one_swap_recipe,
     exponent_classical,
     BudgetError,
@@ -26,6 +27,7 @@ from zetamoments.moments import (
     main_term_zeta,
     main_term_zeta_direct,
     matsumoto_exponent,
+    moment_step,
     residual,
     secondary_term,
     theory_exponent,
@@ -166,6 +168,57 @@ def test_integrate_workers_deterministic():
     b = integrate_moment_grid("zeta", 1, 0.75, [50.0, 150.0], workers=4)
     for x, y in zip(a, b):
         assert x.integral == y.integral and x.quad_err == y.quad_err
+
+
+@pytest.mark.parametrize("k, sigma, T_grid", [
+    # the benchmark's seed-0 zeta cells, then the 4th and 6th moments near 1/2
+    (1, 0.75, [100.0, 200.0, 400.0, 800.0]),
+    (1, 0.9, [100.0, 200.0, 400.0, 800.0]),
+    (2, 0.75, [100.0, 200.0, 400.0, 800.0]),
+    (3, 0.9, [100.0, 200.0, 400.0, 800.0]),
+    (2, 0.55, [2000.0]),
+    (3, 0.55, [2000.0]),
+])
+def test_zeta_quad_err_bounds_a_4x_finer_start(k, sigma, T_grid):
+    recs = integrate_moment_grid("zeta", k, sigma, T_grid)
+    refs = _integrate_moment_grid("zeta", k, sigma, T_grid, rel_tol=1e-4, coeffs=None,
+                                  workers=1, budget=5_000_000, refine=4)
+    assert refs[0].h == recs[0].h / 4
+    for rec, ref, T in zip(recs, refs, T_grid):
+        assert rec.T == ref.T == T
+        assert abs(rec.integral - ref.integral) <= rec.quad_err
+
+
+@pytest.mark.parametrize("family, k", [("F2", 1), ("F4", 2), ("Z2", 1)])
+def test_series_keep_the_fixed_start_step(family, k):
+    for T in (2.0, 20.0, 50.0, 160.0, 1000.0, 5000.0):
+        assert moment_step(family, k, T) == min(0.02, 0.4 / math.log(T))
+
+
+def test_integer_T_stays_on_the_zeta_grid():
+    qs = set()
+    for k in range(1, 7):
+        for T_max in range(2, 5001):
+            h = moment_step("zeta", k, float(T_max))
+            q = round(1.0 / (2.0 * h))
+            assert h == 1.0 / (2 * q)
+            qs.add(q)
+    T = np.arange(2, 5001)
+
+    def misses(q):
+        # the ledger T of integrate_moment_grid at every halving level
+        for level in range(1, 5):
+            h2 = 1.0 / (2 * q) / 2.0**level
+            m2 = np.round((T - 1) / h2).astype(np.int64)
+            m2 -= m2 % 4
+            if not np.array_equal(1.0 + h2 * m2, T):
+                return True
+        return False
+
+    assert not any(misses(q) for q in qs)
+    # the first q whose grid misses an integer T lies beyond the rule's reach
+    assert [q for q in range(1, 75) if misses(q)] == [49]
+    assert max(qs) < 49
 
 
 @pytest.fixture(scope="module")
