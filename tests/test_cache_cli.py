@@ -105,6 +105,17 @@ def test_build_tables_tau_bytes_pinned(tmp_path):
         "dd37370837ae6711f9c35f5ef44d96a2a7a906dcba5e16fa7f93476584a2edeb")
 
 
+@pytest.mark.parametrize("k, N, sha256", [
+    (3, 10**5, "3947898e2372c7b609f8745fc32e383e1c627b3e2c77b9b3fe084ea3029bd134"),
+    (2, 10**4, "77d9a472af678398d14aaada9a724a9ab9a167d232da2c21f5d3c2d04ca69c88"),
+])
+def test_build_tables_dk_bytes_pinned(tmp_path, k, N, sha256):
+    # d_k is exact little-endian int64, so its cache payload is the same everywhere
+    build_table(RunConfig(tmp_path), f"d_{k}", N)
+    path = tmp_path / cache.cache_key(f"d_{k}", {"k": k}, N)
+    assert cache.table_header(path)["sha256"] == sha256
+
+
 def test_build_tables_dependency_chain(tmp_path):
     cfg = RunConfig(tmp_path)
     build_table(cfg, "rankin_c", 2000)
