@@ -156,10 +156,12 @@ def sieve_dk(k: int, N: int) -> CoeffTable:
 
     d_k is multiplicative with d_k(p^a) = C(a+k-1, k-1).  A vectorized sieve
     walks the prime powers p^a, p <= sqrt(N): each multiple of p^a has its
-    value multiplied by (a+k-1) and divided by a, exactly (C(a+k-2, a-1) *
-    (a+k-1) = a * C(a+k-1, a)), so valuation v gives C(v+k-1, v); and its
-    cofactor divided by p.  A cofactor left above 1 is one prime > sqrt(N),
-    worth d_k(p) = k.
+    value multiplied by k for a = 1, and by (a+k-1) then divided by a for
+    a >= 2, exactly (C(a+k-2, a-1) * (a+k-1) = a * C(a+k-1, a)), so
+    valuation v gives C(v+k-1, v).  Each multiple of p^a also has its found
+    part (an int32 product of the prime powers found so far, at most n <
+    2^31) multiplied by p.  An n whose found part ends below n has one prime
+    factor > sqrt(N) left, worth d_k(p) = k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -175,20 +177,19 @@ def sieve_dk(k: int, N: int) -> CoeffTable:
     vals = np.ones(N, dtype=np.int64)
     if k == 1:
         return CoeffTable("d_k", N, vals, {"k": 1})
-    cof = np.arange(1, N + 1, dtype=np.int32)  # N <= _SIEVE_BUDGET < 2^31
+    found = np.ones(N, dtype=np.int32)  # N <= _SIEVE_BUDGET < 2^31
     for p in map(int, prime_sieve(math.isqrt(N))):
-        pa = p
-        a = 1
+        vals[p - 1:: p] *= k
+        found[p - 1:: p] *= p
+        pa, a = p * p, 2
         while pa <= N:
             sl = vals[pa - 1:: pa]
             sl *= a + k - 1
             sl //= a
-            cof[pa - 1:: pa] //= p
+            found[pa - 1:: pa] *= p
             a += 1
-            if pa > N // p:
-                break
             pa *= p
-    np.multiply(vals, k, out=vals, where=cof > 1)
+    vals *= 1 + (k - 1) * (found < np.arange(1, N + 1, dtype=np.int32))
     if int(vals.max()) >= _INT64_SAFE:
         raise CapacityError(f"d_{k} values at N={N} exceed the int64 budget")
     return CoeffTable("d_k", N, vals, {"k": k})

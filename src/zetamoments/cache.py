@@ -2,15 +2,22 @@
 
 Cache layout: magic b"ZML1", little-endian u64 value count, little-endian
 u64 header length, JSON header (label, params, dtype, sha256 of the payload),
-then the raw payload.  int64/float64 tables are stored as native arrays;
+then the raw payload.  int64/float64 tables are stored as little-endian
+arrays, hashed and written straight from the array's buffer;
 arbitrary-precision integer tables ("bigint") store each value as
 u32 byte-length, sign byte, magnitude bytes (little-endian).
+
+Every read checks the payload against the header's sha256, and a short,
+unparsable or incomplete header is a CacheError like a checksum mismatch.  Values are
+decoded only for a caller that needs them: `load_table` verifies and
+decodes, `verify_table` verifies and decodes nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -23,7 +30,9 @@ class CacheError(Exception):
     pass
 
 
-def _payload_bytes(values, dtype: str) -> bytes:
+def _payload(values, dtype: str):
+    """The payload as a buffer: bytes for bigint, else a little-endian array
+    (the table itself when it already is one, so no copy is made)."""
     if dtype == "bigint":
         chunks = []
         for v in values:
@@ -33,7 +42,7 @@ def _payload_bytes(values, dtype: str) -> bytes:
             chunks.append(struct.pack("<IB", len(raw), 1 if v < 0 else 0))
             chunks.append(raw)
         return b"".join(chunks)
-    return np.asarray(values).astype("<i8" if dtype == "int64" else "<f8").tobytes()
+    return np.ascontiguousarray(values, dtype="<i8" if dtype == "int64" else "<f8")
 
 
 def _decode_payload(buf: bytes, n: int, dtype: str):
@@ -60,7 +69,7 @@ def table_dtype(values) -> str:
 def save_table(path, label: str, params: dict, values) -> str:
     """Write a table; returns the payload checksum (hex)."""
     dtype = table_dtype(values)
-    payload = _payload_bytes(values, dtype)
+    payload = _payload(values, dtype)
     checksum = hashlib.sha256(payload).hexdigest()
     header = json.dumps(
         {"label": label, "params": params, "dtype": dtype, "sha256": checksum},
@@ -78,11 +87,22 @@ def save_table(path, label: str, params: dict, values) -> str:
 
 
 def _read_header(f, path) -> tuple:
-    if f.read(4) != MAGIC:
+    head = f.read(20)
+    if head[:4] != MAGIC:
         raise CacheError(f"{path}: bad magic (not a ZML1 cache)")
-    n = struct.unpack("<Q", f.read(8))[0]
-    hlen = struct.unpack("<Q", f.read(8))[0]
-    return n, json.loads(f.read(hlen))
+    if len(head) < 20:
+        raise CacheError(f"{path}: truncated header")
+    n, hlen = struct.unpack("<QQ", head[4:])
+    if hlen > os.fstat(f.fileno()).st_size - 20:
+        raise CacheError(f"{path}: truncated header")
+    try:
+        header = json.loads(f.read(hlen))
+    except ValueError as exc:
+        raise CacheError(f"{path}: unreadable header ({exc})") from None
+    if not (isinstance(header, dict) and {"label", "params", "sha256"} <= header.keys()
+            and header.get("dtype") in ("int64", "float64", "bigint")):
+        raise CacheError(f"{path}: unreadable header (fields)")
+    return n, header
 
 
 def table_header(path) -> dict:
@@ -91,16 +111,29 @@ def table_header(path) -> dict:
         return _read_header(f, path)[1]
 
 
-def load_table(path):
-    """Read a cache file -> (label, params, values). Verifies the checksum."""
+def _verified(path) -> tuple:
+    """(value count, header, payload) of a cache file whose payload matches
+    its checksum."""
     path = Path(path)
     with open(path, "rb") as f:
         n, header = _read_header(f, path)
         payload = f.read()
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise CacheError(f"{path}: checksum mismatch (corrupted cache)")
-    values = _decode_payload(payload, n, header["dtype"])
-    return header["label"], header["params"], values
+    if header["dtype"] != "bigint" and len(payload) != 8 * n:
+        raise CacheError(f"{path}: {len(payload)} payload bytes for {n} values")
+    return n, header, payload
+
+
+def verify_table(path) -> dict:
+    """Check a cache file against its checksum -> its header; decodes no values."""
+    return _verified(path)[1]
+
+
+def load_table(path):
+    """Read a cache file -> (label, params, values). Verifies the checksum."""
+    n, header, payload = _verified(path)
+    return header["label"], header["params"], _decode_payload(payload, n, header["dtype"])
 
 
 def cache_key(label: str, params: dict, N: int) -> str:

@@ -104,12 +104,29 @@ def _cache_path(cfg: RunConfig, label: str, N: int) -> Path:
 
 def build_table(cfg: RunConfig, label: str, N: int, verbose: bool = True):
     """Build (or fetch from cache) one table; returns the values."""
+    return _build_table(cfg, label, N, verbose, built={}, need_values=True)
+
+
+# the table each derived table is computed from
+_SOURCE = {"a_tilde": "tau", "a_tilde_sq_conv": "a_tilde", "rankin_c": "a_tilde"}
+
+
+def _build_table(cfg: RunConfig, label: str, N: int, verbose: bool, built: dict,
+                 need_values: bool):
+    """build_table within one command.  A source table this command built is
+    kept in `built` ((label, N) -> values) and handed to the tables derived
+    from it, not read back from disk.  A cache hit is checksum-verified, and
+    decoded only when need_values; otherwise None is returned."""
     if label not in _TABLE_LABELS:
         raise ValueError(f"unknown table label {label!r}; expected one of {_TABLE_LABELS}")
     path = _cache_path(cfg, label, N)
     if path.exists():
         try:
-            _, _, values = cache.load_table(path)  # checksum-verified hit
+            if need_values:
+                values = cache.load_table(path)[2]
+            else:
+                cache.verify_table(path)
+                values = None
             if verbose:
                 print(f"[cache hit] {path}")
             return values
@@ -122,18 +139,21 @@ def build_table(cfg: RunConfig, label: str, N: int, verbose: bool = True):
         values = arith.sieve_dk(int(label.split("_")[1]), N).values
     elif label == "tau":
         values = modularforms.tau_table(N).tau
-    elif label == "a_tilde":
-        tau = modularforms.TauTable(N, build_table(cfg, "tau", N, verbose))
-        values = modularforms.normalize(tau).values
-    elif label == "a_tilde_sq_conv":
-        at = load_coeff_table(cfg, "a_tilde", N)
-        values = modularforms.self_convolve(at).values
-    elif label == "rankin_c":
-        at = load_coeff_table(cfg, "a_tilde", N)
-        values = modularforms.rankin_c(at).values
-    else:  # pragma: no cover
-        raise AssertionError(label)
+    else:
+        src_label = _SOURCE[label]
+        src = built.get((src_label, N))
+        if src is None:
+            src = _build_table(cfg, src_label, N, verbose, built, need_values=True)
+        if label == "a_tilde":
+            values = modularforms.normalize(modularforms.TauTable(N, src)).values
+        else:
+            at = arith.CoeffTable("a_tilde", N, src)
+            convolve = (modularforms.self_convolve if label == "a_tilde_sq_conv"
+                        else modularforms.rankin_c)
+            values = convolve(at).values
     cache.save_table(path, label, dict(_params(label), N=N), values)
+    if label in _SOURCE.values():
+        built[label, N] = values
     if verbose:
         print(f"[built] {path}")
     return values
@@ -364,11 +384,12 @@ def main(argv=None) -> int:
         cfg = RunConfig(Path(args.cache_dir), args.workers, args.rel_tol,
                         args.slack, args.budget)
         if args.cmd == "build-tables":
+            built: dict = {}
             for spec_item in args.tables:
                 if "=" not in spec_item:
                     raise ValueError(f"expected LABEL=N, got {spec_item!r}")
                 label, n = spec_item.split("=", 1)
-                build_table(cfg, label.strip(), int(n))
+                _build_table(cfg, label.strip(), int(n), True, built, need_values=False)
             return 0
         if args.cmd == "experiment":
             cells = parse_manifest(args.manifest)

@@ -41,6 +41,13 @@ def test_dk_matches_bruteforce_around_prime_squares(N):
         assert [int(v) for v in table.values] == [brute_dk(k, n) for n in range(1, N + 1)], (k, N)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_dk_matches_bruteforce_for_every_N_to_200(k):
+    brute = [brute_dk(k, n) for n in range(1, 201)]
+    for N in range(1, 201):
+        assert zm.sieve_dk(k, N).values.tolist() == brute[:N], (k, N)
+
+
 def _dk_by_trial_division(k: int, n: int) -> int:
     out, p = 1, 2
     while p * p <= n:
@@ -92,6 +99,14 @@ def test_sieve_rejects_bad_args():
         zm.sieve_dk(0, 10)
     with pytest.raises(CapacityError):
         zm.sieve_dk(2, 10**9)
+
+
+def test_sieve_int64_post_check(monkeypatch):
+    # the exact check on the finished table: d(48) = 10, d(60) = 12
+    monkeypatch.setattr(zm.arith, "_INT64_SAFE", 12)
+    assert int(zm.sieve_dk(2, 59).values.max()) == 10
+    with pytest.raises(CapacityError, match="int64 budget"):
+        zm.sieve_dk(2, 60)
 
 
 # ---------------------------------------------------------------------------

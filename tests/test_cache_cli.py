@@ -148,6 +148,65 @@ def test_checksum_mismatch_forces_rebuild(tmp_path, capsys):
     assert np.array_equal(reloaded, vals)
 
 
+@pytest.mark.parametrize("cut", [10, 30])
+def test_truncated_cache_header_forces_rebuild(tmp_path, capsys, cut):
+    # 10 bytes stop inside the u64 counts, 30 inside the JSON header
+    argv = ["--cache-dir", str(tmp_path), "build-tables", "d_2=1000"]
+    assert main(argv) == 0
+    path = tmp_path / cache.cache_key("d_2", {"k": 2}, 1000)
+    good = path.read_bytes()
+    path.write_bytes(good[:cut])
+    with pytest.raises(cache.CacheError, match="truncated header"):
+        cache.load_table(path)
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert f"[cache corrupt, rebuilding] {path}" in capsys.readouterr().out
+    assert path.read_bytes() == good
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (b'{"dtype"', b'#"dtype"', "unreadable header"),         # not JSON
+    (b'"sha256"', b'"sha2x6"', "unreadable header"),         # a missing field
+    (b'"int64"', b'"int65"', "unreadable header"),           # an unknown dtype
+    (b"\x0a" + b"\0" * 7, b"\x0b" + b"\0" * 7, "payload bytes"),  # the value count
+])
+def test_corrupt_cache_header_is_a_cache_error(tmp_path, old, new, message):
+    # the header is outside the payload's checksum, so it is checked on its own
+    path = tmp_path / "h.zml"
+    cache.save_table(path, "d_k", {"k": 2, "N": 10}, zm.sieve_dk(2, 10).values)
+    raw = path.read_bytes()
+    assert raw.count(old) == 1
+    path.write_bytes(raw.replace(old, new))
+    with pytest.raises(cache.CacheError, match=message):
+        cache.verify_table(path)
+
+
+def test_build_tables_reads_back_nothing_and_decodes_no_hit(tmp_path, monkeypatch, capsys):
+    decoded, verified = [], []
+    decode, verify = cache._decode_payload, cache._verified
+    monkeypatch.setattr(cache, "_decode_payload",
+                        lambda buf, n, dtype: decoded.append(dtype) or decode(buf, n, dtype))
+    monkeypatch.setattr(cache, "_verified", lambda path: verified.append(path.name) or verify(path))
+    argv = ["--cache-dir", str(tmp_path), "build-tables", "d_3=3000", "tau=2000",
+            "a_tilde=2000", "a_tilde_sq_conv=2000", "rankin_c=2000"]
+    assert main(argv) == 0  # cold: the derived tables get tau and a_tilde in memory
+    assert decoded == [] and verified == []
+    files = {p.name: p.read_bytes() for p in tmp_path.glob("*.zml")}
+    assert len(files) == 5
+    assert main(argv) == 0  # warm: every file verified, none decoded
+    assert decoded == [] and sorted(verified) == sorted(files)
+    # a flipped payload byte is caught on the verify-only path and rebuilt
+    path = tmp_path / cache.cache_key("tau", {}, 2000)
+    raw = bytearray(files[path.name])
+    raw[-1] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert f"[cache corrupt, rebuilding] {path}" in capsys.readouterr().out
+    assert decoded == []
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("*.zml")} == files
+
+
 # ---------------------------------------------------------------------------
 # manifest and experiment command
 # ---------------------------------------------------------------------------
