@@ -119,6 +119,8 @@ def _build_table(cfg: RunConfig, label: str, N: int, verbose: bool, built: dict,
     decoded only when need_values; otherwise None is returned."""
     if label not in _TABLE_LABELS:
         raise ValueError(f"unknown table label {label!r}; expected one of {_TABLE_LABELS}")
+    if (label, N) in built:
+        return built[label, N]
     path = _cache_path(cfg, label, N)
     if path.exists():
         try:
@@ -140,10 +142,7 @@ def _build_table(cfg: RunConfig, label: str, N: int, verbose: bool, built: dict,
     elif label == "tau":
         values = modularforms.tau_table(N).tau
     else:
-        src_label = _SOURCE[label]
-        src = built.get((src_label, N))
-        if src is None:
-            src = _build_table(cfg, src_label, N, verbose, built, need_values=True)
+        src = _build_table(cfg, _SOURCE[label], N, verbose, built, need_values=True)
         if label == "a_tilde":
             values = modularforms.normalize(modularforms.TauTable(N, src)).values
         else:
