@@ -161,7 +161,8 @@ def sieve_dk(k: int, N: int) -> CoeffTable:
     valuation v gives C(v+k-1, v).  Each multiple of p^a also has its found
     part (an int32 product of the prime powers found so far, at most n <
     2^31) multiplied by p.  An n whose found part ends below n has one prime
-    factor > sqrt(N) left, worth d_k(p) = k.
+    factor > sqrt(N) left, worth d_k(p) = k; the found array turns into that
+    factor in place, so the sieve allocates no int64 temporaries.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -169,6 +170,8 @@ def sieve_dk(k: int, N: int) -> CoeffTable:
         raise ValueError(f"N must be >= 1, got {N}")
     if N > _SIEVE_BUDGET:
         raise CapacityError(f"N={N} exceeds sieve budget {_SIEVE_BUDGET}")
+    if k >= 1 << 31:
+        raise CapacityError(f"k={k} exceeds the sieve's int32 factor")
     # largest d_k value is at most k^log2(N); demand headroom below 2^61
     if N > 2 and k ** min(60, int(math.log2(N)) + 1) >= _INT64_SAFE and k > 1:
         # loose a priori guard; the exact post-check below still runs
@@ -189,7 +192,11 @@ def sieve_dk(k: int, N: int) -> CoeffTable:
             found[pa - 1:: pa] *= p
             a += 1
             pa *= p
-    vals *= 1 + (k - 1) * (found < np.arange(1, N + 1, dtype=np.int32))
+    # found becomes the factor k where a prime > sqrt(N) is left, else 1
+    np.less(found, np.arange(1, N + 1, dtype=np.int32), out=found)
+    found *= k - 1
+    found += 1
+    vals *= found
     if int(vals.max()) >= _INT64_SAFE:
         raise CapacityError(f"d_{k} values at N={N} exceed the int64 budget")
     return CoeffTable("d_k", N, vals, {"k": k})

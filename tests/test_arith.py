@@ -109,6 +109,12 @@ def test_sieve_int64_post_check(monkeypatch):
         zm.sieve_dk(2, 60)
 
 
+def test_sieve_rejects_k_beyond_int32():
+    assert zm.sieve_dk(2**31 - 1, 2).values.tolist() == [1, 2**31 - 1]
+    with pytest.raises(CapacityError):
+        zm.sieve_dk(2**31, 2)
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet convolution
 # ---------------------------------------------------------------------------
