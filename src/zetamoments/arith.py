@@ -135,15 +135,19 @@ class DeltaCurve:
 
 
 def prime_sieve(nmax: int) -> np.ndarray:
-    """Primes <= nmax by Eratosthenes."""
+    """Primes <= nmax by Eratosthenes over the odd numbers (odd[i] is 2i + 1)."""
     if nmax < 2:
         return np.array([], dtype=np.int64)
-    isp = np.ones(nmax + 1, dtype=bool)
-    isp[:2] = False
-    for i in range(2, int(nmax**0.5) + 1):
-        if isp[i]:
-            isp[i * i:: i] = False
-    return np.nonzero(isp)[0].astype(np.int64)
+    odd = np.ones((nmax + 1) // 2, dtype=bool)
+    odd[0] = False
+    for i in range(1, (math.isqrt(nmax) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2:: p] = False
+    primes = np.nonzero(odd)[0].astype(np.int64)
+    primes *= 2
+    primes += 1
+    return np.concatenate(([2], primes))
 
 
 def ones_table(N: int) -> CoeffTable:

@@ -10,7 +10,14 @@ u32 byte-length, sign byte, magnitude bytes (little-endian).
 Every read checks the payload against the header's sha256, and a short,
 unparsable or incomplete header is a CacheError like a checksum mismatch.  Values are
 decoded only for a caller that needs them: `load_table` verifies and
-decodes, `verify_table` verifies and decodes nothing.
+decodes, `verify_table` verifies and decodes nothing, hashing the payload
+1 MB at a time so that a cache hit makes no payload-sized buffer.
+
+The value count is outside the checksum.  An int64/float64 payload must
+hold 8 bytes per value on both paths; a bigint payload must decode into
+exactly the counted values with no byte left, which only `load_table`
+checks: `verify_table` would have to walk the whole payload to do so, a
+cost on every warm cache hit.
 """
 
 from __future__ import annotations
@@ -49,12 +56,17 @@ def _decode_payload(buf: bytes, n: int, dtype: str):
     if dtype == "bigint":
         out = []
         off = 0
-        for _ in range(n):
-            ln, sign = struct.unpack_from("<IB", buf, off)
-            off += 5
-            mag = int.from_bytes(buf[off: off + ln], "little")
-            off += ln
-            out.append(-mag if sign else mag)
+        try:
+            for _ in range(n):
+                ln, sign = struct.unpack_from("<IB", buf, off)
+                off += 5
+                mag = int.from_bytes(buf[off: off + ln], "little")
+                off += ln
+                out.append(-mag if sign else mag)
+        except struct.error:
+            off = -1
+        if off != len(buf):
+            raise CacheError(f"{n} values do not fill the {len(buf)} payload bytes")
         return out
     arr = np.frombuffer(buf, dtype="<i8" if dtype == "int64" else "<f8", count=n)
     return arr.copy()
@@ -111,18 +123,27 @@ def table_header(path) -> dict:
         return _read_header(f, path)[1]
 
 
+def _check_payload(path, n: int, header: dict, digest, size: int) -> None:
+    if digest.hexdigest() != header["sha256"]:
+        raise CacheError(f"{path}: checksum mismatch (corrupted cache)")
+    if header["dtype"] != "bigint" and size != 8 * n:
+        raise CacheError(f"{path}: {size} payload bytes for {n} values")
+
+
 def _verified(path) -> tuple:
-    """(value count, header, payload) of a cache file whose payload matches
-    its checksum."""
+    """(value count, header) of a cache file whose payload matches its
+    checksum, hashed a block at a time so no payload-sized buffer is made."""
     path = Path(path)
+    digest, size = hashlib.sha256(), 0
+    block = bytearray(1 << 20)
+    view = memoryview(block)
     with open(path, "rb") as f:
         n, header = _read_header(f, path)
-        payload = f.read()
-    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
-        raise CacheError(f"{path}: checksum mismatch (corrupted cache)")
-    if header["dtype"] != "bigint" and len(payload) != 8 * n:
-        raise CacheError(f"{path}: {len(payload)} payload bytes for {n} values")
-    return n, header, payload
+        while got := f.readinto(block):
+            digest.update(view[:got])
+            size += got
+    _check_payload(path, n, header, digest, size)
+    return n, header
 
 
 def verify_table(path) -> dict:
@@ -132,7 +153,11 @@ def verify_table(path) -> dict:
 
 def load_table(path):
     """Read a cache file -> (label, params, values). Verifies the checksum."""
-    n, header, payload = _verified(path)
+    path = Path(path)
+    with open(path, "rb") as f:
+        n, header = _read_header(f, path)
+        payload = f.read()
+    _check_payload(path, n, header, hashlib.sha256(payload), len(payload))
     return header["label"], header["params"], _decode_payload(payload, n, header["dtype"])
 
 

@@ -3,10 +3,14 @@
 zeta(s) is computed by Euler-Maclaurin summation with cut M = max(2|t|, 50)
 and 12 Bernoulli correction terms, in one body shared by the scalar
 `zeta_em` (a one-point grid) and `zeta_em_grid` (cut at max |t|).  The
+correction terms are summed by Horner in the quadratic factors
+(s+2r-1)(s+2r) of their Pochhammer symbols, one complex product per term
+and point, and multiplied by M^{-s} = exp(-s ln M) once.  The
 error estimate combines the first omitted Bernoulli term (classical
 remainder bound) with a worst-case rounding model for the main sum, so it
 stays honest at large |t| where argument reduction in exp(-it log n)
-dominates; `zeta_em` reports it, `zeta_em_grid` returns values only.
+dominates, and a first-order rounding model of the Horner tail;
+`zeta_em` reports it, `zeta_em_grid` returns values only.
 
 Gamma(s) uses a fixed Lanczos rational approximation (g=7, 9 terms) with
 reflection for Re s < 1/2; chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) is
@@ -137,20 +141,23 @@ def _phase_dot(ts: np.ndarray, ln: np.ndarray, W: np.ndarray) -> tuple[np.ndarra
     at a time so the phase matrix stays under _DIRECT_TILE entries.  The
     bound is eps ((max|t| + 1) sum |W_n| ln n + sum |W_n|), since the phase
     of n^{-it} is known to eps |t ln n| and each term rounds once; the NUFFT
-    adds eps _NU_AMP sum |W_n| for its deconvolution.
+    adds eps _NU_AMP sum |W_n| for its deconvolution, the direct sum
+    eps (N - 1)/2 sum |W_n| for adding its N terms in whatever order the
+    matrix product takes (at small |t| the summation is most of its error).
     """
     ts = np.asarray(ts, dtype=np.float64)
     aW = np.abs(W)
+    sW = aW.sum(axis=0)
     tmax = float(np.abs(ts).max()) if len(ts) else 0.0
-    rnd = _EPS * ((tmax + 1.0) * (ln @ aW) + aW.sum(axis=0))
+    rnd = _EPS * ((tmax + 1.0) * (ln @ aW) + sW)
     h = _grid_step(ts)
     if h is not None:
-        return _nufft(ts, h, ln, W), rnd + _EPS * _NU_AMP * aW.sum(axis=0)
+        return _nufft(ts, h, ln, W), rnd + _EPS * _NU_AMP * sW
     rows = max(1, _DIRECT_TILE // max(len(ln), 1))
     out = np.empty((len(ts), W.shape[1]), dtype=np.complex128)
     for i0 in range(0, len(ts), rows):
         out[i0: i0 + rows] = np.exp(-1j * np.outer(ts[i0: i0 + rows], ln)) @ W
-    return out, rnd
+    return out, rnd + _EPS * 0.5 * max(len(ln) - 1, 0) * sW
 
 
 _NU_HALF = 16  # Gaussian half-width, in fine-grid cells
@@ -226,39 +233,86 @@ def _zeta_em(sigma: float, ts: np.ndarray, M: int) -> tuple[np.ndarray, float, f
     """Euler-Maclaurin zeta(sigma+it) at cut M on a t-grid, with an error
     estimate in two parts: the method's and the rounding of tail and value.
 
+    The value is the main sum over n < M plus M^{-s} B, with
+        B = 1/2 + M/(s-1) + s A,  s A = sum_{r<=R} c_r P_r,
+    P_r = s(s+1)...(s+2r-2), c_r = B_2r M^{1-2r}/(2r)! and R = _EM_TERMS.
+    A is summed by Horner, A <- c_r + A q_r from A = c_R for r = R-1 down
+    to 1, with q_r = (s+2r-1)(s+2r) = (sigma+2r-1)(sigma+2r) - t^2
+    + i t (2 sigma + 4r - 1): its real part steps down by 4 sigma + 8r + 2
+    from one r to the next and its imaginary part is formed afresh from the
+    grid, so a term costs one complex product and no array beyond A and q.
+    M^{-s} = exp(-s ln M) multiplies B once.
+
     The method's part is the remainder bound (first omitted Bernoulli term
     times |s+2R+1|/(sigma+2R+1)) plus the main sum's rounding bound from
     `_phase_dot`; both grow with |t|, so they are taken at the grid's
-    largest |t|.  The second part holds M^{-s} = exp(-s log M) to
-    eps*|s log M| relative and lets each of the 13 additions into the value
-    round by half an ulp; the tail and the value enter at their largest
-    modulus on the grid.
+    largest |t|.  The rounding part, to first order in eps:
+    - M^{-s}: its argument is known to eps |s| ln M, and exp adds 2 eps;
+    - B: the division, the product s A and the two additions cost at most
+      4.5 eps b, with b = 1/2 + M/|s-1| + sum_r |c_r P_r|, and the product
+      M^{-s} B 2 eps more, so together with M^{-s} the tail is good to
+      eps M^{-sigma} b (|s| ln M + 9);
+    - Horner: each q_r is off by at most eps Q, Q = (R+1) max_r (|q_r| +
+      |4 sigma + 8r + 2|) (the real part's R steps of subtraction), and
+      each level's product and sum cost 2.5 eps, so s A is off by
+      eps sum_r |c_r| |s| (prod_{l<r} |q_l| (2.5 r + 2)
+      + Q sum_{i<r} prod_{l<r, l!=i} |q_l|);
+    - the one addition of the tail into the value: eps/2 max |value|.
+    Every product of |s + m| grows with |t|, so the Horner sums are taken at
+    the grid's largest |t|; M/|s-1| is taken at its smallest.
     """
     n = np.arange(1, M, dtype=np.float64)
-    ln = np.log(n)
-    npw = n ** (-sigma)
-    out, rnd = _phase_dot(ts, ln, npw[:, None])
+    out, rnd = _phase_dot(ts, np.log(n), (n ** (-sigma))[:, None])
     out = out[:, 0]
-    sv = sigma + 1j * ts
-    Ms = M ** (-sv)
-    tail = Ms * (0.5 + M / (sv - 1.0))
-    out += tail
-    tail = float(np.abs(tail).max())  # only its size enters the rounding model
-    poch = np.ones_like(sv)
-    for r in range(1, _EM_TERMS + 1):
-        poch = poch * (sv + (2 * r - 2)) * ((sv + (2 * r - 3)) if r > 1 else 1.0)
-        out += _BERN2R[r - 1] / math.factorial(2 * r) * M ** (1.0 - 2 * r) * Ms * poch
-    i = int(np.abs(ts).argmax())
-    s = complex(sv[i])
-    r = _EM_TERMS + 1
-    top = complex(poch[i]) * (s + (2 * r - 2)) * (s + (2 * r - 3))
+    R = _EM_TERMS
+    c = [_BERN2R[r - 1] / math.factorial(2 * r) * M ** (1.0 - 2 * r) for r in range(1, R + 1)]
+    lnM = math.log(M)
+    A = np.full(len(ts), c[-1], dtype=np.complex128)
+    q = np.empty_like(A)
+    qr, qi = q.real, q.imag
+    np.multiply(ts, ts, out=qr)
+    np.subtract((sigma + 2 * R - 3) * (sigma + 2 * R - 2), qr, out=qr)  # Re q_{R-1}
+    for r in range(R - 1, 0, -1):
+        if r < R - 1:
+            q -= 4.0 * sigma + 8 * r + 2
+        np.multiply(ts, 2.0 * sigma + 4 * r - 1, out=qi)
+        A *= q
+        A += c[r - 1]
+    qr[:] = sigma
+    qi[:] = ts
+    A *= q  # s A
+    q -= 1.0
+    np.divide(M, q, out=q)  # M/(s-1)
+    A += q
+    A += 0.5
+    qr[:] = -sigma * lnM
+    np.multiply(ts, -lnM, out=qi)
+    np.exp(q, out=q)  # M^{-s}
+    A *= q
+    out += A
+    # the bounds at the grid's largest |t|, where every |s + m| is largest
+    absts = np.abs(ts)
+    s = complex(sigma, float(absts.max()))
+    qs = [abs((s + (2 * r - 1)) * (s + 2 * r)) for r in range(1, R + 1)]
+    Q = (R + 1) * max(qs[r - 1] + abs(4.0 * sigma + 8 * r + 2) for r in range(1, R))
+    pp = 1.0  # prod_{l<r} |q_l|
+    dd = 0.0  # sum_{i<r} prod_{l<r, l!=i} |q_l|
+    E = H = 0.0
+    for r in range(1, R + 1):
+        cs = abs(c[r - 1]) * abs(s)
+        E += cs * pp
+        H += cs * (pp * (2.5 * r + 2.0) + Q * dd)
+        dd = dd * qs[r - 1] + pp
+        pp *= qs[r - 1]
+    r = R + 1
+    Ms = M ** -sigma
     trunc = (
-        abs(_BERN2R[r - 1]) / math.factorial(2 * r)
-        * M ** (1.0 - 2 * r - sigma) * abs(top)
-        * abs(s + 2 * _EM_TERMS + 1) / (sigma + 2 * _EM_TERMS + 1)
+        abs(_BERN2R[r - 1]) / math.factorial(2 * r) * M ** (1.0 - 2 * r) * Ms
+        * abs(s) * pp * abs(s + 2 * R + 1) / (sigma + 2 * R + 1)
     )
-    rnd_value = _EPS * (tail * (abs(s) * math.log(M) + 2.0)
-                        + 0.5 * (_EM_TERMS + 1) * float(np.abs(out).max()))
+    near = math.hypot(sigma - 1.0, float(absts.min()))
+    b = 0.5 + (M / near if near else math.inf) + E
+    rnd_value = _EPS * (Ms * (b * (abs(s) * lnM + 9.0) + H) + 0.5 * float(np.abs(out).max()))
     return out, trunc + float(rnd[0]), rnd_value
 
 

@@ -21,8 +21,11 @@ family, k and table against it before any evaluation; a series pole's
 residue is estimated from the table being integrated.
 
 C(k, sigma) is computed two independent ways: an Euler product
-zeta(2s)^{k^2} prod_p (1-p^{-2s})^{k^2} 2F1(k,k;1;p^{-2s}) with a rigorous
-prime tail, and a direct sieve sum with a density-completed tail.  Moments
+zeta(2s)^{k^2} prod_p (1-x)^{(k-1)^2} N_k(x), x = p^{-2s}, with a rigorous
+prime tail and rounding bound, and a direct sieve sum with a
+density-completed tail.  The local factor is (1-x)^{k^2} 2F1(k,k;1;x),
+which Euler's transformation turns into the closed form with the
+polynomial N_k(x) = sum_{i<k} C(k-1, i)^2 x^i.  Moments
 are composite-Simpson integrals of |.|^{2k} from the start step of
 moment_step, validated by step halving: for zeta the coarsest h = 1/(2q)
 that samples the integrand's top frequency k log M at least 4 times per
@@ -45,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import CoeffTable, PrecisionError, prime_sieve
-from .evaluate import _em_cut, smoothed_grid, zeta_em, zeta_em_grid
+from .evaluate import _EPS, _em_cut, smoothed_grid, zeta_em, zeta_em_grid
 from .modularforms import rankin_A
 
 __all__ = [
@@ -207,47 +210,51 @@ def _zeta_real(x: float) -> float:
 def main_term_zeta(k: int, sigma: float, prime_cut: int = 10**6) -> MainTermConstant:
     """C(k, sigma) = sum d_k(n)^2 n^{-2 sigma} by Euler product.
 
-    Factor out zeta(2s)^{k^2}; the residual local factor is
-    g_p = (1-x)^{k^2} sum_j C(k-1+j, j)^2 x^j = 1 - (k(k-1)/2)^2 x^2 + ...
-    with x = p^{-2s}, so the tail over p > P is bounded by the x^2 term:
+    Factor out zeta(2s)^{k^2}; with x = p^{-2s} the residual local factor is
+    g_p = (1-x)^{k^2} 2F1(k, k; 1; x).  Euler's transformation
+    2F1(k, k; 1; x) = (1-x)^{1-2k} 2F1(1-k, 1-k; 1; x) makes it a polynomial
+    times a power:
+        g_p = (1-x)^{(k-1)^2} N_k(x),  N_k(x) = sum_{i<k} C(k-1, i)^2 x^i,
+    so log g_p = (k-1)^2 log1p(-x) + log1p(x N'(x)), N' = (N_k - 1)/x, in one
+    pass over the primes p <= prime_cut.  As g_p = 1 - (k(k-1)/2)^2 x^2 + ...,
+    the tail over p > P is bounded by the x^2 term:
     sum_{p>P} |log g_p| <= 2 (k(k-1)/2)^2 sum_{n>P} n^{-4 sigma}.
+
+    tail_bound is that tail plus the rounding, relative to the value: each
+    log term is good to (k + 2) eps of itself (x, the degree k - 2
+    polynomial N', log1p); numpy sums pairwise, in blocks of 128 over 8
+    lanes, so no term passes more than log2 m + 32 additions and a sum of m
+    terms is good to (log2 m + 32) eps/2 of the sum of their moduli; exp,
+    the power and the product cost 3 eps; and zeta(2s) is good to its own
+    zeta_em estimate, which enters k^2 times.  k = 1 is zeta(2s) itself,
+    returned with tail_bound 0.
     """
     if sigma <= 0.5:
         raise ValueError("the series diverges for sigma <= 1/2")
     if not 1 <= k <= 6:
         raise ValueError("euler_product path supports 1 <= k <= 6")
     s2 = 2.0 * sigma
-    zs = _zeta_real(s2)
+    z = zeta_em(complex(s2, 0.0), 1e-10)
+    zs = z.value.real
     if k == 1:
         return MainTermConstant("zeta", 1, sigma, zs, 0.0, "euler_product")
-    primes = prime_sieve(prime_cut)
-    x = primes.astype(np.float64) ** (-s2)
-    loc = np.ones_like(x)
-    term = np.ones_like(x)
-    m = len(x)  # the primes still summed: a prefix, as x falls with p
-    j = 0
-    while True:
-        j += 1
-        t = term[:m]
-        t *= x[:m]
-        t *= ((k - 1 + j) / j) ** 2
-        loc[:m] += t
-        if float(t.max()) < 1e-20:
-            break
-        if j > 400:
-            raise PrecisionError("local factor series failed to converge")
-        # a term below 2^-54 whose ratio x ((k+j)/(j+1))^2 is at most 1 has
-        # falling successors, each below half an ulp of loc >= 1: adding them
-        # would not change loc, so drop the primes past the last other one
-        keep = np.flatnonzero((t >= 2.0**-54) | (x[:m] * ((k + j) / (j + 1)) ** 2 > 1.0))
-        m = int(keep[-1]) + 1 if keep.size else 1
-    log_g = k * k * np.log1p(-x) + np.log(loc)
-    value = zs ** (k * k) * math.exp(float(log_g.sum()))
+    x = prime_sieve(prime_cut).astype(np.float64) ** (-s2)
+    coef = [math.comb(k - 1, i) ** 2 for i in range(1, k)]  # N' = sum coef[i] x^i
+    y = np.full_like(x, coef[-1])
+    for c in reversed(coef[:-1]):
+        y *= x
+        y += c
+    y *= x
+    down = (k - 1) ** 2 * float(np.log1p(-x).sum())  # (k-1)^2 sum log1p(-x) <= 0
+    up = float(np.log1p(y).sum())  # sum log1p(x N') >= 0
+    value = zs ** (k * k) * math.exp(down + up)
     # prime tail: |log g_p| <= 2 c2 p^{-4 sigma} with c2 = (k(k-1)/2)^2
     c2 = (k * (k - 1) / 2) ** 2
     tail_log = 2.0 * c2 * prime_cut ** (1.0 - 2.0 * s2) / (2.0 * s2 - 1.0)
     tail = value * math.expm1(tail_log) if tail_log < 1 else float("inf")
-    return MainTermConstant("zeta", k, sigma, value, tail, "euler_product")
+    rel = (_EPS * ((k + 2 + 0.5 * (math.log2(max(len(x), 1)) + 32)) * (up - down) + 3)
+           + k * k * z.abs_error_estimate / zs)
+    return MainTermConstant("zeta", k, sigma, value, tail + rel * value, "euler_product")
 
 
 def _log_density_tail(weights: np.ndarray, sigma: float, q: int) -> tuple[float, float]:

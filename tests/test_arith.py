@@ -5,7 +5,7 @@ import pytest
 
 import zetamoments as zm
 from conftest import brute_dk
-from zetamoments.arith import CapacityError, PrecisionError
+from zetamoments.arith import CapacityError, PrecisionError, prime_sieve
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +118,16 @@ def test_sieve_rejects_k_beyond_int32():
 # ---------------------------------------------------------------------------
 # Dirichlet convolution
 # ---------------------------------------------------------------------------
+
+def test_prime_sieve_matches_trial_division():
+    primes = [p for p in range(2, 2001) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for nmax in range(2001):
+        got = prime_sieve(nmax)
+        assert got.dtype == np.int64
+        assert got.tolist() == [p for p in primes if p <= nmax], nmax
+    big = prime_sieve(10**6)
+    assert len(big) == 78498 and big.dtype == np.int64 and big[-1] == 999983
+
 
 def test_ones_convolved_is_d2():
     ones = zm.ones_table(200)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -179,6 +180,24 @@ def test_corrupt_cache_header_is_a_cache_error(tmp_path, old, new, message):
     path.write_bytes(raw.replace(old, new))
     with pytest.raises(cache.CacheError, match=message):
         cache.verify_table(path)
+
+
+@pytest.mark.parametrize("count", [3, 7])
+def test_bigint_value_count_must_fill_the_payload(tmp_path, capsys, count):
+    # a tau file's value count is outside its checksum: decoding must use the
+    # whole payload for exactly that many values, else the file is rebuilt
+    cfg = RunConfig(tmp_path)
+    tau = build_table(cfg, "tau", 5)
+    path = tmp_path / cache.cache_key("tau", {}, 5)
+    good = path.read_bytes()
+    path.write_bytes(good[:4] + struct.pack("<Q", count) + good[12:])
+    cache.verify_table(path)  # decodes nothing, so the count passes here
+    with pytest.raises(cache.CacheError, match="payload bytes"):
+        cache.load_table(path)
+    capsys.readouterr()
+    assert build_table(cfg, "tau", 5) == tau
+    assert f"[cache corrupt, rebuilding] {path}" in capsys.readouterr().out
+    assert path.read_bytes() == good
 
 
 def test_build_tables_reads_back_nothing_and_decodes_no_hit(tmp_path, monkeypatch, capsys):

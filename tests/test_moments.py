@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -49,12 +50,15 @@ def test_main_term_k1_is_zeta():
     assert c.accepted
 
 
-@pytest.mark.parametrize("sigma", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("sigma", [0.55, 0.6, 0.75, 0.9])
 def test_main_term_k2_identity(sigma):
-    # sum d(n)^2 n^{-s} = zeta(s)^4/zeta(2s) via the (1+x)/(1-x)^3 local factor
+    # sum d(n)^2 n^{-s} = zeta(s)^4/zeta(2s) via the (1+x)/(1-x)^3 local factor,
+    # within the recorded bound of the 40-digit value
     c = main_term_zeta(2, sigma)
-    ref = zeta_real(2 * sigma) ** 4 / zeta_real(4 * sigma)
-    assert c.value == pytest.approx(ref, rel=1e-8)
+    with mpmath.workdps(40):
+        s = mpmath.mpf(sigma)
+        ref = mpmath.zeta(2 * s) ** 4 / mpmath.zeta(4 * s)
+        assert abs(c.value - ref) <= c.tail_bound
     assert c.accepted
 
 
@@ -64,22 +68,45 @@ def test_main_term_monotone_in_sigma():
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+def _poly_mul(a, b, J):
+    out = [0] * J
+    for i, u in enumerate(a[:J]):
+        for j, v in enumerate(b[: J - i]):
+            out[i + j] += u * v
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_euler_transformation_of_the_local_series(k):
+    # (1-x)^{2k-1} sum_j C(k-1+j, j)^2 x^j = sum_{i<k} C(k-1, i)^2 x^i, as
+    # integer power series to x^J: the identity main_term_zeta's closed form rests on
+    J = 60
+    series = [math.comb(k - 1 + j, j) ** 2 for j in range(J)]
+    for _ in range(2 * k - 1):
+        series = _poly_mul(series, [1, -1], J)
+    assert series == [math.comb(k - 1, i) ** 2 for i in range(k)] + [0] * (J - k)
+
+
 @pytest.mark.parametrize("k,sigma", [(2, 0.75), (3, 0.9), (3, 0.6), (4, 0.75), (6, 0.55)])
-def test_main_term_matches_all_primes_loop(k, sigma):
-    # the local factors summed over every prime below 10^6 in every round;
-    # dropping the primes whose terms can no longer move loc keeps it exact
-    s2 = 2.0 * sigma
-    x = prime_sieve(10**6).astype(np.float64) ** (-s2)
-    loc = np.ones_like(x)
-    term = np.ones_like(x)
-    j = 0
-    while float(term.max()) >= 1e-20:
-        j += 1
-        term = term * x * ((k - 1 + j) / j) ** 2
-        loc += term
-    log_g = k * k * np.log1p(-x) + np.log(loc)
-    ref = zeta_real(s2) ** (k * k) * math.exp(float(log_g.sum()))
-    assert main_term_zeta(k, sigma).value == ref
+def test_main_term_matches_mpmath_product_over_same_primes(k, sigma):
+    # zeta(2s)^{k^2} prod_{p <= 10^4} (1-x)^{k^2} sum_j C(k-1+j, j)^2 x^j at 40
+    # digits, each local series summed term by term to 1e-45
+    c = main_term_zeta(k, sigma, prime_cut=10**4)
+    with mpmath.workdps(40):
+        s2 = 2 * mpmath.mpf(sigma)
+        ref = mpmath.zeta(s2) ** (k * k)
+        for p in prime_sieve(10**4).tolist():
+            x = mpmath.mpf(p) ** -s2
+            local, term, j = mpmath.mpf(0), mpmath.mpf(1), 0
+            while term > mpmath.mpf(10) ** -45:
+                local += term
+                j += 1
+                term *= x * mpmath.mpf(k - 1 + j) ** 2 / j**2
+            ref *= (1 - x) ** (k * k) * local
+        err = abs(c.value - ref)
+    assert err <= c.tail_bound
+    # the bound is mostly the tail past 10^4; the products differ by rounding
+    assert err <= 1e-13 * c.value
 
 
 def test_main_term_divergence_guard():
@@ -368,6 +395,13 @@ def test_secondary_term_rejects_bad_args():
 
 def test_secondary_term_evaluates_each_zeta_argument_once(monkeypatch):
     nodes = zm.moments._one_swap_nodes
+    cases = ((0.75, 2000.0, 2), (0.9, 2000.0, 3))
+    # the values each one-swap zeta factor evaluated anew gives: the nodes'
+    # inner memo bypassed
+    with monkeypatch.context() as m:
+        m.setattr(zm.moments, "lru_cache", lambda maxsize: lambda f: f)
+        nodes.cache_clear()
+        fresh = [secondary_term(*c) for c in cases]
     args = []  # the zeta arguments of each set of Cauchy nodes
 
     def nodes_spy(*a):
@@ -381,9 +415,7 @@ def test_secondary_term_evaluates_each_zeta_argument_once(monkeypatch):
     monkeypatch.setattr(zm.moments, "_one_swap_nodes", nodes_spy)
     monkeypatch.setattr(zm.moments, "zeta_em", zeta_spy)
     nodes.cache_clear()
-    # the values each one-swap zeta factor evaluated anew gives
-    assert secondary_term(0.75, 2000.0, 2) == -31340.143772946903
-    assert secondary_term(0.9, 2000.0, 3) == -105133.57157592417
+    assert [secondary_term(*c) for c in cases] == fresh
     assert len(args) == 4 and all(len(a) == len(set(a)) for a in args)
     # without reuse, each radius costs 32 nodes x k^2 terms x k^2 factors
     # (and one A_2 factor per term for k = 2): 640 calls for k = 2, 2592 for 3
