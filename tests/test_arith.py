@@ -115,10 +115,6 @@ def test_sieve_rejects_k_beyond_int32():
         zm.sieve_dk(2**31, 2)
 
 
-# ---------------------------------------------------------------------------
-# Dirichlet convolution
-# ---------------------------------------------------------------------------
-
 def test_prime_sieve_matches_trial_division():
     primes = [p for p in range(2, 2001) if all(p % d for d in range(2, math.isqrt(p) + 1))]
     for nmax in range(2001):
@@ -128,6 +124,10 @@ def test_prime_sieve_matches_trial_division():
     big = prime_sieve(10**6)
     assert len(big) == 78498 and big.dtype == np.int64 and big[-1] == 999983
 
+
+# ---------------------------------------------------------------------------
+# Dirichlet convolution
+# ---------------------------------------------------------------------------
 
 def test_ones_convolved_is_d2():
     ones = zm.ones_table(200)
