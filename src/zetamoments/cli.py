@@ -263,7 +263,9 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
 # ---------------------------------------------------------------------------
 
 def cmd_selfcheck(cfg: RunConfig) -> int:
-    from .evaluate import _phase_dot, chi_factor, zeta_em
+    import mpmath
+
+    from .evaluate import _em_cut, _phase_dot, _zeta_em, chi_factor, zeta_em
 
     failures = []
 
@@ -298,6 +300,16 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
                     for i in np.r_[0:len(ts):97, len(ts) - 1])
         check(f"NUFFT phase sum vs direct sum within its rounding bound ({name} block)",
               worst < 1, f"worst {worst:.3f} of the bound")
+
+    # zeta on a short uniform grid at |t| < 5, where the deconvolution's
+    # rounding dominates the estimate, against mpmath at 30 digits
+    ts = -4.75 + 0.5 * np.arange(20)
+    vals, est, rnd = _zeta_em(2.0, ts, _em_cut(float(np.abs(ts).max())))
+    with mpmath.workdps(30):
+        worst = max(abs(v - complex(mpmath.zeta(mpmath.mpc(2.0, t)))) for v, t in zip(vals, ts))
+    worst /= est + rnd
+    check("zeta on a short uniform grid (sigma = 2, |t| < 5) vs mpmath within its estimate",
+          worst < 1, f"worst {worst:.3f} of est + rnd")
 
     # the quadrature estimate against the same cell from a 4x finer start
     cell = dict(family="zeta", k=1, sigma=0.75, T_grid=[200.0], rel_tol=cfg.rel_tol,

@@ -29,23 +29,32 @@ Every grid evaluation is a phase sum sum_n W_n e^{-it ln n} with one or two
 weight columns, and `_phase_dot` is its one entry; the grid's shape alone
 picks the kernel.  A uniform grid of two or more points -- every moment
 block, zeta's and the series' alike -- goes to `_nufft`, a type-1
-nonuniform FFT with the t-grid as its modes and h ln n as its sources,
-costing O(terms + points log points).  It uses Gaussian gridding
-(Greengard-Lee, SIAM Review 2004) rather than the "exponential of
-semicircle" kernel (Barnett-Magland-af Klinteberg, SISC 2019), whose Fourier
-transform has no closed form to deconvolve by.  Any other grid (one point,
-as in the scalar calls, or non-uniform) is summed directly,
+nonuniform FFT with the t-grid as its modes and h ln n as its sources.  It
+uses Gaussian gridding (Greengard-Lee, SIAM Review 2004) rather than the
+"exponential of semicircle" kernel (Barnett-Magland-af Klinteberg, SISC
+2019), whose Fourier transform has no closed form to deconvolve by, and
+spreads the terms by per-cell Chebyshev moments (Dutt-Rokhlin, SISC 1993):
+each fine-grid cell sums J = 16 moments sum c_n T_j(2 f_n - 1) of its terms
+(f_n the term's place in the cell) and puts the Gaussian's 2H = 32 values
+on its neighbours as one small matrix product with the Gaussian's Chebyshev
+coefficients.  J is the fewest terms whose truncation, by a Bernstein-ellipse
+bound, stays under the Gaussian's own error once deconvolved.  That costs
+O(J terms + 2H J cells + L log L) for L = 2.5 points fine cells.  Any other
+grid (one point, as in the scalar calls, or non-uniform) is summed directly,
 exp(-i outer(t, ln n)) @ W, in row tiles.  The rounding bound is
 eps((max|t| + 1) sum |W_n| ln n + sum |W_n|) on both paths; the NUFFT adds
-eps e^{pi H / (4R(R - 1/2))} sum |W_n| (12.3 sum |W_n| at half-width H = 16
-and oversampling R = 2.5), the rounding its deconvolution amplifies at the
-grid's edge modes, which dominates at small |t|.
+eps 1.28 e^{pi H / (4R(R - 1/2))} sum |W_n| plus its truncation (16.1 eps
+sum |W_n| at half-width H = 16 and oversampling R = 2.5): the rounding of
+the spread values, weighted by the moments' coefficients, that the
+deconvolution amplifies at the grid's edge modes, which dominates at
+small |t|.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,17 +142,20 @@ def _grid_step(ts: np.ndarray) -> float | None:
 
 
 def _phase_dot(ts: np.ndarray, ln: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """out[i, :] = sum_n exp(-i ts[i] ln[n]) W[n, :], and its rounding bound
-    per weight column.
+    """out[i, :] = sum_n exp(-i ts[i] ln[n]) W[n, :] for real weights W, and
+    its rounding bound per weight column.
 
     The grid's shape alone picks the kernel: a uniform grid of two or more
     points goes to `_nufft`, any other grid is summed directly, a few rows
     at a time so the phase matrix stays under _DIRECT_TILE entries.  The
     bound is eps ((max|t| + 1) sum |W_n| ln n + sum |W_n|), since the phase
     of n^{-it} is known to eps |t ln n| and each term rounds once; the NUFFT
-    adds eps _NU_AMP sum |W_n| for its deconvolution, the direct sum
-    eps (N - 1)/2 sum |W_n| for adding its N terms in whatever order the
-    matrix product takes (at small |t| the summation is most of its error).
+    adds (eps _NU_MOM _NU_AMP + 2 _NU_GAUSS) sum |W_n| = 16.1 eps sum |W_n|
+    for the rounding of its spread values, which the deconvolution amplifies
+    at the grid's edge modes, and for its truncation (see `_nufft`); the
+    direct sum adds eps (N - 1)/2 sum |W_n| for adding its N terms in
+    whatever order the matrix product takes (at small |t| the summation is
+    most of its error).
     """
     ts = np.asarray(ts, dtype=np.float64)
     aW = np.abs(W)
@@ -152,7 +164,7 @@ def _phase_dot(ts: np.ndarray, ln: np.ndarray, W: np.ndarray) -> tuple[np.ndarra
     rnd = _EPS * ((tmax + 1.0) * (ln @ aW) + sW)
     h = _grid_step(ts)
     if h is not None:
-        return _nufft(ts, h, ln, W), rnd + _EPS * _NU_AMP * sW
+        return _nufft(ts, h, ln, W), rnd + (_EPS * _NU_MOM * _NU_AMP + 2.0 * _NU_GAUSS) * sW
     rows = max(1, _DIRECT_TILE // max(len(ln), 1))
     out = np.empty((len(ts), W.shape[1]), dtype=np.complex128)
     for i0 in range(0, len(ts), rows):
@@ -162,9 +174,76 @@ def _phase_dot(ts: np.ndarray, ln: np.ndarray, W: np.ndarray) -> tuple[np.ndarra
 
 _NU_HALF = 16  # Gaussian half-width, in fine-grid cells
 _NU_OVERSAMPLE = 2.5  # fine-grid cells per output point; 2 is too coarse, see _nufft
-_NU_TILE = 4096  # terms spread per pass; bounds the per-call temporaries
 # the deconvolution's largest gain on rounding, exp(pi H / (4 R (R - 1/2))): 12.3
 _NU_AMP = math.exp(math.pi * _NU_HALF / (4.0 * _NU_OVERSAMPLE * (_NU_OVERSAMPLE - 0.5)))
+# the Gaussian's own truncation and aliasing, exp(-pi H (R - 1) / (R - 1/2)): 4.2e-17
+_NU_GAUSS = math.exp(-math.pi * _NU_HALF * (_NU_OVERSAMPLE - 1.0) / (_NU_OVERSAMPLE - 0.5))
+_NU_A = (0.8 * math.pi / _NU_HALF, math.pi / _NU_HALF)  # the kernel exponent's range, see _nufft
+
+
+def _cheb_bound(J: int) -> np.ndarray:
+    """Per offset o = 1-H..H, a bound on |exp(-a (o - f)^2) - p(f)| over
+    f in [0, 1) and a in _NU_A, p the degree J-1 Chebyshev interpolant in
+    x = 2f - 1 at the J first-kind points.
+
+    In x the kernel is exp(-b (x - x0)^2), b = a/4, x0 = 2o - 1, an entire
+    function; on and inside the Bernstein ellipse E_rho (semi-axes A, B =
+    (rho +- 1/rho)/2) it is at most M = exp(-b min Re (x - x0)^2), so its
+    Chebyshev coefficients are at most 2 M rho^-j (Trefethen, Approximation
+    Theory and Approximation Practice, Thm 8.1).  At the J first-kind points
+    every T_m, m >= J, equals 0 or +-T_j for some j < J, so the interpolant
+    is off by at most twice the coefficients' tail, 4 M rho^(1-J)/(rho - 1).
+    On the ellipse Re (x - x0)^2 is a quadratic in the cosine of its angle.
+    log M is linear in b, so the larger of its values at the range's two
+    ends holds for every a; rho is taken from a grid, which only loosens
+    the bound.
+    """
+    rho = np.geomspace(1.5, 1e3, 200)
+    A, B = (rho + 1.0 / rho) / 2.0, (rho - 1.0 / rho) / 2.0
+    x0 = 2.0 * np.arange(1 - _NU_HALF, _NU_HALF + 1)[:, None] - 1.0
+    c = np.clip(A * x0 / (A * A + B * B), -1.0, 1.0)
+    re = (A * A + B * B) * c * c - 2.0 * A * x0 * c + x0 * x0 - B * B
+    logM = np.maximum(-_NU_A[0] / 4.0 * re, -_NU_A[1] / 4.0 * re)
+    return np.exp((logM + math.log(4.0) + (1 - J) * np.log(rho) - np.log(rho - 1.0)).min(axis=1))
+
+
+# Chebyshev terms per offset: the fewest J whose `_cheb_bound(J)`, summed over
+# the 2H offsets and carried through the deconvolution (a gain of at most
+# _NU_AMP / sqrt(H)), stays under the Gaussian's own error _NU_GAUSS.  The
+# tests derive it; it is written out so that importing the module computes
+# nothing.
+_NU_TERMS = 16
+
+
+@lru_cache(maxsize=256)
+def _nu_cheb(npts: int, L: int) -> np.ndarray:
+    """C[o + H - 1, j], j < _NU_TERMS: exp(-a (o - f)^2) ~ sum_j C[o, j]
+    T_j(2f - 1) on f in [0, 1) for the kernel exponent a = pi (L - P/2) / (L H)
+    of a P-point grid on L cells.  It is the Chebyshev interpolant at the J
+    first-kind points, computed in long double and rounded once to double,
+    and read-only as every call with this grid shares it."""
+    J = _NU_TERMS
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    a = pi * (L - ld(npts) / 2) / (L * ld(_NU_HALF))
+    theta = pi * (np.arange(J, dtype=ld) + ld(0.5)) / J
+    f = (1 + np.cos(theta)) / 2
+    o = np.arange(1 - _NU_HALF, _NU_HALF + 1, dtype=ld)[:, None]
+    dct = np.cos(np.outer(theta, np.arange(J, dtype=ld))) * (ld(2) / J)
+    dct[:, 0] /= 2
+    C = (np.exp(-a * (o - f) ** 2) @ dct).astype(np.float64)
+    C.flags.writeable = False
+    return C
+
+
+# The moments' weight on rounding: sum_{o,j} |C[o, j]| against the kernel's
+# mass sum_o exp(-a (o - f)^2) = sqrt(pi/a), which grows with a and is
+# 1.2758 at the top of _NU_A (the tests check the bound)
+_NU_MOM = 1.276
+_NU_TILE = 4096  # terms spread per pass, at most _NU_CELLS cells of them
+# so that the moments (J per cell) and each offset row (2H per cell) of a pass
+# hold no more values than its terms
+_NU_CELLS = _NU_TILE // max(_NU_TERMS, _NU_HALF)
 
 
 def _fft_len(n: int) -> int:
@@ -180,6 +259,33 @@ def _fft_len(n: int) -> int:
     return best
 
 
+def _cell_moments(x: np.ndarray, phase: np.ndarray, W: np.ndarray,
+                  starts: np.ndarray) -> np.ndarray:
+    """mu[j, r, k] = sum_n cp[r, n] T_j(x[n]), j < _NU_TERMS, over the k-th
+    run of terms, runs starting at `starts`, with cp the terms
+    c_n = W_n e^{-i phase_n} as real rows Re c[:, 0], Im c[:, 0],
+    Re c[:, 1], ...; one reduceat per j, whose inner loop runs over terms."""
+    cp = np.empty((2 * W.shape[1], len(x)))
+    prod = np.empty_like(cp)  # scratch for cos and sin, then cp T_j
+    np.cos(phase, out=prod[0])
+    np.multiply(W.T, prod[0], out=cp[0::2])
+    np.sin(phase, out=prod[0])
+    np.multiply(W.T, prod[0], out=cp[1::2])
+    np.negative(cp[1::2], out=cp[1::2])
+    mu = np.empty((_NU_TERMS, len(cp), len(starts)))
+    np.add.reduceat(cp, starts, axis=1, out=mu[0])
+    x2 = 2.0 * x
+    tp, tj, tn = np.ones_like(x), x, np.empty_like(x)
+    for j in range(1, _NU_TERMS):
+        if j > 1:  # T_j = 2 x T_{j-1} - T_{j-2}
+            np.multiply(x2, tj, out=tn)
+            tn -= tp
+            tp, tj, tn = tj, tn, tp
+        np.multiply(cp, tj, out=prod)
+        np.add.reduceat(prod, starts, axis=1, out=mu[j])
+    return mu
+
+
 def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray) -> np.ndarray:
     """The phase sum on a uniform grid ts[j] = ts[mid] + m h, m = j - mid, as
     a type-1 nonuniform FFT with Gaussian gridding (Greengard-Lee 2004).
@@ -190,38 +296,64 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray) -> np.ndarra
     (R = _NU_OVERSAMPLE, P points) by the Gaussian exp(-(x - x_n)^2 / 4 tau),
     tau = pi H / (L (L - P/2)); one FFT gives every mode, and dividing by the
     Gaussian's Fourier transform sqrt(tau/pi) exp(-m^2 tau) leaves a
-    truncation and aliasing error near exp(-pi H (R-1)/(R-1/2)) of
-    sum |c_n|.  The division amplifies the rounding of the edge modes by
-    exp(tau P^2/4) <= exp(pi H / (4 R (R - 1/2))) = _NU_AMP: 66 at R = 2,
-    12 at R = 2.5.
-    The kernel factors as exp(-a o^2) exp(-a f^2) exp(2 a f)^o for a term at
-    fraction f of its cell and offset o, and x_n is monotone in n, so each
-    offset is one `np.add.reduceat` over the runs of terms that share a cell.
-    The spreading order is fixed, so the result depends only on the inputs.
+    truncation and aliasing error near exp(-pi H (R-1)/(R-1/2)) = _NU_GAUSS
+    of sum |c_n|.
+
+    The spreading goes by per-cell Chebyshev moments (Dutt-Rokhlin, SISC
+    1993).  A term at fraction f of its cell puts exp(-a (o - f)^2),
+    a = (pi/L)^2 / tau = pi (1 - P/(2L)) / H in [0.8 pi/H, pi/H), on the cell
+    o away, o = 1-H..H, and that is sum_{j<J} C[o, j] T_j(2f - 1) to within
+    `_cheb_bound`; J = _NU_TERMS = 16 is the fewest terms whose truncation,
+    summed over the offsets and deconvolved, stays under _NU_GAUSS.  So a
+    cell's 2H values are C @ mu, mu_j = sum c_n T_j(2 f_n - 1) over its
+    terms, and as x_n is monotone in n each mu_j is one `np.add.reduceat`
+    over the runs of terms that share a cell.  The cost is O(J terms
+    + 2H J cells + L log L): J real multiply-adds per term and real column
+    for the moments, 2H J per cell for C @ mu, and the FFT.  A pass takes at
+    most _NU_TILE terms and _NU_CELLS cells.  The order of every sum is
+    fixed, and each C @ mu is a BLAS product small enough (at most 2H J
+    _NU_CELLS = 131 072 multiply-adds) for OpenBLAS to keep on one thread,
+    so the result depends only on the inputs, not on workers or BLAS
+    threads.
+
+    Error account, per mode m and in units of sum |c_n|: an absolute error
+    E in the grid reaches mode m as E sqrt(pi/tau)/L exp(tau m^2), and the
+    kernel's mass per term, sqrt(pi/a), times that gain is exp(tau m^2)
+    <= exp(tau P^2/4) <= exp(pi H / (4 R (R - 1/2))) = _NU_AMP: 66 at R = 2,
+    12 at R = 2.5.  Truncation: the Gaussian's _NU_GAUSS plus the
+    expansion's, which J keeps below it.  Rounding, to first order with one
+    rounding per term and sum as in `_phase_dot`: each mu_j sums terms of
+    size |c_n T_j| <= |c_n|, and offset o weighs mu_j by |C[o, j]|, so the
+    spread values carry eps sum_{o,j} |C[o, j]| <= eps _NU_MOM sqrt(pi/a)
+    per unit |c_n| (_NU_MOM = 1.28); deconvolved, eps _NU_MOM _NU_AMP.
     """
     npts, ncol = len(ts), W.shape[1]
     mid = npts // 2
     L = _fft_len(math.ceil(_NU_OVERSAMPLE * npts))
     tau = math.pi * _NU_HALF / (L * (L - npts / 2.0))
-    a = (math.pi / L) ** 2 / tau  # the kernel exponent per squared cell
+    C = _nu_cheb(npts, L)
     grid = np.zeros((ncol, L), dtype=np.complex128)
-    for j0 in range(0, len(ln), _NU_TILE):
+    parts = grid.view(np.float64)  # Re and Im of cell i at 2i and 2i + 1
+    offs = np.arange(1 - _NU_HALF, _NU_HALF + 1)[:, None]
+    j0 = 0
+    while j0 < len(ln):
         lnt = ln[j0: j0 + _NU_TILE]
         u = lnt * (h * L / (2.0 * math.pi))  # x_n in cells
         cell = np.floor(u)
-        f = (u - cell)[:, None]
-        starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
-        cells = cell[starts].astype(np.int64)
-        # v = c_n exp(-a (o - f)^2) / exp(-a o^2), walked from o = 1 - H up to H
-        v = W[j0: j0 + _NU_TILE] * np.exp(-1j * ts[mid] * lnt)[:, None]
-        v *= np.exp(-a * f * (f + 2.0 * (_NU_HALF - 1)))
-        step = np.exp(2.0 * a * f)
-        for o in range(1 - _NU_HALF, _NU_HALF + 1):
-            if o > 1 - _NU_HALF:
-                v *= step
-            runs = np.add.reduceat(v, starts, axis=0)
-            runs *= math.exp(-a * o * o)
-            np.add.at(grid, (slice(None), (cells + o) % L), runs.T)
+        starts = np.concatenate(([0], np.flatnonzero(cell[1:] != cell[:-1]) + 1))
+        if len(starts) > _NU_CELLS:  # end the pass at its _NU_CELLS-th cell
+            nt = starts[_NU_CELLS]
+            lnt, u, cell, starts = lnt[:nt], u[:nt], cell[:nt], starts[:_NU_CELLS]
+        pos = cell[starts].astype(np.int64) + offs
+        pos %= L
+        pos = 2 * pos.ravel()  # Re of cell (cells[k] + o) mod L, per offset o and cell k
+        u -= cell
+        u *= 2.0
+        u -= 1.0  # 2 f - 1
+        mu = _cell_moments(u, lnt * ts[mid], W[j0: j0 + len(u)], starts)
+        for r in range(mu.shape[1]):  # the offsets' values C @ mu onto the grid
+            np.add.at(parts[r // 2], pos + r % 2, (C @ mu[:, r]).ravel())
+        j0 += len(u)
     np.fft.fft(grid, out=grid)
     m = np.arange(npts) - mid
     out = grid.T[m % L]

@@ -227,7 +227,7 @@ def main_term_zeta(k: int, sigma: float, prime_cut: int = 10**6) -> MainTermCons
     terms is good to (log2 m + 32) eps/2 of the sum of their moduli; exp,
     the power and the product cost 3 eps; and zeta(2s) is good to its own
     zeta_em estimate, which enters k^2 times.  k = 1 is zeta(2s) itself,
-    returned with tail_bound 0.
+    returned with that estimate as its tail_bound.
     """
     if sigma <= 0.5:
         raise ValueError("the series diverges for sigma <= 1/2")
@@ -237,16 +237,20 @@ def main_term_zeta(k: int, sigma: float, prime_cut: int = 10**6) -> MainTermCons
     z = zeta_em(complex(s2, 0.0), 1e-10)
     zs = z.value.real
     if k == 1:
-        return MainTermConstant("zeta", 1, sigma, zs, 0.0, "euler_product")
-    x = prime_sieve(prime_cut).astype(np.float64) ** (-s2)
+        return MainTermConstant("zeta", 1, sigma, zs, z.abs_error_estimate, "euler_product")
+    x = prime_sieve(prime_cut).astype(np.float64)
+    np.power(x, -s2, out=x)
     coef = [math.comb(k - 1, i) ** 2 for i in range(1, k)]  # N' = sum coef[i] x^i
     y = np.full_like(x, coef[-1])
     for c in reversed(coef[:-1]):
         y *= x
         y += c
     y *= x
-    down = (k - 1) ** 2 * float(np.log1p(-x).sum())  # (k-1)^2 sum log1p(-x) <= 0
-    up = float(np.log1p(y).sum())  # sum log1p(x N') >= 0
+    np.log1p(y, out=y)
+    up = float(y.sum())  # sum log1p(x N') >= 0
+    np.negative(x, out=y)
+    np.log1p(y, out=y)
+    down = (k - 1) ** 2 * float(y.sum())  # (k-1)^2 sum log1p(-x) <= 0
     value = zs ** (k * k) * math.exp(down + up)
     # prime tail: |log g_p| <= 2 c2 p^{-4 sigma} with c2 = (k(k-1)/2)^2
     c2 = (k * (k - 1) / 2) ** 2

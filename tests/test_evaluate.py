@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,10 +14,17 @@ import zetamoments as zm
 from zetamoments.arith import PrecisionError
 from zetamoments.evaluate import (
     _EPS,
+    _NU_AMP,
+    _NU_GAUSS,
+    _NU_HALF,
+    _NU_MOM,
+    _NU_TERMS,
     PoleError,
+    _cheb_bound,
     _em_cut,
     _fft_len,
     _grid_step,
+    _nu_cheb,
     _nufft,
     _phase_dot,
     _zeta_em,
@@ -251,6 +262,79 @@ def test_nufft_is_deterministic(rng):
         threaded = list(ex.map(run, blocks))
     for a, b, c in zip(first, again, threaded):
         assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_nufft_does_not_depend_on_blas_threads():
+    # the series top block, bit for bit, with one and with two BLAS threads
+    code = (
+        "import hashlib, numpy as np\n"
+        "from zetamoments.evaluate import _grid_step, _nufft\n"
+        "n = np.arange(1, 12001, dtype=np.float64)\n"
+        "W = np.random.default_rng(3).standard_normal((len(n), 2)) * n[:, None] ** -0.8\n"
+        "ts = 100.0 + 0.01 * np.arange(6001)\n"
+        "print(hashlib.sha256(_nufft(ts, _grid_step(ts), np.log(n), W).tobytes()).hexdigest())\n"
+    )
+    src = str(Path(zm.__file__).resolve().parent.parent)
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        digests.add(run.stdout)
+    assert len(digests) == 1
+
+
+def test_cheb_expansion_matches_the_gaussian():
+    # the moments' expansion sum_j C[o, j] T_j(2f - 1) of exp(-a (o - f)^2),
+    # summed exactly from its double coefficients, against 40-digit values on
+    # a dense f grid in [0, 1): within _cheb_bound plus one unit of the
+    # coefficients' rounding, for every offset, with a at both ends of its
+    # range over P = 2 .. 10^6 points (P/L is 0.4 at P = 2 and 1/3 at P = 5)
+    H, J = _NU_HALF, _NU_TERMS
+    bound = _cheb_bound(J)
+    # J is the fewest terms whose truncation, deconvolved, is under the
+    # Gaussian's own error
+    gain = _NU_AMP / math.sqrt(H)
+    assert bound.sum() * gain <= _NU_GAUSS < _cheb_bound(J - 1).sum() * gain
+    fs = [mpmath.mpf(k) / 256 for k in range(256)]
+    with mpmath.workdps(40):
+        for P in (2, 5):
+            L = _fft_len(math.ceil(2.5 * P))
+            C = _nu_cheb(P, L)
+            assert C.shape == (2 * H, J)
+            a = mpmath.pi * (L - mpmath.mpf(P) / 2) / (L * H)
+            assert np.abs(C).sum() * math.sqrt(float(a) / math.pi) <= _NU_MOM
+            for i, o in enumerate(range(1 - H, H + 1)):
+                tol = bound[i] + 2.0**-52 * np.abs(C[i]).sum()
+                coef = [mpmath.mpf(float(c)) for c in C[i]]
+                for f in fs:
+                    x = 2 * f - 1
+                    t0, t1, val = mpmath.mpf(1), x, coef[0] + coef[1] * x
+                    for c in coef[2:]:
+                        t0, t1 = t1, 2 * x * t1 - t0
+                        val += c * t1
+                    assert abs(val - mpmath.exp(-a * (o - f) ** 2)) <= tol, (P, o, f)
+
+
+def test_phase_dot_with_thousands_of_terms_in_one_cell(rng):
+    # 500 points at h = 0.01 over 12 000 terms: L = 1250 cells, two per unit
+    # of ln n, so the top cell holds 3501 terms; against a long-double
+    # direct sum, within _phase_dot's own bound
+    n = np.arange(1, 12001, dtype=np.float64)
+    ln = np.log(n)
+    ts = 100.0 + 0.01 * np.arange(500)
+    L = _fft_len(math.ceil(2.5 * len(ts)))
+    assert np.bincount(np.floor(ln * 0.01 * L / (2 * math.pi)).astype(int)).max() == 3501
+    W = rng.standard_normal((len(n), 2)) * n[:, None] ** -0.75
+    out, bound = _phase_dot(ts, ln, W)
+    lnl = np.log(n.astype(np.longdouble))
+    Wl = W.T.astype(np.longdouble)
+    for i in np.r_[0:len(ts):7, len(ts) - 1]:
+        ph = np.longdouble(ts[i]) * lnl
+        re, im = (Wl * np.cos(ph)).sum(axis=1), -(Wl * np.sin(ph)).sum(axis=1)
+        err = np.hypot(out[i].real - re, out[i].imag - im)
+        assert np.all(err <= bound), i
 
 
 def test_fft_len_is_5_smooth():

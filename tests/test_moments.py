@@ -46,7 +46,9 @@ def zeta_real(x):
 def test_main_term_k1_is_zeta():
     c = main_term_zeta(1, 0.75)
     assert c.value == pytest.approx(zeta_real(1.5), rel=1e-12)
-    assert c.tail_bound == 0.0
+    assert c.tail_bound > 0.0  # zeta_em's estimate of zeta(2 sigma)
+    with mpmath.workdps(40):
+        assert abs(c.value - mpmath.zeta(mpmath.mpf(1.5))) <= c.tail_bound
     assert c.accepted
 
 
@@ -253,11 +255,21 @@ def atilde_12e3():
     return zm.normalize(zm.tau_table(12_000))
 
 
-def test_z2_residue_comes_from_its_table(atilde_12e3):
-    # the integral the same call gave when the caller passed the residue
-    # rankin_A(c, N)[0] of the table by hand
+def test_z2_residue_comes_from_its_table(atilde_12e3, monkeypatch):
+    # every block subtracts the pole term with the residue rankin_A(c, N)[0]
+    # of the table being integrated, and the integral lies within its own
+    # quad_err of the value the call gave when callers passed that residue
     c = zm.rankin_c(atilde_12e3)
-    assert integrate_moment("Z2", 1, 0.8, 40.0, coeffs=c).integral == 53.59574120175502
+    residues = []
+
+    def spy(*args, **kw):
+        residues.append(kw["residue"])
+        return zm.evaluate.smoothed_grid(*args, **kw)
+
+    monkeypatch.setattr(zm.moments, "smoothed_grid", spy)
+    r = integrate_moment("Z2", 1, 0.8, 40.0, coeffs=c)
+    assert residues and all(x == zm.rankin_A(c, c.N)[0] for x in residues)
+    assert abs(r.integral - 53.59574120175502) <= r.quad_err
 
 
 def test_family_mismatch_raises_before_any_evaluation(atilde_12e3, monkeypatch):
