@@ -138,16 +138,16 @@ def prime_sieve(nmax: int) -> np.ndarray:
     """Primes <= nmax by Eratosthenes over the odd numbers (odd[i] is 2i + 1)."""
     if nmax < 2:
         return np.array([], dtype=np.int64)
-    odd = np.ones((nmax + 1) // 2, dtype=bool)  # odd[0], for 1, stands in for 2
+    odd = np.ones((nmax + 1) // 2, dtype=bool)
+    odd[0] = False
     for i in range(1, (math.isqrt(nmax) + 1) // 2):
         if odd[i]:
             p = 2 * i + 1
             odd[p * p // 2:: p] = False
-    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes = np.nonzero(odd)[0].astype(np.int64)
     primes *= 2
     primes += 1
-    primes[0] = 2
-    return primes
+    return np.concatenate(([2], primes))
 
 
 def ones_table(N: int) -> CoeffTable:

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -215,25 +214,31 @@ def _cheb_bound(J: int) -> np.ndarray:
 _NU_TERMS = 16
 
 
-@lru_cache(maxsize=256)
 def _nu_cheb(npts: int, L: int) -> np.ndarray:
     """C[o + H - 1, j], j < _NU_TERMS: exp(-a (o - f)^2) ~ sum_j C[o, j]
     T_j(2f - 1) on f in [0, 1) for the kernel exponent a = pi (L - P/2) / (L H)
     of a P-point grid on L cells.  It is the Chebyshev interpolant at the J
-    first-kind points, computed in long double and rounded once to double,
-    and read-only as every call with this grid shares it."""
-    J = _NU_TERMS
-    ld = np.longdouble
-    pi = 4 * np.arctan(ld(1))
-    a = pi * (L - ld(npts) / 2) / (L * ld(_NU_HALF))
-    theta = pi * (np.arange(J, dtype=ld) + ld(0.5)) / J
-    f = (1 + np.cos(theta)) / 2
-    o = np.arange(1 - _NU_HALF, _NU_HALF + 1, dtype=ld)[:, None]
-    dct = np.cos(np.outer(theta, np.arange(J, dtype=ld))) * (ld(2) / J)
+    first-kind points f_i = (1 + cos theta_i) / 2, theta_i = pi (2i + 1) / 2J,
+    computed in long double and rounded once to double."""
+    J, ld = _NU_TERMS, np.longdouble
+    # cos(pi k / 2J), k < 4J, by halving angles from cos(k pi / 2), k = 0, 1, 2:
+    # cos(x/2) = sqrt((1 + cos x) / 2) on [0, pi], then cos(2 pi - x) = cos x
+    cos = np.array([1, 0, -1], dtype=ld)
+    while len(cos) <= 2 * J:
+        half = np.sqrt((1 + cos) / 2)
+        cos = np.concatenate((half, -half[-2::-1]))
+    cos = np.concatenate((cos, cos[-2:0:-1]))
+    k = 2 * np.arange(J) + 1
+    f = (1 + cos[k]) / 2
+    dct = cos[np.outer(k, np.arange(J)) % (4 * J)] * (ld(2) / J)  # cos(j theta_i) = cos(pi k_i j / 2J)
     dct[:, 0] /= 2
-    C = (np.exp(-a * (o - f) ** 2) @ dct).astype(np.float64)
-    C.flags.writeable = False
-    return C
+    pi = ld(math.pi) + ld(1.2246467991473532e-16)  # math.pi and its remainder
+    a = pi * (L - ld(npts) / 2) / (L * ld(_NU_HALF))
+    o = np.arange(1, _NU_HALF + 1, dtype=ld)[:, None]
+    up = np.dot(np.exp(-a * (o - f) ** 2), dct).astype(np.float64)
+    # f -> 1 - f takes o to 1 - o and T_j(x) to (-1)^j T_j(x), and the points
+    # are symmetric, so the offsets o <= 0 mirror the offsets o > 0
+    return np.concatenate((up[::-1] * (-1.0) ** np.arange(J), up))
 
 
 # The moments' weight on rounding: sum_{o,j} |C[o, j]| against the kernel's
@@ -241,8 +246,9 @@ def _nu_cheb(npts: int, L: int) -> np.ndarray:
 # 1.2758 at the top of _NU_A (the tests check the bound)
 _NU_MOM = 1.276
 _NU_TILE = 4096  # terms spread per pass, at most _NU_CELLS cells of them
-# so that the moments (J per cell) and each offset row (2H per cell) of a pass
-# hold no more values than its terms
+# so that a pass's moments (J per cell and real row), the values of half its
+# offsets (H per cell and row) and their indices each hold no more numbers
+# than its terms do as complex weights, 2 _NU_TILE per column
 _NU_CELLS = _NU_TILE // max(_NU_TERMS, _NU_HALF)
 
 
@@ -263,7 +269,7 @@ def _cell_moments(x: np.ndarray, phase: np.ndarray, W: np.ndarray,
                   starts: np.ndarray) -> np.ndarray:
     """mu[j, r, k] = sum_n cp[r, n] T_j(x[n]), j < _NU_TERMS, over the k-th
     run of terms, runs starting at `starts`, with cp the terms
-    c_n = W_n e^{-i phase_n} as real rows Re c[:, 0], Im c[:, 0],
+    c_n = W_n e^{i phase_n} as real rows Re c[:, 0], Im c[:, 0],
     Re c[:, 1], ...; one reduceat per j, whose inner loop runs over terms."""
     cp = np.empty((2 * W.shape[1], len(x)))
     prod = np.empty_like(cp)  # scratch for cos and sin, then cp T_j
@@ -271,7 +277,6 @@ def _cell_moments(x: np.ndarray, phase: np.ndarray, W: np.ndarray,
     np.multiply(W.T, prod[0], out=cp[0::2])
     np.sin(phase, out=prod[0])
     np.multiply(W.T, prod[0], out=cp[1::2])
-    np.negative(cp[1::2], out=cp[1::2])
     mu = np.empty((_NU_TERMS, len(cp), len(starts)))
     np.add.reduceat(cp, starts, axis=1, out=mu[0])
     x2 = 2.0 * x
@@ -310,9 +315,13 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray) -> np.ndarra
     over the runs of terms that share a cell.  The cost is O(J terms
     + 2H J cells + L log L): J real multiply-adds per term and real column
     for the moments, 2H J per cell for C @ mu, and the FFT.  A pass takes at
-    most _NU_TILE terms and _NU_CELLS cells.  The order of every sum is
-    fixed, and each C @ mu is a BLAS product small enough (at most 2H J
-    _NU_CELLS = 131 072 multiply-adds) for OpenBLAS to keep on one thread,
+    most _NU_TILE terms and _NU_CELLS cells, and adds its values to a grid
+    padded by 2H - 1 cells, so that no index is reduced mod L until the
+    padding is folded back once, before the FFT.  C @ mu is taken as 2H
+    matrix-vector products, one batched `np.matmul` per half of the
+    offsets, not as a matrix-matrix product, which would page in BLAS's gemm
+    code (some 0.2 MB the rest of the program never runs).  Each value is
+    then one dot product over j, and every other sum has a fixed order too,
     so the result depends only on the inputs, not on workers or BLAS
     threads.
 
@@ -332,28 +341,41 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray) -> np.ndarra
     L = _fft_len(math.ceil(_NU_OVERSAMPLE * npts))
     tau = math.pi * _NU_HALF / (L * (L - npts / 2.0))
     C = _nu_cheb(npts, L)
-    grid = np.zeros((ncol, L), dtype=np.complex128)
-    parts = grid.view(np.float64)  # Re and Im of cell i at 2i and 2i + 1
-    offs = np.arange(1 - _NU_HALF, _NU_HALF + 1)[:, None]
+    # the terms of cell c land on the cells c + o, o = 1-H..H, of a grid padded
+    # by H - 1 cells on the left and H on the right, folded back mod L at the end
+    M = L + 2 * _NU_HALF - 1
+    pad = np.zeros((ncol, M), dtype=np.complex128)
+    flat = pad.view(np.float64).reshape(-1)
+    R = 2 * ncol  # real rows Re c[:, 0], Im c[:, 0], Re c[:, 1], ...
+    rows = np.array([r // 2 * 2 * M + r % 2 for r in range(R)])  # row r's start in flat
+    # where[o + H - 1, r]: offset o from cell 0, in row r of flat
+    where = (2 * np.arange(2 * _NU_HALF))[:, None, None] + rows[:, None]
+    halves = [(C[i: i + _NU_HALF, :, None], where[i: i + _NU_HALF]) for i in (0, _NU_HALF)]
     j0 = 0
     while j0 < len(ln):
         lnt = ln[j0: j0 + _NU_TILE]
         u = lnt * (h * L / (2.0 * math.pi))  # x_n in cells
         cell = np.floor(u)
-        starts = np.concatenate(([0], np.flatnonzero(cell[1:] != cell[:-1]) + 1))
+        starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
         if len(starts) > _NU_CELLS:  # end the pass at its _NU_CELLS-th cell
             nt = starts[_NU_CELLS]
             lnt, u, cell, starts = lnt[:nt], u[:nt], cell[:nt], starts[:_NU_CELLS]
-        pos = cell[starts].astype(np.int64) + offs
-        pos %= L
-        pos = 2 * pos.ravel()  # Re of cell (cells[k] + o) mod L, per offset o and cell k
+        cells = cell[starts].astype(np.int64)
+        cells %= L
+        cells *= 2  # where cell c of row 0 sits in flat, less the left padding
         u -= cell
         u *= 2.0
         u -= 1.0  # 2 f - 1
-        mu = _cell_moments(u, lnt * ts[mid], W[j0: j0 + len(u)], starts)
-        for r in range(mu.shape[1]):  # the offsets' values C @ mu onto the grid
-            np.add.at(parts[r // 2], pos + r % 2, (C @ mu[:, r]).ravel())
+        mu = _cell_moments(u, lnt * -ts[mid], W[j0: j0 + len(u)], starts)
+        muT = mu.reshape(_NU_TERMS, -1).T  # muT[r K + k, j] = mu[j, r, k]
+        vals = np.empty((_NU_HALF, len(muT), 1))
+        for Ch, at in halves:  # vals[o, r K + k] = sum_j C[o, j] mu[j, r, k]
+            np.matmul(muT, Ch, out=vals)
+            np.add.at(flat, (at + cells).ravel(), vals.ravel())
         j0 += len(u)
+    grid = pad[:, _NU_HALF - 1: _NU_HALF - 1 + L]
+    edge = np.r_[0: _NU_HALF - 1, L + _NU_HALF - 1: M]
+    np.add.at(grid, (slice(None), (edge - (_NU_HALF - 1)) % L), pad[:, edge])
     np.fft.fft(grid, out=grid)
     m = np.arange(npts) - mid
     out = grid.T[m % L]

@@ -238,19 +238,15 @@ def main_term_zeta(k: int, sigma: float, prime_cut: int = 10**6) -> MainTermCons
     zs = z.value.real
     if k == 1:
         return MainTermConstant("zeta", 1, sigma, zs, z.abs_error_estimate, "euler_product")
-    x = prime_sieve(prime_cut).astype(np.float64)
-    np.power(x, -s2, out=x)
+    x = prime_sieve(prime_cut).astype(np.float64) ** (-s2)
     coef = [math.comb(k - 1, i) ** 2 for i in range(1, k)]  # N' = sum coef[i] x^i
     y = np.full_like(x, coef[-1])
     for c in reversed(coef[:-1]):
         y *= x
         y += c
     y *= x
-    np.log1p(y, out=y)
-    up = float(y.sum())  # sum log1p(x N') >= 0
-    np.negative(x, out=y)
-    np.log1p(y, out=y)
-    down = (k - 1) ** 2 * float(y.sum())  # (k-1)^2 sum log1p(-x) <= 0
+    down = (k - 1) ** 2 * float(np.log1p(-x).sum())  # (k-1)^2 sum log1p(-x) <= 0
+    up = float(np.log1p(y).sum())  # sum log1p(x N') >= 0
     value = zs ** (k * k) * math.exp(down + up)
     # prime tail: |log g_p| <= 2 c2 p^{-4 sigma} with c2 = (k(k-1)/2)^2
     c2 = (k * (k - 1) / 2) ** 2
