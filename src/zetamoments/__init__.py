@@ -12,11 +12,9 @@ from .arith import (
     DeltaCurve,
     PrecisionError,
     SummatoryPolynomial,
-    delta_k,
     delta_mean_square,
     dirichlet_convolve,
     main_poly,
-    ones_table,
     sieve_dk,
     stieltjes_constants,
 )
@@ -25,12 +23,10 @@ from .evaluate import (
     PoleError,
     chi_factor,
     gamma_fn,
-    smoothed_dirichlet,
     zeta_em,
 )
 from .modularforms import (
     TauTable,
-    delta_phi,
     delta_phi_mean_square,
     normalize,
     rankin_A,
@@ -47,7 +43,6 @@ from .moments import (
     TheoryConstants,
     exponent_experiment,
     fit_power_law,
-    integrate_moment,
     main_term_series,
     main_term_zeta,
     main_term_zeta_direct,

@@ -7,8 +7,7 @@ polynomials P_{k-1} with
 
     D_k(x) = sum_{n<=x} d_k(n) = x P_{k-1}(log x) + Delta_k(x),
 
-and the error-term curves Delta_k(x) together with the cumulative mean
-square  int_1^X Delta_k(y)^2 dy.
+and the cumulative mean square  int_1^X Delta_k(y)^2 dy  of the error term.
 
 All d_k tables are exact integers (int64, with an explicit capacity guard);
 convolutions of integer tables stay integer.  A Dirichlet convolution to N
@@ -37,11 +36,9 @@ __all__ = [
     "CapacityError",
     "PrecisionError",
     "sieve_dk",
-    "ones_table",
     "dirichlet_convolve",
     "stieltjes_constants",
     "main_poly",
-    "delta_k",
     "delta_mean_square",
     "prime_sieve",
 ]
@@ -85,12 +82,6 @@ class CoeffTable:
     def is_integer(self) -> bool:
         return self.values.dtype.kind == "i"
 
-    def value(self, n: int):
-        """Coefficient of n (1-based)."""
-        if not 1 <= n <= self.N:
-            raise IndexError(f"n={n} outside table range 1..{self.N}")
-        return self.values[n - 1]
-
     def prefix_sums(self) -> np.ndarray:
         """Exact summatory function D(n) = sum_{m<=n} a(m) as float64."""
         c = np.cumsum(self.values, dtype=np.int64 if self.is_integer else np.float64)
@@ -103,8 +94,7 @@ class CoeffTable:
 class SummatoryPolynomial:
     """P_{k-1}(u) = sum_j coeffs[j] u^j with u = log x.
 
-    Leading coefficient is 1/(k-1)!.  Q = P + P' (the integrand density
-    in d(D_k)) is exposed for callers that integrate against dx.
+    Leading coefficient is 1/(k-1)!.
     """
 
     k: int
@@ -113,24 +103,12 @@ class SummatoryPolynomial:
     def __call__(self, u):
         return np.polyval(self.coeffs[::-1], u)
 
-    def derivative_coeffs(self) -> np.ndarray:
-        c = self.coeffs
-        return c[1:] * np.arange(1, len(c))
-
-    def q_coeffs(self) -> np.ndarray:
-        """Coefficients of Q_{k-1} = P_{k-1} + P'_{k-1}."""
-        q = self.coeffs.copy()
-        d = self.derivative_coeffs()
-        q[: len(d)] += d
-        return q
-
 
 @dataclass(frozen=True)
 class DeltaCurve:
-    """Sampled error term Delta_k and its cumulative mean square."""
+    """The cumulative mean square of the error term Delta_k on a grid of X."""
 
     k: int
-    samples: list  # (x, Delta_k(x))
     cumulative_ms: list  # (X, int_1^X Delta_k(y)^2 dy)
 
 
@@ -148,11 +126,6 @@ def prime_sieve(nmax: int) -> np.ndarray:
     primes *= 2
     primes += 1
     return np.concatenate(([2], primes))
-
-
-def ones_table(N: int) -> CoeffTable:
-    """The all-ones table (coefficients of zeta); equals d_1."""
-    return sieve_dk(1, N)
 
 
 def sieve_dk(k: int, N: int) -> CoeffTable:
@@ -249,11 +222,17 @@ def dirichlet_convolve(a: CoeffTable, b: CoeffTable) -> CoeffTable:
 # Stieltjes constants and the main-term polynomial
 # ---------------------------------------------------------------------------
 
-def stieltjes_constants(J: int, M: int = 80, terms: int = 60) -> list:
+# Euler-Maclaurin cut and most correction terms of stieltjes_constants
+_STIELTJES_M = 80
+_STIELTJES_TERMS = 60
+
+
+def stieltjes_constants(J: int) -> list:
     """gamma_0..gamma_J via Euler-Maclaurin on f_j(x) = (log x)^j / x.
 
     gamma_j = lim_M [ sum_{m<=M} (log m)^j/m - (log M)^{j+1}/(j+1) ].  The
-    limit is accelerated with Euler-Maclaurin correction terms at the cut M;
+    limit is accelerated with at most _STIELTJES_TERMS Euler-Maclaurin
+    correction terms at the cut M = _STIELTJES_M;
     the derivative polynomials of f_j are generated by the exact recurrence
     c_{r+1,i} = -(r+1) c_{r,i} + (i+1) c_{r,i+1} on (log x)^i / x^{r+1}
     coefficients.  Computed in extended precision (mpmath) because the two
@@ -266,6 +245,7 @@ def stieltjes_constants(J: int, M: int = 80, terms: int = 60) -> list:
         raise PrecisionError("J > 20 is outside the configured desk range")
     import mpmath as mp
 
+    M, terms = _STIELTJES_M, _STIELTJES_TERMS
     with mp.workdps(50):
         out = []
         lnM = mp.log(M)
@@ -302,7 +282,7 @@ def stieltjes_constants(J: int, M: int = 80, terms: int = 60) -> list:
                     if mag > prev_mag:
                         # asymptotic series started diverging before target
                         raise PrecisionError(
-                            f"Euler-Maclaurin for gamma_{j} stalls at M={M}; raise M"
+                            f"Euler-Maclaurin for gamma_{j} stalls at M={M}; raise _STIELTJES_M"
                         )
                     prev_mag = mag
             out.append(s)
@@ -368,16 +348,6 @@ def main_poly(k: int) -> SummatoryPolynomial:
 # Error terms and mean squares
 # ---------------------------------------------------------------------------
 
-def delta_k(k: int, x: float, table: CoeffTable, poly: SummatoryPolynomial) -> float:
-    """Delta_k(x) = D_k(x) - x P_{k-1}(log x), exact summatory via the table."""
-    if x < 1 or x > table.N:
-        raise ValueError(f"x={x} outside table range [1, {table.N}]")
-    if poly.k != k or table.generator_params.get("k") not in (None, k):
-        raise ValueError("k mismatch between table/polynomial and request")
-    D = float(table.prefix_sums()[int(x) - 1])
-    return D - x * float(poly(math.log(x)))
-
-
 # Gauss-Legendre nodes on [0,1], fixed order 8 (deterministic mean squares)
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 _GL_X = (_GL_X + 1.0) / 2.0
@@ -417,7 +387,6 @@ def delta_mean_square(
     whole = unit_integrals(ns[:-1], np.ones(nmax - 1), pref[: nmax - 1])
     cum = np.concatenate([[0.0], np.cumsum(whole)])  # cum[i] = int_1^{1+i}
 
-    samples = []
     cumulative = []
     for X in Xs:
         nfl = int(X)
@@ -427,7 +396,5 @@ def delta_mean_square(
                 np.array([float(nfl)]), np.array([X - nfl]), pref[nfl - 1: nfl]
             )
             val += float(frac[0])
-        D = float(pref[min(nfl, nmax) - 1])
-        samples.append((X, D - X * float(poly(math.log(X)))))
         cumulative.append((X, float(val)))
-    return DeltaCurve(k, samples, cumulative)
+    return DeltaCurve(k, cumulative)

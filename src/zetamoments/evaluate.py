@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import CoeffTable, PrecisionError
+from .arith import PrecisionError
 
 __all__ = [
     "EvalResult",
@@ -67,7 +67,6 @@ __all__ = [
     "gamma_fn",
     "loggamma",
     "chi_factor",
-    "smoothed_dirichlet",
     "smoothed_grid",
 ]
 
@@ -117,8 +116,7 @@ def zeta_em(s: complex, target_abs_err: float = 1e-9, M: int | None = None) -> E
         M = _em_cut(s.imag)
     elif M < abs(s.imag) / math.pi:
         raise ValueError("cut M below |t|/pi: Euler-Maclaurin tail would diverge")
-    value, est, rnd = _zeta_em(s.real, np.array([s.imag]), M)
-    est += rnd
+    value, est = _zeta_em(s.real, np.array([s.imag]), M)
     if est > target_abs_err:
         raise PrecisionError(
             f"zeta_em cannot reach {target_abs_err:g} at s={s} (estimate {est:g})"
@@ -383,9 +381,10 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray) -> np.ndarra
     return out
 
 
-def _zeta_em(sigma: float, ts: np.ndarray, M: int) -> tuple[np.ndarray, float, float]:
-    """Euler-Maclaurin zeta(sigma+it) at cut M on a t-grid, with an error
-    estimate in two parts: the method's and the rounding of tail and value.
+def _zeta_em(sigma: float, ts: np.ndarray, M: int) -> tuple[np.ndarray, float]:
+    """Euler-Maclaurin zeta(sigma+it) at cut M on a t-grid, with one error
+    estimate for the grid: the method's part plus the rounding of tail and
+    value.
 
     The value is the main sum over n < M plus M^{-s} B, with
         B = 1/2 + M/(s-1) + s A,  s A = sum_{r<=R} c_r P_r,
@@ -467,7 +466,7 @@ def _zeta_em(sigma: float, ts: np.ndarray, M: int) -> tuple[np.ndarray, float, f
     near = math.hypot(sigma - 1.0, float(absts.min()))
     b = 0.5 + (M / near if near else math.inf) + E
     rnd_value = _EPS * (Ms * (b * (abs(s) * lnM + 9.0) + H) + 0.5 * float(np.abs(out).max()))
-    return out, trunc + float(rnd[0]), rnd_value
+    return out, trunc + float(rnd[0]) + rnd_value
 
 
 def zeta_em_grid(sigma: float, ts: np.ndarray) -> np.ndarray:
@@ -573,45 +572,6 @@ def chi_factor(s: complex) -> EvalResult:
 # ---------------------------------------------------------------------------
 # Smoothed Dirichlet evaluation (the contour-shift device)
 # ---------------------------------------------------------------------------
-
-def _check_pole_collision(s: complex) -> None:
-    w = 1.0 - s
-    if abs(w.imag) < 1e-8 and w.real <= 1e-8 and abs(w.real - round(w.real)) < 1e-8:
-        raise PoleError(
-            f"pole correction degenerate: 1-s={w} hits a Gamma pole "
-            "(the w=1-s and Gamma poles merge; the simple-pole formula does not apply)"
-        )
-
-
-def smoothed_dirichlet(
-    coeffs: CoeffTable,
-    s: complex,
-    Y: float,
-    residue: float | None = None,
-) -> EvalResult:
-    """Evaluate sum a_n n^{-s} off absolute convergence via e^{-n/Y} smoothing.
-
-    A target with a simple pole at s = 1 of residue A passes residue = A,
-    which subtracts the contour-shift term A Gamma(1-s) Y^{1-s} (case Z);
-    entire targets (F) pass None.
-    A one-point `smoothed_grid`: the value is 2 v(2Y) - v(Y) and the raw
-    difference |v(2Y) - v(Y)| is the reported self-consistency estimate.
-    """
-    s = complex(s)
-    if Y <= 0:
-        raise ValueError("Y must be positive")
-    need = int(math.ceil(74.0 * Y))
-    if coeffs.N < need:
-        raise PrecisionError(
-            f"table too short for Y={Y}: need N >= 74*Y = {need} (have {coeffs.N}) "
-            "so that exp(-N/(2Y)) < 1e-16"
-        )
-    if residue is not None:
-        _check_pole_collision(s)
-    value, spread = smoothed_grid(coeffs.values.astype(np.float64), s.real,
-                                  np.array([s.imag]), Y, residue)
-    return EvalResult(complex(value[0]), spread)
-
 
 def smoothed_grid(
     values: np.ndarray,

@@ -42,7 +42,6 @@ __all__ = [
     "self_convolve",
     "rankin_c",
     "rankin_A",
-    "delta_phi",
     "delta_phi_mean_square",
 ]
 
@@ -64,9 +63,6 @@ class TauTable:
     tau: list
     # FFT squaring ("e3^2", "e6^2", "e12^2") -> certified (a-priori bound, observed deviation)
     rounding: dict = field(default_factory=dict, compare=False)
-
-    def value(self, n: int) -> int:
-        return self.tau[n - 1]
 
 
 def _norm2_at_least(a: np.ndarray, limit: int) -> bool:
@@ -221,13 +217,6 @@ def rankin_A(c: CoeffTable, X: float) -> tuple:
             f"Cesaro estimate unstable: dyadic spread {spread:.2%} > 5% (X too small)"
         )
     return A, spread
-
-
-def delta_phi(c: CoeffTable, A: float, x: float) -> float:
-    """Delta(x, phi) = sum_{n<=x} c_n - A x."""
-    if not 1 <= x <= c.N:
-        raise ValueError(f"x={x} outside table range")
-    return float(np.sum(c.values[: int(x)])) - A * x
 
 
 def delta_phi_mean_square(c: CoeffTable, A: float, Xs) -> list:

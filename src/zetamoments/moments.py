@@ -62,7 +62,6 @@ __all__ = [
     "main_term_zeta",
     "main_term_zeta_direct",
     "main_term_series",
-    "integrate_moment",
     "integrate_moment_grid",
     "residual",
     "secondary_term",
@@ -134,11 +133,6 @@ class MainTermConstant:
     tail_bound: float
     method: str  # "euler_product" | "direct_sum"
 
-    @property
-    def accepted(self) -> bool:
-        """Tail below the 1e-6 relative gate (expected for euler_product)."""
-        return self.tail_bound < 1e-6 * self.value
-
 
 @dataclass(frozen=True)
 class MomentRecord:
@@ -192,8 +186,6 @@ class TheoryConstants:
     sigma_star: dict = field(default_factory=lambda: {
         3: 7 / 12, 4: 5 / 8, 5: 41 / 60, 6: 5 / 7,
     })
-    rho: float = 1 / 4
-    theta: float = 3 / 8
 
 
 THEORY = TheoryConstants()
@@ -202,10 +194,6 @@ THEORY = TheoryConstants()
 # ---------------------------------------------------------------------------
 # Main-term constants
 # ---------------------------------------------------------------------------
-
-def _zeta_real(x: float) -> float:
-    return zeta_em(complex(x, 0.0), 1e-10).value.real
-
 
 def main_term_zeta(k: int, sigma: float, prime_cut: int = 10**6) -> MainTermConstant:
     """C(k, sigma) = sum d_k(n)^2 n^{-2 sigma} by Euler product.
@@ -460,12 +448,8 @@ def _integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs, workers, b
     """integrate_moment_grid from the start step moment_step(...)/refine; a
     refine > 1 gives the finer values its quad_err is checked against."""
     fam = _checked_family(family, k, coeffs)
-    _check_sigma(sigma)
-    if rel_tol < 1e-5:
-        raise ValueError("rel_tol below the 1e-5 floor")
     T_grid = sorted(float(T) for T in T_grid)
-    if T_grid and T_grid[-1] > 5000:
-        raise ValueError("T > 5000 is outside the desk range")
+    _check_ranges(sigma, T_grid, rel_tol)
     records = []
     todo = [T for T in T_grid if T > 1.0]
     for T in T_grid:
@@ -515,18 +499,6 @@ def _integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs, workers, b
         level += 1
         if level > 4:
             raise BudgetError("step halving did not converge within 4 levels")
-
-
-def integrate_moment(
-    family: str,
-    k: int,
-    sigma: float,
-    T: float,
-    rel_tol: float = 1e-4,
-    **kw,
-) -> MomentRecord:
-    """Composite-Simpson moment integral over [1, T]; see integrate_moment_grid."""
-    return integrate_moment_grid(family, k, sigma, [T], rel_tol, **kw)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +641,7 @@ def secondary_term(sigma: float, T: float, k: int = 1) -> float:
     if k == 1:
         from .evaluate import gamma_fn
 
-        z = _zeta_real(2.0 * sigma - 1.0)
+        z = zeta_em(complex(2.0 * sigma - 1.0, 0.0), 1e-10).value.real
         g = gamma_fn(complex(2.0 * sigma - 1.0, 0.0)).value.real
         return z * g * math.sin(math.pi * sigma) / (1.0 - sigma) * T ** (2.0 - 2.0 * sigma)
     if k not in (2, 3):
@@ -729,6 +701,17 @@ def fit_power_law(points, strict: bool = True) -> FitResult:
 def _check_sigma(sigma: float) -> None:
     if not 0.5 < sigma < 1.0:
         raise ValueError(f"sigma={sigma} outside (1/2, 1)")
+
+
+def _check_ranges(sigma: float, T_grid, rel_tol: float | None) -> None:
+    """The ranges a moment cell must lie in, checked before it evaluates
+    anything: sigma in (1/2, 1), rel_tol in [1e-5, 1e-2] (None, a caller's
+    default, is not checked) and T <= 5000."""
+    _check_sigma(sigma)
+    if rel_tol is not None and not 1e-5 <= rel_tol <= 1e-2:
+        raise ValueError(f"rel_tol must lie in [1e-5, 1e-2], not {rel_tol}")
+    if max(T_grid, default=0.0) > 5000:
+        raise ValueError("T > 5000 is outside the desk range")
 
 
 def exponent_beta_envelope(k: int, sigma: float) -> float:

@@ -36,7 +36,7 @@ def gammas():
 
 @pytest.fixture(scope="session")
 def ones_2e5():
-    return zm.ones_table(2 * 10**5)
+    return zm.sieve_dk(1, 2 * 10**5)
 
 
 def brute_divisor_count(n: int) -> int:

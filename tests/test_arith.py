@@ -17,19 +17,19 @@ def test_d1_is_ones():
 
 
 def test_d2_of_6_counts_divisors():
-    assert zm.sieve_dk(2, 6).value(6) == 4  # 1, 2, 3, 6
+    assert zm.sieve_dk(2, 6).values[5] == 4  # 1, 2, 3, 6
 
 
 def test_d3_of_4_counts_ordered_triples():
     # (1,1,4), (1,2,2) in all arrangements: 3 + 3
-    assert zm.sieve_dk(3, 4).value(4) == 6
+    assert zm.sieve_dk(3, 4).values[3] == 6
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_dk_matches_bruteforce(k):
     table = zm.sieve_dk(k, 60)
     for n in range(1, 61):
-        assert table.value(n) == brute_dk(k, n), (k, n)
+        assert table.values[n - 1] == brute_dk(k, n), (k, n)
 
 
 @pytest.mark.parametrize("N", [48, 49, 50, 120, 121, 122, 168, 169, 170])
@@ -66,14 +66,14 @@ def test_dk_random_sample_against_trial_division(rng):
     for k in range(1, 7):
         table = zm.sieve_dk(k, N)
         for n in map(int, ns):
-            assert table.value(n) == _dk_by_trial_division(k, n), (k, n)
+            assert table.values[n - 1] == _dk_by_trial_division(k, n), (k, n)
 
 
 def test_dk_prime_values():
     for k in (2, 3, 6):
         t = zm.sieve_dk(k, 100)
         for p in (2, 3, 53, 97):
-            assert t.value(p) == k
+            assert t.values[p - 1] == k
 
 
 def test_dk_multiplicative(rng):
@@ -83,7 +83,7 @@ def test_dk_multiplicative(rng):
         m = int(rng.integers(2, 1000))
         n = int(rng.integers(2, 10**5 // m))
         if math.gcd(m, n) == 1:
-            assert t.value(m * n) == t.value(m) * t.value(n)
+            assert t.values[m * n - 1] == t.values[m - 1] * t.values[n - 1]
             pairs += 1
 
 
@@ -91,7 +91,7 @@ def test_dk_prefix_sums_nondecreasing(d2_1e6):
     pref = d2_1e6.prefix_sums()
     assert np.all(np.diff(pref) > 0)
     # jump at n equals d(n)
-    assert pref[99] - pref[98] == d2_1e6.value(100)
+    assert pref[99] - pref[98] == d2_1e6.values[99]
 
 
 def test_sieve_rejects_bad_args():
@@ -130,7 +130,7 @@ def test_prime_sieve_matches_trial_division():
 # ---------------------------------------------------------------------------
 
 def test_ones_convolved_is_d2():
-    ones = zm.ones_table(200)
+    ones = zm.sieve_dk(1, 200)
     conv = zm.dirichlet_convolve(ones, ones)
     assert np.array_equal(conv.values, zm.sieve_dk(2, 200).values)
 
@@ -143,7 +143,7 @@ def test_convolution_identity():
 
 def test_d2_convolved_with_ones_is_d3():
     N = 300
-    ones = zm.ones_table(N)
+    ones = zm.sieve_dk(1, N)
     conv = zm.dirichlet_convolve(zm.sieve_dk(2, N), ones)
     assert np.array_equal(conv.values, zm.sieve_dk(3, N).values)
 
@@ -159,7 +159,7 @@ def test_convolution_associative(rng):
 
 def test_convolution_length_mismatch():
     with pytest.raises(ValueError):
-        zm.dirichlet_convolve(zm.ones_table(10), zm.ones_table(11))
+        zm.dirichlet_convolve(zm.sieve_dk(1, 10), zm.sieve_dk(1, 11))
 
 
 def _convolve_per_d(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
@@ -186,7 +186,7 @@ def test_convolution_bytes_match_per_d_loop(N, rng):
 
 
 def test_convolution_promotes_to_float():
-    a = zm.ones_table(20)
+    a = zm.sieve_dk(1, 20)
     b = zm.CoeffTable("f", 20, np.ones(20) * 0.5)
     out = zm.dirichlet_convolve(a, b)
     assert out.values.dtype.kind == "f"
@@ -243,21 +243,15 @@ def test_main_poly_leading_coefficient(k):
     assert len(p.coeffs) == k
 
 
-def test_main_poly_q_coefficients(gammas):
-    # Q = P + P': for k=2, P = u + (2g-1) so Q = u + 2g
-    q = zm.main_poly(2).q_coeffs()
-    assert q[1] == pytest.approx(1.0, abs=1e-12)
-    assert q[0] == pytest.approx(2 * gammas[0], abs=1e-11)
-
-
 # ---------------------------------------------------------------------------
 # Delta_k and mean squares
 # ---------------------------------------------------------------------------
 
 def test_delta_1_is_sawtooth():
-    ones = zm.ones_table(10)
+    # Delta_1(x) = D_1(x) - x P_0(log x) = floor(x) - x
+    D = zm.sieve_dk(1, 10).prefix_sums()
     p = zm.main_poly(1)
-    assert zm.delta_k(1, 2.5, ones, p) == pytest.approx(-0.5)
+    assert D[1] - 2.5 * p(math.log(2.5)) == pytest.approx(-0.5)
 
 
 def test_delta_2_at_100(d2_1e6):
@@ -267,22 +261,11 @@ def test_delta_2_at_100(d2_1e6):
     p = zm.main_poly(2)
     main = 100 * p(math.log(100))
     assert main == pytest.approx(475.960, abs=5e-3)
-    assert zm.delta_k(2, 100.0, d2_1e6, p) == pytest.approx(D100 - main, abs=1e-9)
-
-
-def test_delta_3_at_1():
-    t = zm.sieve_dk(3, 10)
-    p = zm.main_poly(3)
-    assert zm.delta_k(3, 1.0, t, p) == pytest.approx(1 - p.coeffs[0], abs=1e-12)
-
-
-def test_delta_out_of_range(d2_1e6):
-    with pytest.raises(ValueError):
-        zm.delta_k(2, 2 * 10**6, d2_1e6, zm.main_poly(2))
+    assert d2_1e6.prefix_sums()[99] == D100
 
 
 def test_mean_square_k1_exact():
-    ones = zm.ones_table(500)
+    ones = zm.sieve_dk(1, 500)
     curve = zm.delta_mean_square(1, [10, 100, 500], ones, zm.main_poly(1))
     for X, v in curve.cumulative_ms:
         assert v == pytest.approx((X - 1) / 3, rel=1e-10)
@@ -312,7 +295,7 @@ def test_mean_square_cumulative_nondecreasing(d2_1e6):
 
 
 def test_mean_square_partial_interval():
-    ones = zm.ones_table(10)
+    ones = zm.sieve_dk(1, 10)
     curve = zm.delta_mean_square(1, [2.5], ones, zm.main_poly(1))
     # int_1^2 {y-1}^2 style sawtooth + partial: int_2^2.5 (2-y)^2 dy
     expect = 1 / 3 + ((0.5) ** 3) / 3

@@ -1,6 +1,9 @@
 import hashlib
+import importlib
 import json
+import pkgutil
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -374,14 +377,23 @@ def test_experiment_f4_cell_without_k_writes_k2_rows(tmp_path):
     ([], "T_grid = 50\n", "fewer than 2 usable points"),
     (["--budget", "100"], "T_grid = 50 100\n", "budget 100"),
     ([], "T_grid = 50 100\nN = 5\n", "family zeta reads no table; it takes no N"),
+    ([], "T_grid = 50 100\nrel_tol = 0.5\n", "rel_tol must lie in [1e-5, 1e-2]"),
+    # a bad later cell: the checks of every cell precede the first cell
+    ([], "T_grid = 50 100\n\nfamily = zeta\nsigma = 0.4\n", "sigma=0.4 outside (1/2, 1)"),
+    ([], "T_grid = 50 100\n\nfamily = zeta\nT_grid = 50 6000\n", "T > 5000"),
+    ([], "T_grid = 50 100\n\nfamily = zeta\nrel_tol = 1e-7\n", "rel_tol must lie in"),
+    ([], "T_grid = 50 100\n\nfamily = F2\nsigma = 0.8\nN = 8000\n",
+     "build-tables a_tilde=8000"),
 ])
 def test_experiment_run_errors_exit_2(tmp_path, capsys, argv, manifest, message):
     m = tmp_path / "m.txt"
     m.write_text("family = zeta\nk = 1\nsigma = 0.75\n" + manifest)
+    out = tmp_path / "r"
     assert main(["--cache-dir", str(tmp_path / "c"), *argv, "experiment", str(m),
-                 "--out-dir", str(tmp_path / "r")]) == 2
+                 "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not (out / "ledger.csv").exists() and not (out / "summary.json").exists()
 
 
 def test_experiment_rerun_appends_identical_rows(tmp_path):
@@ -431,5 +443,20 @@ def test_selfcheck_catches_corrupt_tau_cache(tmp_path, capsys):
 def test_runconfig_validation(tmp_path):
     with pytest.raises(ValueError):
         RunConfig(tmp_path, workers=0)
-    with pytest.raises(ValueError):
-        RunConfig(tmp_path, rel_tol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the public surface
+# ---------------------------------------------------------------------------
+
+def test_public_names_resolve_and_the_package_reexports_only_them():
+    listed = {}
+    for info in pkgutil.iter_modules(zm.__path__):
+        mod = importlib.import_module(f"zetamoments.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ lists {name!r}"
+            listed.setdefault(name, []).append(getattr(mod, name))
+    for name, obj in vars(zm).items():
+        if name.startswith("_") or isinstance(obj, types.ModuleType):
+            continue
+        assert any(obj is x for x in listed.get(name, ())), f"zetamoments.{name} is in no __all__"

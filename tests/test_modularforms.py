@@ -32,12 +32,12 @@ def schoolbook_square(a: list, M: int) -> list:
 # ---------------------------------------------------------------------------
 
 def test_tau_first_values(tau_1e5):
-    assert tau_1e5.value(1) == 1
-    assert tau_1e5.value(2) == -24
-    assert tau_1e5.value(3) == 252
-    assert tau_1e5.value(4) == -1472
-    assert tau_1e5.value(5) == 4830
-    assert tau_1e5.value(7) == -16744
+    assert tau_1e5.tau[0] == 1
+    assert tau_1e5.tau[1] == -24
+    assert tau_1e5.tau[2] == 252
+    assert tau_1e5.tau[3] == -1472
+    assert tau_1e5.tau[4] == 4830
+    assert tau_1e5.tau[6] == -16744
 
 
 def test_tau_against_bruteforce_series(tau_1e5):
@@ -46,9 +46,9 @@ def test_tau_against_bruteforce_series(tau_1e5):
 
 
 def test_tau_hecke_multiplicative(tau_1e5):
-    assert tau_1e5.value(6) == tau_1e5.value(2) * tau_1e5.value(3)
-    assert tau_1e5.value(99 * 1009) == tau_1e5.value(99) * tau_1e5.value(1009)
-    assert tau_1e5.value(32 * 3125) == tau_1e5.value(32) * tau_1e5.value(3125)
+    assert tau_1e5.tau[5] == tau_1e5.tau[1] * tau_1e5.tau[2]
+    assert tau_1e5.tau[99 * 1009 - 1] == tau_1e5.tau[98] * tau_1e5.tau[1008]
+    assert tau_1e5.tau[32 * 3125 - 1] == tau_1e5.tau[31] * tau_1e5.tau[3124]
 
 
 def test_tau_hecke_prime_power_recursion(tau_1e5):
@@ -56,8 +56,8 @@ def test_tau_hecke_prime_power_recursion(tau_1e5):
     for p in (2, 3, 5, 7, 11, 13, 17, 311):
         pj = p * p
         while pj <= N:
-            lhs = tau_1e5.value(pj)
-            rhs = tau_1e5.value(p) * tau_1e5.value(pj // p) - p**11 * tau_1e5.value(pj // p**2)
+            lhs = tau_1e5.tau[pj - 1]
+            rhs = tau_1e5.tau[p - 1] * tau_1e5.tau[pj // p - 1] - p**11 * tau_1e5.tau[pj // p**2 - 1]
             assert lhs == rhs, (p, pj)
             pj *= p
 
@@ -151,7 +151,7 @@ def test_square_int64_guard_decides_exactly():
 
 def test_deligne_corruption_near_N_raises(tau_1e5):
     n = tau_1e5.N - 7
-    d = int(zm.sieve_dk(2, n).value(n))
+    d = int(zm.sieve_dk(2, n).values[n - 1])
     tau = list(tau_1e5.tau)
     tau[n - 1] = -(math.isqrt(d * d * n**11) + 1)  # just above d(n) n^5.5
     with pytest.raises(DeligneBoundError, match=rf"a~\({n}\)"):
@@ -170,13 +170,13 @@ def test_deligne_value_on_the_bound_passes(tau_1e5):
     # certify it, so the exact integer test must admit it
     m = math.isqrt(tau_1e5.N)
     n = m * m
-    d = int(zm.sieve_dk(2, n).value(n))
+    d = int(zm.sieve_dk(2, n).values[n - 1])
     tau = list(tau_1e5.tau)
     tau[n - 1] = d * m**11
     t = float(tau[n - 1])
     assert not t * t <= float(d * d) * float(n) ** 11 * (1.0 - 64 * mf._EPS)
     a = zm.normalize(zm.TauTable(tau_1e5.N, tau))
-    assert a.value(n) == pytest.approx(d, rel=1e-14)
+    assert a.values[n - 1] == pytest.approx(d, rel=1e-14)
 
 
 def test_tau_budget():
@@ -194,16 +194,16 @@ def test_tau_small_tables():
 # ---------------------------------------------------------------------------
 
 def test_normalize_values(atilde_1e5):
-    assert atilde_1e5.value(1) == 1.0
-    assert atilde_1e5.value(2) == pytest.approx(-24 * 2**-5.5, rel=1e-15)
-    assert atilde_1e5.value(2) == pytest.approx(-0.530330, abs=5e-7)
+    assert atilde_1e5.values[0] == 1.0
+    assert atilde_1e5.values[1] == pytest.approx(-24 * 2**-5.5, rel=1e-15)
+    assert atilde_1e5.values[1] == pytest.approx(-0.530330, abs=5e-7)
 
 
 def test_deligne_bound_exact(tau_1e5, atilde_1e5):
     d = zm.sieve_dk(2, tau_1e5.N).values
     # exact integer form: tau(n)^2 <= d(n)^2 n^11
     for n in (2, 12, 3511, 99991):
-        assert tau_1e5.value(n) ** 2 <= int(d[n - 1]) ** 2 * n**11
+        assert tau_1e5.tau[n - 1] ** 2 <= int(d[n - 1]) ** 2 * n**11
     assert np.all(np.abs(atilde_1e5.values) <= d + 1e-9)
 
 
@@ -219,12 +219,12 @@ def test_normalize_rejects_corrupt_tau():
 
 def test_self_convolve_small(atilde_1e5):
     conv = zm.self_convolve(atilde_1e5)
-    assert conv.value(1) == pytest.approx(1.0)
-    assert conv.value(2) == pytest.approx(2 * atilde_1e5.value(2), rel=1e-14)
-    assert conv.value(2) == pytest.approx(-1.060660, abs=5e-7)
+    assert conv.values[0] == pytest.approx(1.0)
+    assert conv.values[1] == pytest.approx(2 * atilde_1e5.values[1], rel=1e-14)
+    assert conv.values[1] == pytest.approx(-1.060660, abs=5e-7)
     # brute force at n=12: sum over divisor pairs
-    v = sum(atilde_1e5.value(d) * atilde_1e5.value(12 // d) for d in (1, 2, 3, 4, 6, 12))
-    assert conv.value(12) == pytest.approx(v, rel=1e-12)
+    v = sum(atilde_1e5.values[d - 1] * atilde_1e5.values[12 // d - 1] for d in (1, 2, 3, 4, 6, 12))
+    assert conv.values[11] == pytest.approx(v, rel=1e-12)
 
 
 def test_self_convolve_cache_bytes_unchanged(atilde_1e5, tmp_path):
@@ -256,17 +256,17 @@ def test_self_convolve_dominated_by_d4(atilde_1e5):
 def test_rankin_c_values(atilde_1e5):
     c = zm.rankin_c(atilde_1e5)
     assert (c.label, c.N, c.generator_params) == ("rankin_c", atilde_1e5.N, {})
-    assert c.value(1) == pytest.approx(1.0)
-    assert c.value(2) == pytest.approx(0.28125, rel=1e-14)  # (24^2)/2^11
-    assert c.value(4) == pytest.approx(atilde_1e5.value(4) ** 2 + 1.0, rel=1e-14)
+    assert c.values[0] == pytest.approx(1.0)
+    assert c.values[1] == pytest.approx(0.28125, rel=1e-14)  # (24^2)/2^11
+    assert c.values[3] == pytest.approx(atilde_1e5.values[3] ** 2 + 1.0, rel=1e-14)
     # brute force c_36: d^2 m = 36 for d in {1, 2, 3, 6}
-    expect = sum(atilde_1e5.value(36 // (d * d)) ** 2 for d in (1, 2, 3, 6))
-    assert c.value(36) == pytest.approx(expect, rel=1e-12)
+    expect = sum(atilde_1e5.values[36 // (d * d) - 1] ** 2 for d in (1, 2, 3, 6))
+    assert c.values[35] == pytest.approx(expect, rel=1e-12)
 
 
 def test_rankin_c_nonnegative(rankin_16e4):
     assert float(rankin_16e4.values.min()) >= 0.0
-    assert rankin_16e4.value(1) == 1.0
+    assert rankin_16e4.values[0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +290,6 @@ def test_rankin_A_agrees_with_plain_average(rankin_16e4):
     plain = float(np.sum(rankin_16e4.values[:N])) / N
     A, _ = zm.rankin_A(rankin_16e4, rankin_16e4.N)
     assert abs(plain - A) / A < 0.05
-
-
-def test_delta_phi_at_1(rankin_16e4):
-    A, _ = zm.rankin_A(rankin_16e4, rankin_16e4.N)
-    v = zm.delta_phi(rankin_16e4, A, 1.0)
-    assert v == pytest.approx(1.0 - A, rel=1e-12)
 
 
 def test_delta_phi_mean_square_slope(rankin_16e4):
