@@ -21,14 +21,14 @@ slope's allowance over the theory exponent, default 0.25) and N.  Tables, k
 and default N come from moments.FAMILIES; an omitted k is the family's (1 for
 zeta).  An unknown key or family, a contradicting k, a sigma outside (1/2, 1),
 a T above the desk cap, a rel_tol out of range and a table missing from the
-cache are errors before any cell runs.  Records append to
-ledger.csv (header: family,k,sigma,T,integral,main,residual,quad_err) and a
-JSON summary per run records slope / theory_exponent / pass, the quadrature
-diagnostics (start step `h`, the top block's Euler-Maclaurin cut `em_cut`,
-null for series, the halving `level` and the integrand `points`), each
-cell's wall seconds per stage (`stage_s`: table_load, main_term, integrand
-with a pole's residue, simpson_fit) and the sha256 of the cached table the
-cell read (`table_sha256`, null for zeta), none of which reach ledger.csv.
+cache are errors before any cell runs.  Each moments.MomentRecord appends as
+one ledger.csv row, its fields the columns (family,k,sigma,T,integral,main,
+residual,quad_err); a JSON summary per run records slope / theory_exponent /
+pass, the cell's moments.QuadraturePass (start step `h`, halving `level`,
+integrand `points`, Euler-Maclaurin cut `em_cut`, null for series, Y-doubling
+`spread`), its wall seconds per stage (`stage_s`: table_load, main_term,
+integrand with a pole's residue, simpson_fit) and the sha256 of the cached
+table it read (`table_sha256`, null for zeta), none of which reach ledger.csv.
 Identical manifests re-run against the same cache append identical value
 rows, independent of --workers.
 """
@@ -39,7 +39,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +68,7 @@ class ResultLedger:
     summary_path: Path
     run_id: str
 
-    CSV_HEADER = "family,k,sigma,T,integral,main,residual,quad_err"
+    CSV_HEADER = ",".join(f.name for f in fields(moments.MomentRecord))
 
     def append_records(self, records) -> None:
         new = not self.csv_path.exists()
@@ -77,10 +77,7 @@ class ResultLedger:
             if new:
                 f.write(self.CSV_HEADER + "\n")
             for r in records:
-                f.write(
-                    f"{r.family},{r.k},{r.sigma!r},{r.T!r},{r.integral!r},"
-                    f"{r.main!r},{r.residual!r},{r.quad_err!r}\n"
-                )
+                f.write(",".join(map(str, astuple(r))) + "\n")
 
     def write_summary(self, cells: list) -> None:
         payload = {"run_id": self.run_id, "cells": cells}
@@ -199,12 +196,9 @@ def parse_manifest(path) -> list[dict]:
         T_grid = [float(t) for t in blk.get("T_grid", "250 500 1000 2000").split()]
         for sg in sigmas:
             cell = {"family": family, "k": k, "sigma": sg, "T_grid": T_grid}
-            if "rel_tol" in blk:
-                cell["rel_tol"] = float(blk["rel_tol"])
-            if "slack" in blk:
-                cell["slack"] = float(blk["slack"])
-            if "N" in blk:
-                cell["N"] = int(blk["N"])
+            for key, kind in (("rel_tol", float), ("slack", float), ("N", int)):
+                if key in blk:
+                    cell[key] = kind(blk[key])
             out.append(cell)
     return out
 
@@ -244,11 +238,7 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
             "slack": res.fit.slack, "pass": bool(res.fit.pass_),
             "constant": res.constant.value, "constant_tail": res.constant.tail_bound,
             "near_half": res.near_half,
-            "spread": max(r.spread for r in res.records),
-            "level": max(r.level for r in res.records),
-            "points": max(r.points for r in res.records),
-            "h": res.records[-1].h,
-            "em_cut": res.records[-1].em_cut,
+            **{f: getattr(res.quadrature, f) for f in ("spread", "level", "points", "h", "em_cut")},
             "stage_s": dict(res.stage_s, table_load=table_load_s),
             "table_sha256": table_sha256,
         })

@@ -2,7 +2,8 @@
 
 zeta(s) is computed by Euler-Maclaurin summation with cut M = max(2|t|, 50)
 and 12 Bernoulli correction terms, in one body shared by the scalar
-`zeta_em` (a one-point grid) and `zeta_em_grid` (cut at max |t|).  The
+`zeta_em` (a one-point grid) and `zeta_em_grid` (cut at max |t|), after one
+domain check, the pole at s = 1 and the desk range |t| <= 1e5.  The
 correction terms are summed by Horner in the quadratic factors
 (s+2r-1)(s+2r) of their Pochhammer symbols, one complex product per term
 and point, and multiplied by M^{-s} = exp(-s ln M) once.  The
@@ -95,28 +96,32 @@ def _em_cut(t: float) -> int:
     return int(max(2.0 * abs(t), 50.0))
 
 
-def zeta_em(s: complex, target_abs_err: float = 1e-9, M: int | None = None) -> EvalResult:
+def _zeta_domain(sigma: float, ts: np.ndarray) -> float:
+    """max |t| of a grid, after the checks both zeta entry points make: the
+    pole at s = 1 (PoleError) and the desk range |t| <= 1e5 (PrecisionError)."""
+    absts = np.abs(ts)
+    if abs(sigma - 1.0) < 1e-12 and math.hypot(sigma - 1.0, float(absts.min())) < 1e-12:
+        raise PoleError("zeta has its pole at s=1")
+    if absts.max() > 1e5:
+        raise PrecisionError("|t| > 1e5 is outside the configured desk range")
+    return float(absts.max())
+
+
+def zeta_em(s: complex, target_abs_err: float = 1e-9) -> EvalResult:
     """zeta(s) by Euler-Maclaurin; raises if the target is out of reach.
 
-    A one-point `_zeta_em`, so its value is bit-identical to `zeta_em_grid`
-    at the same point.  M overrides the summation cut (default
-    max(2|t|, 50)); it must stay >= |t|/pi for the Bernoulli tail to converge.
-    The target is held against the full estimate: the method's part
-    (remainder and phase rounding) plus the rounding of the tail and the
-    value, which near the pole grows like eps |zeta(s)|.
+    A one-point `_zeta_em` at the cut max(2|t|, 50), so its value is
+    bit-identical to `zeta_em_grid` at the same point.  The target is held
+    against the full estimate: the method's part (remainder and phase
+    rounding) plus the rounding of the tail and the value, which near the
+    pole grows like eps |zeta(s)|.
     """
     s = complex(s)
-    if abs(s - 1.0) < 1e-12:
-        raise PoleError("zeta has its pole at s=1")
-    if abs(s.imag) > 1e5:
-        raise PrecisionError("|t| > 1e5 is outside the configured desk range")
+    ts = np.array([s.imag])
+    M = _em_cut(_zeta_domain(s.real, ts))
     if target_abs_err < 1e-12:
         raise PrecisionError("target_abs_err below the 1e-12 floor")
-    if M is None:
-        M = _em_cut(s.imag)
-    elif M < abs(s.imag) / math.pi:
-        raise ValueError("cut M below |t|/pi: Euler-Maclaurin tail would diverge")
-    value, est = _zeta_em(s.real, np.array([s.imag]), M)
+    value, est = _zeta_em(s.real, ts, M)
     if est > target_abs_err:
         raise PrecisionError(
             f"zeta_em cannot reach {target_abs_err:g} at s={s} (estimate {est:g})"
@@ -474,7 +479,7 @@ def zeta_em_grid(sigma: float, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=np.float64)
     if not len(ts):
         return np.empty(0, dtype=np.complex128)
-    return _zeta_em(sigma, ts, _em_cut(float(np.abs(ts).max())))[0]
+    return _zeta_em(sigma, ts, _em_cut(_zeta_domain(sigma, ts)))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,20 +20,21 @@ Each family is defined once, in FAMILIES, and every entry point checks
 family, k and table against it before any evaluation; a series pole's
 residue is estimated from the table being integrated.
 
-C(k, sigma) is computed two independent ways: an Euler product
-zeta(2s)^{k^2} prod_p (1-x)^{(k-1)^2} N_k(x), x = p^{-2s}, with a rigorous
-prime tail and rounding bound, and a direct sieve sum with a
-density-completed tail.  The local factor is (1-x)^{k^2} 2F1(k,k;1;x),
-which Euler's transformation turns into the closed form with the
-polynomial N_k(x) = sum_{i<k} C(k-1, i)^2 x^i.  Moments
-are composite-Simpson integrals of |.|^{2k} from the start step of
-moment_step, validated by step halving: for zeta the coarsest h = 1/(2q)
-that samples the integrand's top frequency k log M at least 4 times per
-period (M the top block's Euler-Maclaurin cut), for the series families
-min(0.02, 0.4/log T), as their integrand jumps where the smoothing Y
-changes between blocks.  Residual magnitudes are fitted
-log-log against T and compared with the tabulated error-term exponents
-(the beta-envelope and sigma*-energy routes plus older comparison bounds).
+C(k, sigma) is computed two independent ways: an Euler product zeta(2s)^{k^2}
+prod_p (1-x)^{(k-1)^2} N_k(x), x = p^{-2s}, with a rigorous prime tail and
+rounding bound, and a direct sieve sum with a density-completed tail.  The
+local factor is (1-x)^{k^2} 2F1(k,k;1;x), which Euler's transformation turns
+into the closed form with the polynomial N_k(x) = sum_{i<k} C(k-1, i)^2 x^i.
+Moments are composite-Simpson integrals of |.|^{2k} on dyadic t-blocks from
+the start step of moment_step, validated by step halving: for zeta the
+coarsest h = 1/(2q) that samples the integrand's top frequency k log M at
+least 4 times per period (M the top block's Euler-Maclaurin cut), for the
+series families min(0.02, 0.4/log T), as their integrand jumps where the
+smoothing Y changes between blocks.  One pass serves a T grid: a
+MomentRecord, one ledger.csv row, per T and one QuadraturePass of diagnostics
+for summary.json.  Residual magnitudes are fitted log-log against T and
+compared with the tabulated error-term exponents (the beta-envelope and
+sigma*-energy routes plus older comparison bounds).
 """
 
 from __future__ import annotations
@@ -48,12 +49,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import CoeffTable, PrecisionError, prime_sieve
-from .evaluate import _EPS, _em_cut, smoothed_grid, zeta_em, zeta_em_grid
+from .evaluate import _EPS, _em_cut, gamma_fn, smoothed_grid, zeta_em, zeta_em_grid
 from .modularforms import rankin_A
 
 __all__ = [
     "MainTermConstant",
     "MomentRecord",
+    "MomentRecords",
+    "QuadraturePass",
     "FitResult",
     "TheoryConstants",
     "THEORY",
@@ -131,11 +134,12 @@ class MainTermConstant:
     sigma: float
     value: float
     tail_bound: float
-    method: str  # "euler_product" | "direct_sum"
 
 
 @dataclass(frozen=True)
 class MomentRecord:
+    """One ledger.csv row; its fields are the columns, in order."""
+
     family: str
     k: int
     sigma: float
@@ -144,19 +148,26 @@ class MomentRecord:
     main: float = float("nan")
     residual: float = float("nan")
     quad_err: float = float("nan")
-    # diagnostics of the shared quadrature pass, for summary.json only (never
-    # ledger.csv): the max Y-doubling spread of the smoothed values (0 for
-    # zeta), the step-halving level reached, the integrand point count, the
-    # start step and, for zeta, the top block's Euler-Maclaurin cut
-    spread: float = 0.0
+
+
+@dataclass(frozen=True)
+class QuadraturePass:
+    """One quadrature pass's diagnostics, for summary.json only: em_cut is zeta's
+    top Euler-Maclaurin cut, spread the max Y-doubling spread, *_s wall seconds."""
+
+    h: float = 0.0
     level: int = 0
     points: int = 0
-    h: float = 0.0
     em_cut: int | None = None
-    # wall seconds of the pass's integrand evaluations and Simpson sums,
-    # summed over its step-halving levels (left out of comparisons)
+    spread: float = 0.0
     integrand_s: float = field(default=0.0, compare=False)
     simpson_s: float = field(default=0.0, compare=False)
+
+
+class MomentRecords(list):
+    """A quadrature pass's MomentRecords, in increasing T, and its diagnostics."""
+
+    quadrature = QuadraturePass()
 
 
 @dataclass(frozen=True)
@@ -225,7 +236,7 @@ def main_term_zeta(k: int, sigma: float, prime_cut: int = 10**6) -> MainTermCons
     z = zeta_em(complex(s2, 0.0), 1e-10)
     zs = z.value.real
     if k == 1:
-        return MainTermConstant("zeta", 1, sigma, zs, z.abs_error_estimate, "euler_product")
+        return MainTermConstant("zeta", 1, sigma, zs, z.abs_error_estimate)
     x = prime_sieve(prime_cut).astype(np.float64) ** (-s2)
     coef = [math.comb(k - 1, i) ** 2 for i in range(1, k)]  # N' = sum coef[i] x^i
     y = np.full_like(x, coef[-1])
@@ -242,7 +253,7 @@ def main_term_zeta(k: int, sigma: float, prime_cut: int = 10**6) -> MainTermCons
     tail = value * math.expm1(tail_log) if tail_log < 1 else float("inf")
     rel = (_EPS * ((k + 2 + 0.5 * (math.log2(max(len(x), 1)) + 32)) * (up - down) + 3)
            + k * k * z.abs_error_estimate / zs)
-    return MainTermConstant("zeta", k, sigma, value, tail + rel * value, "euler_product")
+    return MainTermConstant("zeta", k, sigma, value, tail + rel * value)
 
 
 def _log_density_tail(weights: np.ndarray, sigma: float, q: int) -> tuple[float, float]:
@@ -331,7 +342,7 @@ def main_term_zeta_direct(k: int, sigma: float, table: CoeffTable) -> MainTermCo
     if table.generator_params.get("k") != k:
         raise ValueError("table is not a d_k table for this k")
     value, uncert = _completed_sum(table, sigma, k * k - 1)
-    return MainTermConstant("zeta", k, sigma, value, uncert, "direct_sum")
+    return MainTermConstant("zeta", k, sigma, value, uncert)
 
 
 def main_term_series(coeffs: CoeffTable, sigma: float) -> MainTermConstant:
@@ -350,15 +361,12 @@ def main_term_series(coeffs: CoeffTable, sigma: float) -> MainTermConstant:
         raise PrecisionError(
             f"tail too large near sigma=1/2: {uncert:.3g} vs value {value:.3g}"
         )
-    return MainTermConstant(name, FAMILIES[name].k, sigma, value, uncert, "direct_sum")
+    return MainTermConstant(name, FAMILIES[name].k, sigma, value, uncert)
 
 
 # ---------------------------------------------------------------------------
 # Moment quadrature
 # ---------------------------------------------------------------------------
-
-_DYADIC_EDGES = [0.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0, 6400.0]
-
 
 def _block_evaluator(fam: Family, k: int, sigma: float, coeffs: CoeffTable | None):
     """(|.|^{2k}, Y-doubling spread) of the family on a t-block below hi: zeta
@@ -378,13 +386,15 @@ def _block_evaluator(fam: Family, k: int, sigma: float, coeffs: CoeffTable | Non
 
 
 def _integrand_grid(ts: np.ndarray, block, workers: int) -> tuple[np.ndarray, float]:
-    """block(tt, hi) on the grid's nonempty dyadic t-blocks [lo, hi), joined,
-    and the max spread.  Evaluation parameters are fixed per block, so values
-    are independent of the worker count; blocks are joined in fixed order."""
-    cut = np.searchsorted(ts, _DYADIC_EDGES)
-    if cut[-1] < len(ts):
-        raise PrecisionError("t grid exceeds the configured dyadic range")
-    args = [(ts[i0:i1], hi) for i0, i1, hi in zip(cut[:-1], cut[1:], _DYADIC_EDGES[1:]) if i1 > i0]
+    """block(tt, hi) on the grid's nonempty dyadic t-blocks [lo, hi), edges
+    0, 50, 100, ... doubled until past the grid's largest t, joined, and the
+    max spread.  Evaluation parameters are fixed per block, so values are
+    independent of the worker count; blocks are joined in fixed order."""
+    edges = [0.0, 50.0]
+    while edges[-1] <= ts[-1]:
+        edges.append(2.0 * edges[-1])
+    cut = np.searchsorted(ts, edges)
+    args = [(ts[i0:i1], hi) for i0, i1, hi in zip(cut[:-1], cut[1:], edges[1:]) if i1 > i0]
     if workers <= 1:
         results = [block(*a) for a in args]
     else:
@@ -431,32 +441,30 @@ def integrate_moment_grid(
     coeffs: CoeffTable | None = None,
     workers: int = 1,
     budget: int = 5_000_000,
-) -> list[MomentRecord]:
+) -> MomentRecords:
     """One shared quadrature pass producing a MomentRecord per T in T_grid.
 
     The integrand is evaluated once on the half-step grid, from the start
     step h = moment_step(family, k, max T); each requested T gets the
     Simpson value at step h plus the step-halved value, and their difference
     is the recorded quadrature error (must clear rel_tol, else a further
-    halving is attempted within the evaluation budget).
+    halving is attempted within the evaluation budget).  The list's
+    `quadrature` holds the pass's diagnostics.
     """
     return _integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs, workers, budget, 1)
 
 
 def _integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs, workers, budget,
-                           refine: int) -> list[MomentRecord]:
+                           refine: int) -> MomentRecords:
     """integrate_moment_grid from the start step moment_step(...)/refine; a
     refine > 1 gives the finer values its quad_err is checked against."""
     fam = _checked_family(family, k, coeffs)
     T_grid = sorted(float(T) for T in T_grid)
     _check_ranges(sigma, T_grid, rel_tol)
-    records = []
+    records = [MomentRecord(family, k, sigma, T, 0.0, quad_err=0.0) for T in T_grid if T <= 1.0]
     todo = [T for T in T_grid if T > 1.0]
-    for T in T_grid:
-        if T <= 1.0:
-            records.append(MomentRecord(family, k, sigma, T, 0.0, quad_err=0.0))
     if not todo:
-        return records
+        return MomentRecords(records)
     Tmax = todo[-1]
     h = h0 = moment_step(family, k, Tmax) / refine
     em_cut = _em_cut(Tmax) if fam.table is None else None
@@ -485,15 +493,13 @@ def _integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs, workers, b
             if qerr > rel_tol * max(abs(I_h2), 1e-300):
                 ok = False
                 break
-            out.append(MomentRecord(family, k, sigma, Ts, I_h2, quad_err=qerr,
-                                    spread=spread, level=level, points=npts,
-                                    h=h0, em_cut=em_cut))
+            out.append(MomentRecord(family, k, sigma, Ts, I_h2, quad_err=qerr))
         t0 = time.perf_counter()
         simpson_s += t0 - t1
         if ok:
-            records.extend(replace(r, integrand_s=integrand_s, simpson_s=simpson_s)
-                           for r in out)
-            records.sort(key=lambda r: r.T)
+            records = MomentRecords(records + out)
+            records.quadrature = QuadraturePass(h0, level, npts, em_cut, spread,
+                                                integrand_s, simpson_s)
             return records
         h = h2
         level += 1
@@ -568,7 +574,6 @@ def _one_swap_terms(alpha: np.ndarray, beta: np.ndarray, logp: np.ndarray, zeta)
     return np.array(expo), coef
 
 
-@lru_cache(maxsize=32)
 def _one_swap_nodes(k: int, sigma: float, radius: float):
     """The one-swap terms at the Cauchy nodes eps_n = radius e^{2 pi i n/N}.
 
@@ -586,40 +591,43 @@ def _one_swap_nodes(k: int, sigma: float, radius: float):
     return eps, np.array([x for x, _ in terms]), np.array([c for _, c in terms])
 
 
-def _one_swap_recipe(k: int, sigma: float, T: float) -> float:
+def _one_swap_recipe(k: int, sigma: float, T):
     """The k^2 one-swap recipe terms at shifts sigma - 1/2, integrated over [1, T].
 
-    Each term carries the weight (t/2 pi)^{-x}, x = alpha_i + beta_j, whose
-    integral over [1, T] is (2 pi)^x (T^{1-x} - 1)/(1 - x).  The terms have
-    poles of order up to 2k - 2 where the shifts coincide; their sum is
-    holomorphic, and its value there is the mean over the Cauchy nodes.  The
-    evaluation is repeated at half the radius; the two must agree, the
-    principal part at the nodes must vanish and the value must be real, each
-    to _CAUCHY_TOL relative, else PrecisionError.
+    T may be an array; the Cauchy nodes are built once.  Each term carries
+    the weight (t/2 pi)^{-x}, x = alpha_i + beta_j, whose integral over
+    [1, T] is (2 pi)^x (T^{1-x} - 1)/(1 - x).  The terms have poles of order
+    up to 2k - 2 where the shifts coincide; their sum is holomorphic, and its
+    value there is the mean over the Cauchy nodes.  The evaluation is
+    repeated at half the radius; the two must agree, the principal part at
+    the nodes must vanish and the value must be real, each to _CAUCHY_TOL
+    relative at every T, else PrecisionError.
     """
     # the sum is holomorphic while the shifts keep 0 < Re(alpha_i + beta_j) < 1
     R = min(2.0 * sigma - 1.0, 2.0 - 2.0 * sigma)
+    T = np.asarray(T, dtype=np.float64)[..., None, None]  # over nodes and terms
     values = []
     for radius in (0.35 * R, 0.175 * R):
         eps, x, c = _one_swap_nodes(k, sigma, radius)
-        F = (c * (2.0 * math.pi) ** x * (T ** (1.0 - x) - 1.0) / (1.0 - x)).sum(axis=1)
-        value = F.mean()
+        F = (c * (2.0 * math.pi) ** x * (T ** (1.0 - x) - 1.0) / (1.0 - x)).sum(axis=-1)
+        value = F.mean(axis=-1)
         u = eps / radius
-        principal = max((abs(np.mean(F * u**m)) for m in range(1, 2 * k - 1)), default=0.0)
-        if principal > _CAUCHY_TOL * abs(value):
-            raise PrecisionError(f"one-swap poles do not cancel: principal part {principal:.3g} "
-                                 f"vs value {abs(value):.3g}")
+        for m in range(1, 2 * k - 1):
+            principal = abs(np.mean(F * u**m, axis=-1))
+            if np.any(principal > _CAUCHY_TOL * abs(value)):
+                raise PrecisionError(f"one-swap poles do not cancel: principal part "
+                                     f"{principal} vs value {abs(value)}")
         values.append(value)
     v, v_half = values
-    if abs(v - v_half) > _CAUCHY_TOL * abs(v) or abs(v.imag) > _CAUCHY_TOL * abs(v):
+    if np.any(np.maximum(abs(v - v_half), abs(v.imag)) > _CAUCHY_TOL * abs(v)):
         raise PrecisionError(f"one-swap sum unstable: {v} at radius r vs {v_half} at r/2")
     return v.real
 
 
-def secondary_term(sigma: float, T: float, k: int = 1) -> float:
+def secondary_term(sigma: float, T, k: int = 1):
     """The secondary (off-diagonal) main term S_k of the 2k-th zeta moment.
 
-    k = 1: the classical
+    At T a float, or at each T of an array.  k = 1: the classical
     zeta(2 sigma - 1) Gamma(2 sigma - 1) sin(pi sigma) T^{2-2 sigma}/(1-sigma),
     which residual() adds to C*T.
 
@@ -638,9 +646,8 @@ def secondary_term(sigma: float, T: float, k: int = 1) -> float:
     moment is compared with.
     """
     _check_sigma(sigma)
+    T = np.asarray(T, dtype=np.float64) if np.ndim(T) else float(T)
     if k == 1:
-        from .evaluate import gamma_fn
-
         z = zeta_em(complex(2.0 * sigma - 1.0, 0.0), 1e-10).value.real
         g = gamma_fn(complex(2.0 * sigma - 1.0, 0.0)).value.real
         return z * g * math.sin(math.pi * sigma) / (1.0 - sigma) * T ** (2.0 - 2.0 * sigma)
@@ -851,6 +858,7 @@ class ExperimentResult:
     records: list
     fit: FitResult
     constant: MainTermConstant
+    quadrature: QuadraturePass
     near_half: bool = False
     # wall seconds per stage: main_term, integrand, simpson_fit
     stage_s: dict = field(default_factory=dict, compare=False)
@@ -879,20 +887,16 @@ def exponent_experiment(
     constant = (main_term_zeta(k, sigma) if fam.table is None
                 else main_term_series(coeffs, sigma))
     t1 = time.perf_counter()
-    records = integrate_moment_grid(
-        family, k, sigma, T_grid, rel_tol, coeffs=coeffs, workers=workers, budget=budget,
-    )
+    grid = integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs=coeffs,
+                                 workers=workers, budget=budget)
     t2 = time.perf_counter()
-    records = [residual(r, constant) for r in records]
+    records = [residual(r, constant) for r in grid]
     theo = theory_exponent(family, k, sigma)
     fit = fit_power_law([(r.T, r.residual) for r in records if r.T > 1], strict=False)
     near_half = sigma - 0.5 < 0.05
     passed = (fit.slope <= theo + slack) and not near_half
     fit = replace(fit, theory_exponent=theo, slack=slack, pass_=passed)
-    stage_s = {
-        "main_term": t1 - t0,
-        "integrand": max((r.integrand_s for r in records), default=0.0),
-        "simpson_fit": max((r.simpson_s for r in records), default=0.0)
-        + time.perf_counter() - t2,
-    }
-    return ExperimentResult(family, k, sigma, records, fit, constant, near_half, stage_s)
+    stage_s = {"main_term": t1 - t0, "integrand": grid.quadrature.integrand_s,
+               "simpson_fit": grid.quadrature.simpson_s + time.perf_counter() - t2}
+    return ExperimentResult(family, k, sigma, records, fit, constant, grid.quadrature,
+                            near_half, stage_s)

@@ -206,7 +206,7 @@ def test_criterion_6_higher_moments():
                                   workers=WORKERS, slack=0.3)
         C = res.constant.value
         theo = res.fit.theory_exponent
-        S = [secondary_term(sigma, r.T, k) for r in res.records]
+        S = secondary_term(sigma, [r.T for r in res.records], k)
         r2000, s2000 = res.records[-1], S[-1]
         dev = r2000.integral / (C * r2000.T + s2000) - 1.0
         if abs(dev) > 0.02:

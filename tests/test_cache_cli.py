@@ -295,6 +295,12 @@ def test_experiment_summary_carries_quadrature_diagnostics(tmp_path):
     main(["--cache-dir", cache_dir, "experiment", str(m), "--out-dir", str(out)])
     f2, zeta = json.loads((out / "summary.json").read_text())["cells"]
     for cell in (f2, zeta):
+        # every key, so a dropped or renamed diagnostic shows
+        assert set(cell) == {
+            "family", "k", "sigma", "slope", "intercept", "r2", "theory_exponent", "slack",
+            "pass", "constant", "constant_tail", "near_half", "spread", "level", "points",
+            "h", "em_cut", "stage_s", "table_sha256",
+        }
         assert cell["level"] >= 1
         h2 = cell["h"] / 2.0 ** cell["level"]
         assert cell["points"] == int(round((50.0 - 1.0) / h2)) + 1

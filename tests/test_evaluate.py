@@ -77,6 +77,20 @@ def test_zeta_desk_range_guard():
         zeta_em(0.75 + 10j, target_abs_err=1e-13)
 
 
+def test_zeta_grid_shares_the_scalar_domain():
+    # the pole and the desk range raise on a grid as they do at a point
+    with pytest.raises(PoleError):
+        zeta_em_grid(1.0, [0.0])
+    with pytest.raises(PoleError):
+        zeta_em_grid(1.0, [3.0, 0.0, -3.0])
+    for ts in ([2e5, 2e5 + 0.5], [-1e5 - 1.0, 0.0]):
+        with pytest.raises(PrecisionError):
+            zeta_em_grid(0.75, ts)
+    # off the pole at sigma = 1, and at the range's edge, values come back
+    assert np.all(np.isfinite(zeta_em_grid(1.0, [-0.5, 0.5])))
+    assert zeta_em_grid(0.75, [1e5])[0] == zeta_em(0.75 + 1e5j, 1e-6).value
+
+
 def test_zeta_target_held_against_the_full_estimate():
     # near the pole the value's own rounding (|zeta| ~ 1e6) exceeds 1e-10
     with pytest.raises(PrecisionError):
@@ -101,8 +115,8 @@ def test_zeta_error_estimate_honest(rng):
         sigma = float(rng.uniform(0.1, 0.95))
         t = float(rng.uniform(1, 500))
         r = zeta_em(complex(sigma, t))
-        ref = zeta_em(complex(sigma, t), M=2 * max(int(2 * t), 50))
-        assert abs(r.value - ref.value) <= r.abs_error_estimate
+        ref = _zeta_em(sigma, np.array([t]), 2 * max(int(2 * t), 50))[0][0]
+        assert abs(r.value - ref) <= r.abs_error_estimate
         assert abs(r.value - _mp_zeta(complex(sigma, t))) <= r.abs_error_estimate
 
 
@@ -144,7 +158,7 @@ def test_zeta_grid_matches_pointwise():
     M = int(max(2 * ts[-1], 50))
     for i in (0, 57, 199):
         s = complex(0.75, ts[i])
-        assert abs(grid[i] - _mp_zeta(s)) <= zeta_em(s, M=M).abs_error_estimate
+        assert abs(grid[i] - _mp_zeta(s)) <= _zeta_em(0.75, np.array([ts[i]]), M)[1]
 
 
 def test_zeta_grid_matches_pointwise_at_height():
@@ -153,7 +167,7 @@ def test_zeta_grid_matches_pointwise_at_height():
     M = _em_cut(ts[-1])
     for i in (0, 333, 1000):
         s = complex(0.75, ts[i])
-        assert abs(grid[i] - _mp_zeta(s)) <= zeta_em(s, M=M).abs_error_estimate
+        assert abs(grid[i] - _mp_zeta(s)) <= _zeta_em(0.75, np.array([ts[i]]), M)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -9,6 +10,7 @@ from zetamoments.arith import prime_sieve
 from zetamoments.evaluate import gamma_fn
 from zetamoments.moments import (
     _euler_arith_factor,
+    _integrand_grid,
     _integrate_moment_grid,
     _one_swap_recipe,
     exponent_classical,
@@ -163,8 +165,36 @@ def test_main_term_series_partial_lower_bound(rankin_16e4):
 # ---------------------------------------------------------------------------
 
 def test_integrate_trivial_interval():
-    rec = integrate_moment_grid("zeta", 3, 0.75, [1.0])[0]
-    assert rec.integral == 0.0
+    recs = integrate_moment_grid("zeta", 3, 0.75, [1.0])
+    assert recs[0].integral == 0.0
+    assert recs.quadrature == zm.moments.QuadraturePass()  # no pass ran
+
+
+def test_a_record_is_exactly_a_ledger_row():
+    names = [f.name for f in dataclasses.fields(zm.MomentRecord)]
+    assert names == ["family", "k", "sigma", "T", "integral", "main", "residual", "quad_err"]
+    recs = integrate_moment_grid("zeta", 1, 0.75, [50.0, 150.0])
+    q = recs.quadrature
+    assert (q.h, q.em_cut, q.spread) == (moment_step("zeta", 1, 150.0), 300, 0.0)
+    assert q.points == int(round(149.0 / (q.h / 2.0**q.level))) + 1
+    assert q.integrand_s > 0.0 and q.simpson_s > 0.0
+
+
+def test_blocks_are_doubled_edges_past_the_grid():
+    # edges 0, 50, 100, ... doubled until past the grid's last t, however far
+    # that is; a grid ending on an edge gets a one-point block above it
+    seen = []
+
+    def block(tt, hi):
+        seen.append((len(tt), hi))
+        return np.zeros(len(tt)), 0.0
+
+    _integrand_grid(1.0 + 0.5 * np.arange(1599), block, 1)  # t in [1, 800]
+    assert seen == [(98, 50.0), (100, 100.0), (200, 200.0), (400, 400.0), (800, 800.0),
+                    (1, 1600.0)]
+    seen.clear()
+    y, _ = _integrand_grid(np.array([10.0, 7000.0, 30000.0]), block, 1)
+    assert seen == [(1, 50.0), (1, 12800.0), (1, 51200.0)] and len(y) == 3
 
 
 def test_integrate_additive():
@@ -214,7 +244,7 @@ def test_zeta_quad_err_bounds_a_4x_finer_start(k, sigma, T_grid):
     recs = integrate_moment_grid("zeta", k, sigma, T_grid)
     refs = _integrate_moment_grid("zeta", k, sigma, T_grid, rel_tol=1e-4, coeffs=None,
                                   workers=1, budget=5_000_000, refine=4)
-    assert refs[0].h == recs[0].h / 4
+    assert refs.quadrature.h == recs.quadrature.h / 4
     for rec, ref, T in zip(recs, refs, T_grid):
         assert rec.T == ref.T == T
         assert abs(rec.integral - ref.integral) <= rec.quad_err
@@ -410,12 +440,7 @@ def test_secondary_term_rejects_bad_args():
 def test_secondary_term_evaluates_each_zeta_argument_once(monkeypatch):
     nodes = zm.moments._one_swap_nodes
     cases = ((0.75, 2000.0, 2), (0.9, 2000.0, 3))
-    # the values each one-swap zeta factor evaluated anew gives: the nodes'
-    # inner memo bypassed
-    with monkeypatch.context() as m:
-        m.setattr(zm.moments, "lru_cache", lambda maxsize: lambda f: f)
-        nodes.cache_clear()
-        fresh = [secondary_term(*c) for c in cases]
+    want = [secondary_term(*c) for c in cases]
     args = []  # the zeta arguments of each set of Cauchy nodes
 
     def nodes_spy(*a):
@@ -428,12 +453,17 @@ def test_secondary_term_evaluates_each_zeta_argument_once(monkeypatch):
 
     monkeypatch.setattr(zm.moments, "_one_swap_nodes", nodes_spy)
     monkeypatch.setattr(zm.moments, "zeta_em", zeta_spy)
-    nodes.cache_clear()
-    assert [secondary_term(*c) for c in cases] == fresh
+    assert [secondary_term(*c) for c in cases] == want
     assert len(args) == 4 and all(len(a) == len(set(a)) for a in args)
     # without reuse, each radius costs 32 nodes x k^2 terms x k^2 factors
     # (and one A_2 factor per term for k = 2): 640 calls for k = 2, 2592 for 3
     assert sum(map(len, args)) < 2 * (640 + 2592) / 3
+    # an array of T builds the two node sets once and gives each T's value
+    args.clear()
+    Ts = [250.0, 500.0, 1000.0, 2000.0]
+    got = secondary_term(0.75, Ts, 2)
+    assert len(args) == 2 and list(got) == [secondary_term(0.75, T, 2) for T in Ts]
+    assert list(secondary_term(0.75, Ts)) == [secondary_term(0.75, T) for T in Ts]
 
 
 # ---------------------------------------------------------------------------
