@@ -113,19 +113,22 @@ class DeltaCurve:
 
 
 def prime_sieve(nmax: int) -> np.ndarray:
-    """Primes <= nmax by Eratosthenes over the odd numbers (odd[i] is 2i + 1)."""
+    """Primes <= nmax by Eratosthenes over the odd numbers (odd[i] is 2i + 1).
+
+    odd[0] stands for 1 and is kept set, so its slot in the one index array
+    becomes the prime 2."""
     if nmax < 2:
         return np.array([], dtype=np.int64)
     odd = np.ones((nmax + 1) // 2, dtype=bool)
-    odd[0] = False
     for i in range(1, (math.isqrt(nmax) + 1) // 2):
         if odd[i]:
             p = 2 * i + 1
             odd[p * p // 2:: p] = False
-    primes = np.nonzero(odd)[0].astype(np.int64)
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
     primes *= 2
     primes += 1
-    return np.concatenate(([2], primes))
+    primes[0] = 2
+    return primes
 
 
 def sieve_dk(k: int, N: int) -> CoeffTable:

@@ -22,19 +22,23 @@ residue is estimated from the table being integrated.
 
 C(k, sigma) is computed two independent ways: an Euler product zeta(2s)^{k^2}
 prod_p (1-x)^{(k-1)^2} N_k(x), x = p^{-2s}, with a rigorous prime tail and
-rounding bound, and a direct sieve sum with a density-completed tail.  The
-local factor is (1-x)^{k^2} 2F1(k,k;1;x), which Euler's transformation turns
-into the closed form with the polynomial N_k(x) = sum_{i<k} C(k-1, i)^2 x^i.
-Moments are composite-Simpson integrals of |.|^{2k} on dyadic t-blocks from
-the start step of moment_step, validated by step halving: for zeta the
-coarsest h = 1/(2q) that samples the integrand's top frequency k log M at
-least 4 times per period (M the top block's Euler-Maclaurin cut), for the
-series families min(0.02, 0.4/log T), as their integrand jumps where the
-smoothing Y changes between blocks.  One pass serves a T grid: a
-MomentRecord, one ledger.csv row, per T and one QuadraturePass of diagnostics
-for summary.json.  Residual magnitudes are fitted log-log against T and
-compared with the tabulated error-term exponents (the beta-envelope and
-sigma*-energy routes plus older comparison bounds).
+rounding bound (for k = 2 its closed form zeta(2s)^4/zeta(4s)), and a direct
+sieve sum with a density-completed tail.  The local factor is
+(1-x)^{k^2} 2F1(k,k;1;x), which Euler's transformation turns into the closed
+form with the polynomial N_k(x) = sum_{i<k} C(k-1, i)^2 x^i.
+Moments are composite-Simpson integrals of |.|^{2k} from the start step of
+moment_step, validated by step halving: for zeta the coarsest h = 1/(2q)
+that samples the integrand's top frequency k log M at least 4 times per
+period (M the grid's top Euler-Maclaurin cut), for the series families
+min(0.02, 0.4/log T), as their integrand jumps where the smoothing Y changes
+between blocks.  A zeta pass evaluates its grid in one call at the top cut,
+or in the fewest equal chunks of at most 2^20 points, each at its own top
+cut; a series pass on dyadic t-blocks, each with its own Y.  One pass
+serves a T grid: a MomentRecord, one ledger.csv row, per T and one
+QuadraturePass of diagnostics for summary.json.  Residual magnitudes are
+fitted log-log against T and compared with the tabulated error-term
+exponents (the beta-envelope and sigma*-energy routes plus older comparison
+bounds).
 """
 
 from __future__ import annotations
@@ -226,7 +230,10 @@ def main_term_zeta(k: int, sigma: float, prime_cut: int = 10**6) -> MainTermCons
     terms is good to (log2 m + 32) eps/2 of the sum of their moduli; exp,
     the power and the product cost 3 eps; and zeta(2s) is good to its own
     zeta_em estimate, which enters k^2 times.  k = 1 is zeta(2s) itself,
-    returned with that estimate as its tail_bound.
+    returned with that estimate as its tail_bound.  k = 2 is Ramanujan's
+    zeta(2s)^4/zeta(4s), with no prime pass (prime_cut is unused): its
+    tail_bound is the two zeta_em estimates, zeta(2s)'s entering 4 times,
+    plus 3 eps of the value for the power and the division.
     """
     if sigma <= 0.5:
         raise ValueError("the series diverges for sigma <= 1/2")
@@ -237,6 +244,11 @@ def main_term_zeta(k: int, sigma: float, prime_cut: int = 10**6) -> MainTermCons
     zs = z.value.real
     if k == 1:
         return MainTermConstant("zeta", 1, sigma, zs, z.abs_error_estimate)
+    if k == 2:
+        z4 = zeta_em(complex(2.0 * s2, 0.0), 1e-10)
+        value = zs**4 / z4.value.real
+        rel = 4.0 * z.abs_error_estimate / zs + z4.abs_error_estimate / z4.value.real + 3.0 * _EPS
+        return MainTermConstant("zeta", 2, sigma, value, rel * value)
     x = prime_sieve(prime_cut).astype(np.float64) ** (-s2)
     coef = [math.comb(k - 1, i) ** 2 for i in range(1, k)]  # N' = sum coef[i] x^i
     y = np.full_like(x, coef[-1])
@@ -368,12 +380,36 @@ def main_term_series(coeffs: CoeffTable, sigma: float) -> MainTermConstant:
 # Moment quadrature
 # ---------------------------------------------------------------------------
 
+_ZETA_CHUNK = 1 << 20  # most points of one zeta_em_grid call
+
+
+def _dyadic_blocks(ts: np.ndarray) -> list:
+    """[i0, i1) and top edge hi of the grid's nonempty dyadic t-blocks [lo, hi),
+    edges 0, 50, 100, ... doubled until past the grid's largest t."""
+    edges = [0.0, 50.0]
+    while edges[-1] <= ts[-1]:
+        edges.append(2.0 * edges[-1])
+    cut = np.searchsorted(ts, edges)
+    return [(i0, i1, hi) for i0, i1, hi in zip(cut[:-1], cut[1:], edges[1:]) if i1 > i0]
+
+
+def _equal_chunks(ts: np.ndarray) -> list:
+    """[i0, i1) and top t of the fewest chunks of at most _ZETA_CHUNK points,
+    their lengths differing by at most one."""
+    n = -(-len(ts) // _ZETA_CHUNK)
+    cut = [len(ts) * i // n for i in range(n + 1)]
+    return [(i0, i1, float(ts[i1 - 1])) for i0, i1 in zip(cut[:-1], cut[1:])]
+
+
 def _block_evaluator(fam: Family, k: int, sigma: float, coeffs: CoeffTable | None):
-    """(|.|^{2k}, Y-doubling spread) of the family on a t-block below hi: zeta
-    by Euler-Maclaurin, a series smoothed at Y = min(max(2 hi, 100), N/74) with
-    a pole's residue A (sum_{n<=x} c_n = A x + Delta) estimated from its table."""
+    """(blocks, block): the family's split of a t-grid into blocks, and block(tt,
+    hi), the (|.|^{2k}, Y-doubling spread) of one block below hi.  zeta: equal
+    chunks, each by Euler-Maclaurin at its own top cut; a series: dyadic
+    blocks, smoothed at Y = min(max(2 hi, 100), N/74), as Y must grow with t,
+    with a pole's residue A (sum_{n<=x} c_n = A x + Delta) estimated from its
+    table."""
     if fam.table is None:
-        return lambda tt, hi: (np.abs(zeta_em_grid(sigma, tt)) ** (2 * k), 0.0)
+        return _equal_chunks, lambda tt, hi: (np.abs(zeta_em_grid(sigma, tt)) ** (2 * k), 0.0)
     values = coeffs.values.astype(np.float64)
     residue = rankin_A(coeffs, coeffs.N)[0] if fam.pole else None
 
@@ -382,24 +418,22 @@ def _block_evaluator(fam: Family, k: int, sigma: float, coeffs: CoeffTable | Non
         vals, spread = smoothed_grid(values, sigma, tt, Y, residue=residue)
         return np.abs(vals) ** 2, spread
 
-    return block
+    return _dyadic_blocks, block
 
 
-def _integrand_grid(ts: np.ndarray, block, workers: int) -> tuple[np.ndarray, float]:
-    """block(tt, hi) on the grid's nonempty dyadic t-blocks [lo, hi), edges
-    0, 50, 100, ... doubled until past the grid's largest t, joined, and the
-    max spread.  Evaluation parameters are fixed per block, so values are
-    independent of the worker count; blocks are joined in fixed order."""
-    edges = [0.0, 50.0]
-    while edges[-1] <= ts[-1]:
-        edges.append(2.0 * edges[-1])
-    cut = np.searchsorted(ts, edges)
-    args = [(ts[i0:i1], hi) for i0, i1, hi in zip(cut[:-1], cut[1:], edges[1:]) if i1 > i0]
-    if workers <= 1:
+def _integrand_grid(ts: np.ndarray, blocks, block, workers: int) -> tuple[np.ndarray, float]:
+    """block(tt, hi) on each block of blocks(ts), joined, and the max spread.
+    The blocks and their evaluation parameters depend on the grid alone, so
+    values are independent of the worker count; blocks are joined in fixed
+    order, and a pass of one block starts no pool."""
+    args = [(ts[i0:i1], hi) for i0, i1, hi in blocks(ts)]
+    if workers <= 1 or len(args) == 1:
         results = [block(*a) for a in args]
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(block, *zip(*args)))
+    if len(results) == 1:
+        return results[0]
     return np.concatenate([v for v, _ in results]), max(s for _, s in results)
 
 
@@ -415,10 +449,10 @@ def moment_step(family: str, k: int, T_max: float) -> float:
     """Simpson's start step h for the 2k-th moment of `family` over [1, T_max].
 
     zeta: the coarsest h = 1/(2q), q a positive integer, with
-    h k log M <= pi/2, where M = _em_cut(T_max) is the top block's
+    h k log M <= pi/2, where M = _em_cut(T_max) is the grid's top
     Euler-Maclaurin cut.  |sum_{n<M} n^{-s}|^{2k} has frequencies of at most
     k log M, so the nodes take at least 4 samples per period of the top one
-    at h and 8 at h/2; blocks with different cuts agree to rounding.  As
+    at h and 8 at h/2; chunks with different cuts agree to rounding.  As
     1/h is an even integer, (T - 1)/(2h) is an integer for integer T, which
     stays on the grid at every halving level.
 
@@ -470,7 +504,7 @@ def _integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs, workers, b
     em_cut = _em_cut(Tmax) if fam.table is None else None
     level = 1  # current grid is at h/2
     t0 = time.perf_counter()  # a pole's residue is timed with the integrand
-    block = _block_evaluator(fam, k, sigma, coeffs)
+    blocks, block = _block_evaluator(fam, k, sigma, coeffs)
     integrand_s = simpson_s = 0.0
     while True:
         h2 = h / 2.0
@@ -478,7 +512,7 @@ def _integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs, workers, b
         if npts > budget:
             raise BudgetError(f"refinement needs {npts} evaluations > budget {budget}")
         ts = 1.0 + h2 * np.arange(npts)
-        y, spread = _integrand_grid(ts, block, workers)
+        y, spread = _integrand_grid(ts, blocks, block, workers)
         t1 = time.perf_counter()
         integrand_s += t1 - t0
         ok = True

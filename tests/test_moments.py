@@ -7,8 +7,10 @@ import pytest
 
 import zetamoments as zm
 from zetamoments.arith import prime_sieve
-from zetamoments.evaluate import gamma_fn
+from zetamoments.evaluate import _zeta_em, gamma_fn, zeta_em_grid
 from zetamoments.moments import (
+    _block_evaluator,
+    _dyadic_blocks,
     _euler_arith_factor,
     _integrand_grid,
     _integrate_moment_grid,
@@ -23,6 +25,7 @@ from zetamoments.moments import (
     exponent_lindelof,
     exponent_beta_envelope,
     exponent_sigma_star,
+    family_of,
     fit_power_law,
     integrate_moment_grid,
     main_term_series,
@@ -55,14 +58,17 @@ def test_main_term_k1_is_zeta():
 
 @pytest.mark.parametrize("sigma", [0.55, 0.6, 0.75, 0.9])
 def test_main_term_k2_identity(sigma):
-    # sum d(n)^2 n^{-s} = zeta(s)^4/zeta(2s) via the (1+x)/(1-x)^3 local factor,
-    # within the recorded bound of the 40-digit value
-    c = main_term_zeta(2, sigma)
+    # sum d(n)^2 n^{-s} = zeta(s)^4/zeta(2s), Ramanujan's identity, which
+    # main_term_zeta takes as the k=2 value: within the recorded bound of the
+    # 40-digit value, and within a few roundings of it
+    c = main_term_zeta(2, sigma, prime_cut=10)  # no prime pass: the cut is unused
     with mpmath.workdps(40):
         s = mpmath.mpf(sigma)
         ref = mpmath.zeta(2 * s) ** 4 / mpmath.zeta(4 * s)
-        assert abs(c.value - ref) <= c.tail_bound
-    assert c.tail_bound < 1e-6 * c.value
+        err = float(abs(c.value - ref) / ref)
+    assert err * c.value <= c.tail_bound
+    assert err <= 2e-15
+    assert c.tail_bound < 1e-13 * c.value
 
 
 def test_main_term_monotone_in_sigma():
@@ -90,7 +96,7 @@ def test_euler_transformation_of_the_local_series(k):
     assert series == [math.comb(k - 1, i) ** 2 for i in range(k)] + [0] * (J - k)
 
 
-@pytest.mark.parametrize("k,sigma", [(2, 0.75), (3, 0.9), (3, 0.6), (4, 0.75), (6, 0.55)])
+@pytest.mark.parametrize("k,sigma", [(3, 0.9), (3, 0.6), (4, 0.75), (6, 0.55)])
 def test_main_term_matches_mpmath_product_over_same_primes(k, sigma):
     # zeta(2s)^{k^2} prod_{p <= 10^4} (1-x)^{k^2} sum_j C(k-1+j, j)^2 x^j at 40
     # digits, each local series summed term by term to 1e-45
@@ -180,21 +186,71 @@ def test_a_record_is_exactly_a_ledger_row():
     assert q.integrand_s > 0.0 and q.simpson_s > 0.0
 
 
-def test_blocks_are_doubled_edges_past_the_grid():
-    # edges 0, 50, 100, ... doubled until past the grid's last t, however far
-    # that is; a grid ending on an edge gets a one-point block above it
+def test_blocks_are_doubled_edges_past_the_grid(atilde_12e3):
+    # a series family's blocks: edges 0, 50, 100, ... doubled until past the
+    # grid's last t, however far that is; a grid ending on an edge gets a
+    # one-point block above it
+    blocks, _ = _block_evaluator(family_of("F2"), 1, 0.8, atilde_12e3)
+    assert blocks is _dyadic_blocks
     seen = []
 
     def block(tt, hi):
         seen.append((len(tt), hi))
         return np.zeros(len(tt)), 0.0
 
-    _integrand_grid(1.0 + 0.5 * np.arange(1599), block, 1)  # t in [1, 800]
+    _integrand_grid(1.0 + 0.5 * np.arange(1599), blocks, block, 1)  # t in [1, 800]
     assert seen == [(98, 50.0), (100, 100.0), (200, 200.0), (400, 400.0), (800, 800.0),
                     (1, 1600.0)]
     seen.clear()
-    y, _ = _integrand_grid(np.array([10.0, 7000.0, 30000.0]), block, 1)
+    y, _ = _integrand_grid(np.array([10.0, 7000.0, 30000.0]), blocks, block, 1)
     assert seen == [(1, 50.0), (1, 12800.0), (1, 51200.0)] and len(y) == 3
+
+
+def test_zeta_pass_is_one_call_at_the_top_cut(monkeypatch):
+    # the benchmark's seed-0 zeta cells: each pass is one zeta_em_grid call
+    # over all its points, at the cut of the grid's last t, with no one-point
+    # block, and with two workers it starts no pool
+    calls = []
+
+    def spy(sigma, ts):
+        calls.append((len(ts), float(ts[-1])))
+        return zeta_em_grid(sigma, ts)
+
+    def no_pool(*a, **kw):
+        raise AssertionError("a pass of one block started a pool")
+
+    monkeypatch.setattr(zm.moments, "zeta_em_grid", spy)
+    monkeypatch.setattr(zm.moments, "ThreadPoolExecutor", no_pool)
+    points = 0
+    for k, sigma in ((1, 0.75), (1, 0.9), (2, 0.75), (3, 0.9)):
+        calls.clear()
+        recs = integrate_moment_grid("zeta", k, sigma, [100.0, 200.0, 400.0, 800.0], workers=2)
+        assert calls == [(recs.quadrature.points, 800.0)] and recs.quadrature.em_cut == 1600
+        points += calls[0][0]
+    assert points == 60_728
+
+
+def test_zeta_pass_splits_into_equal_chunks(monkeypatch):
+    # past the chunk limit a pass is the fewest equal chunks, each at the cut
+    # of its own last t; the rows do not depend on the worker count
+    cuts = []
+
+    def spy(sigma, ts, M):
+        cuts.append((len(ts), float(ts[-1]), M))
+        return _zeta_em(sigma, ts, M)
+
+    monkeypatch.setattr(zm.moments, "_ZETA_CHUNK", 1000)
+    monkeypatch.setattr(zm.evaluate, "_zeta_em", spy)
+    rows = {}
+    for workers in (1, 2):
+        cuts.clear()
+        recs = integrate_moment_grid("zeta", 1, 0.75, [100.0, 300.0], workers=workers)
+        rows[workers] = [repr(r) for r in recs]
+        n = recs.quadrature.points
+        assert len(cuts) == -(-n // 1000) == 4 and sum(m for m, _, _ in cuts) == n
+        assert max(m for m, _, _ in cuts) - min(m for m, _, _ in cuts) <= 1
+        assert [M for _, _, M in cuts] == [int(max(2.0 * t, 50.0)) for _, t, _ in cuts]
+    assert rows[1] == rows[2]
 
 
 def test_integrate_additive():
