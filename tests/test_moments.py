@@ -96,15 +96,21 @@ def test_euler_transformation_of_the_local_series(k):
     assert series == [math.comb(k - 1, i) ** 2 for i in range(k)] + [0] * (J - k)
 
 
-@pytest.mark.parametrize("k,sigma", [(3, 0.9), (3, 0.6), (4, 0.75), (6, 0.55)])
+@pytest.mark.parametrize("k,sigma", [(2, 0.75), (3, 0.9), (3, 0.6), (4, 0.75), (6, 0.55)])
 def test_main_term_matches_mpmath_product_over_same_primes(k, sigma):
     # zeta(2s)^{k^2} prod_{p <= 10^4} (1-x)^{k^2} sum_j C(k-1+j, j)^2 x^j at 40
     # digits, each local series summed term by term to 1e-45
     c = main_term_zeta(k, sigma, prime_cut=10**4)
+    primes = prime_sieve(10**4).tolist()
     with mpmath.workdps(40):
         s2 = 2 * mpmath.mpf(sigma)
         ref = mpmath.zeta(s2) ** (k * k)
-        for p in prime_sieve(10**4).tolist():
+        if k == 2:
+            # main_term_zeta takes the whole product, g_p = 1 - x^2 over all p:
+            # complete this one by its part past 10^4, 1/zeta(4s) over p <= 10^4
+            ref /= mpmath.zeta(2 * s2) * mpmath.fprod(1 - mpmath.mpf(p) ** (-2 * s2)
+                                                      for p in primes)
+        for p in primes:
             x = mpmath.mpf(p) ** -s2
             local, term, j = mpmath.mpf(0), mpmath.mpf(1), 0
             while term > mpmath.mpf(10) ** -45:
