@@ -26,7 +26,8 @@ one ledger.csv row, its fields the columns (family,k,sigma,T,integral,main,
 residual,quad_err); a JSON summary per run records slope / theory_exponent /
 pass, the cell's moments.QuadraturePass (start step `h`, halving `level`,
 integrand `points`, Euler-Maclaurin cut `em_cut`, null for series, Y-doubling
-`spread`), its wall seconds per stage (`stage_s`: table_load, main_term,
+`spread`, and the final level's `blocks`, each with its first and last t,
+points and em_cut or Y), its wall seconds per stage (`stage_s`: table_load, main_term,
 integrand with a pole's residue, simpson_fit) and the sha256 of the cached
 table it read (`table_sha256`, null for zeta), none of which reach ledger.csv.
 Identical manifests re-run against the same cache append identical value
@@ -239,6 +240,7 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
             "constant": res.constant.value, "constant_tail": res.constant.tail_bound,
             "near_half": res.near_half,
             **{f: getattr(res.quadrature, f) for f in ("spread", "level", "points", "h", "em_cut")},
+            "blocks": [b._asdict() for b in res.quadrature.blocks],
             "stage_s": dict(res.stage_s, table_load=table_load_s),
             "table_sha256": table_sha256,
         })
@@ -363,8 +365,8 @@ def main(argv=None) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--cache-dir", default="zml_cache")
     ap.add_argument("--workers", type=int, default=1,
-                    help="threads that evaluate a pass's blocks: a series' dyadic "
-                         "t-blocks, zeta's chunks of at most 2^20 points")
+                    help="threads that evaluate a pass's blocks: a series' runs of "
+                         "one smoothing Y, and chunks of at most 2^20 points")
     ap.add_argument("--budget", type=int, default=5_000_000)
     sub = ap.add_subparsers(dest="cmd", required=True)
 

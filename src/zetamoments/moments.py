@@ -31,11 +31,14 @@ moment_step, validated by step halving: for zeta the coarsest h = 1/(2q)
 that samples the integrand's top frequency k log M at least 4 times per
 period (M the grid's top Euler-Maclaurin cut), for the series families
 min(0.02, 0.4/log T), as their integrand jumps where the smoothing Y changes
-between blocks.  A zeta pass evaluates its grid in one call at the top cut,
-or in the fewest equal chunks of at most 2^20 points, each at its own top
-cut; a series pass on dyadic t-blocks, each with its own Y.  One pass
-serves a T grid: a MomentRecord, one ledger.csv row, per T and one
-QuadraturePass of diagnostics for summary.json.  Residual magnitudes are
+between blocks.  Every family splits a pass by one rule: the grid splits
+where the family's evaluation parameter changes between dyadic t-blocks,
+and each run of one parameter into the fewest equal chunks of at most 2^20
+points.  zeta has no parameter, so a pass is one run, each chunk summed at
+its own top cut; a series' parameter is its smoothing Y, so dyadic blocks
+that share a Y are one run.  One pass serves a T grid: a MomentRecord, one
+ledger.csv row, per T and one QuadraturePass of diagnostics, with its
+blocks, for summary.json.  Residual magnitudes are
 fitted log-log against T and compared with the tabulated error-term
 exponents (the beta-envelope and sigma*-energy routes plus older comparison
 bounds).
@@ -61,6 +64,7 @@ __all__ = [
     "MomentRecord",
     "MomentRecords",
     "QuadraturePass",
+    "PassBlock",
     "FitResult",
     "TheoryConstants",
     "THEORY",
@@ -154,16 +158,30 @@ class MomentRecord:
     quad_err: float = float("nan")
 
 
+class PassBlock(NamedTuple):
+    """One block of a quadrature pass, for summary.json: its first and last
+    t, its points and its evaluation parameter, zeta's Euler-Maclaurin cut
+    or a series' smoothing Y (the other is None)."""
+
+    t_first: float
+    t_last: float
+    points: int
+    em_cut: int | None = None
+    Y: float | None = None
+
+
 @dataclass(frozen=True)
 class QuadraturePass:
     """One quadrature pass's diagnostics, for summary.json only: em_cut is zeta's
-    top Euler-Maclaurin cut, spread the max Y-doubling spread, *_s wall seconds."""
+    top Euler-Maclaurin cut, spread the max Y-doubling spread, blocks the
+    final level's PassBlocks, *_s wall seconds."""
 
     h: float = 0.0
     level: int = 0
     points: int = 0
     em_cut: int | None = None
     spread: float = 0.0
+    blocks: tuple = ()
     integrand_s: float = field(default=0.0, compare=False)
     simpson_s: float = field(default=0.0, compare=False)
 
@@ -380,61 +398,77 @@ def main_term_series(coeffs: CoeffTable, sigma: float) -> MainTermConstant:
 # Moment quadrature
 # ---------------------------------------------------------------------------
 
-_ZETA_CHUNK = 1 << 20  # most points of one zeta_em_grid call
+_ZETA_CHUNK = 1 << 20  # most points of one block, a zeta chunk or a piece of a series run
 
 
-def _dyadic_blocks(ts: np.ndarray) -> list:
-    """[i0, i1) and top edge hi of the grid's nonempty dyadic t-blocks [lo, hi),
-    edges 0, 50, 100, ... doubled until past the grid's largest t."""
+def _blocks(ts: np.ndarray, param) -> list:
+    """[i0, i1) and parameter p of each block of an increasing t-grid.
+
+    The grid splits where p = param(hi) changes between its nonempty dyadic
+    t-blocks [lo, hi), edges 0, 50, 100, ... doubled until past the grid's
+    largest t, and each run of one p into the fewest chunks of at most
+    _ZETA_CHUNK points, their lengths differing by at most one.  The blocks
+    depend on the grid alone."""
     edges = [0.0, 50.0]
     while edges[-1] <= ts[-1]:
         edges.append(2.0 * edges[-1])
+    runs = []  # [i0, i1, p]
     cut = np.searchsorted(ts, edges)
-    return [(i0, i1, hi) for i0, i1, hi in zip(cut[:-1], cut[1:], edges[1:]) if i1 > i0]
-
-
-def _equal_chunks(ts: np.ndarray) -> list:
-    """[i0, i1) and top t of the fewest chunks of at most _ZETA_CHUNK points,
-    their lengths differing by at most one."""
-    n = -(-len(ts) // _ZETA_CHUNK)
-    cut = [len(ts) * i // n for i in range(n + 1)]
-    return [(i0, i1, float(ts[i1 - 1])) for i0, i1 in zip(cut[:-1], cut[1:])]
+    for i0, i1, hi in zip(cut[:-1], cut[1:], edges[1:]):
+        if i1 > i0:
+            p = param(hi)
+            if runs and runs[-1][2] == p:
+                runs[-1][1] = i1
+            else:
+                runs.append([i0, i1, p])
+    out = []
+    for i0, i1, p in runs:
+        n = -(-(i1 - i0) // _ZETA_CHUNK)
+        ends = [i0 + (i1 - i0) * i // n for i in range(n + 1)]
+        out += [(a, b, p) for a, b in zip(ends[:-1], ends[1:])]
+    return out
 
 
 def _block_evaluator(fam: Family, k: int, sigma: float, coeffs: CoeffTable | None):
-    """(blocks, block): the family's split of a t-grid into blocks, and block(tt,
-    hi), the (|.|^{2k}, Y-doubling spread) of one block below hi.  zeta: equal
-    chunks, each by Euler-Maclaurin at its own top cut; a series: dyadic
-    blocks, smoothed at Y = min(max(2 hi, 100), N/74), as Y must grow with t,
-    with a pole's residue A (sum_{n<=x} c_n = A x + Delta) estimated from its
-    table."""
+    """(param, block): param(hi), the family's evaluation parameter on a dyadic
+    t-block below hi, and block(tt, p), the |.|^{2k} of the points tt at
+    parameter p, their Y-doubling spread and their PassBlock parameter
+    field.  zeta has no parameter: each block is summed by Euler-Maclaurin
+    at its own top cut.  A series is smoothed at Y = min(max(2 hi, 100),
+    N/74), as Y must grow with t, with a pole's residue A (sum_{n<=x} c_n =
+    A x + Delta) estimated from its table."""
     if fam.table is None:
-        return _equal_chunks, lambda tt, hi: (np.abs(zeta_em_grid(sigma, tt)) ** (2 * k), 0.0)
+        def zeta_block(tt, _):
+            vals = np.abs(zeta_em_grid(sigma, tt)) ** (2 * k)
+            return vals, 0.0, {"em_cut": _em_cut(tt[-1])}
+
+        return (lambda hi: None), zeta_block
     values = coeffs.values.astype(np.float64)
     residue = rankin_A(coeffs, coeffs.N)[0] if fam.pole else None
 
-    def block(tt, hi):
-        Y = min(max(2.0 * hi, 100.0), coeffs.N / 74.0)
+    def block(tt, Y):
         vals, spread = smoothed_grid(values, sigma, tt, Y, residue=residue)
-        return np.abs(vals) ** 2, spread
+        return np.abs(vals) ** 2, spread, {"Y": Y}
 
-    return _dyadic_blocks, block
+    return (lambda hi: min(max(2.0 * hi, 100.0), coeffs.N / 74.0)), block
 
 
-def _integrand_grid(ts: np.ndarray, blocks, block, workers: int) -> tuple[np.ndarray, float]:
-    """block(tt, hi) on each block of blocks(ts), joined, and the max spread.
-    The blocks and their evaluation parameters depend on the grid alone, so
-    values are independent of the worker count; blocks are joined in fixed
-    order, and a pass of one block starts no pool."""
-    args = [(ts[i0:i1], hi) for i0, i1, hi in blocks(ts)]
+def _integrand_grid(ts: np.ndarray, param, block, workers: int) -> tuple:
+    """block(tt, p) on each block of _blocks(ts, param), joined: the values,
+    the max spread and the blocks' PassBlocks.  The blocks and their
+    parameters depend on the grid alone, so values are independent of the
+    worker count; blocks are joined in fixed order, and a pass of one block
+    starts no pool."""
+    args = [(ts[i0:i1], p) for i0, i1, p in _blocks(ts, param)]
     if workers <= 1 or len(args) == 1:
         results = [block(*a) for a in args]
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(block, *zip(*args)))
-    if len(results) == 1:
-        return results[0]
-    return np.concatenate([v for v, _ in results]), max(s for _, s in results)
+    values = results[0][0] if len(results) == 1 else np.concatenate([r[0] for r in results])
+    info = tuple(PassBlock(float(tt[0]), float(tt[-1]), len(tt), **r[2])
+                 for (tt, _), r in zip(args, results))
+    return values, max(r[1] for r in results), info
 
 
 def _simpson_prefix(y: np.ndarray, h: float, m: int) -> float:
@@ -504,7 +538,7 @@ def _integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs, workers, b
     em_cut = _em_cut(Tmax) if fam.table is None else None
     level = 1  # current grid is at h/2
     t0 = time.perf_counter()  # a pole's residue is timed with the integrand
-    blocks, block = _block_evaluator(fam, k, sigma, coeffs)
+    param, block = _block_evaluator(fam, k, sigma, coeffs)
     integrand_s = simpson_s = 0.0
     while True:
         h2 = h / 2.0
@@ -512,7 +546,7 @@ def _integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs, workers, b
         if npts > budget:
             raise BudgetError(f"refinement needs {npts} evaluations > budget {budget}")
         ts = 1.0 + h2 * np.arange(npts)
-        y, spread = _integrand_grid(ts, blocks, block, workers)
+        y, spread, blocks = _integrand_grid(ts, param, block, workers)
         t1 = time.perf_counter()
         integrand_s += t1 - t0
         ok = True
@@ -532,7 +566,7 @@ def _integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs, workers, b
         simpson_s += t0 - t1
         if ok:
             records = MomentRecords(records + out)
-            records.quadrature = QuadraturePass(h0, level, npts, em_cut, spread,
+            records.quadrature = QuadraturePass(h0, level, npts, em_cut, spread, blocks,
                                                 integrand_s, simpson_s)
             return records
         h = h2

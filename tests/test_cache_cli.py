@@ -299,13 +299,20 @@ def test_experiment_summary_carries_quadrature_diagnostics(tmp_path):
         assert set(cell) == {
             "family", "k", "sigma", "slope", "intercept", "r2", "theory_exponent", "slack",
             "pass", "constant", "constant_tail", "near_half", "spread", "level", "points",
-            "h", "em_cut", "stage_s", "table_sha256",
+            "h", "em_cut", "blocks", "stage_s", "table_sha256",
         }
         assert cell["level"] >= 1
         h2 = cell["h"] / 2.0 ** cell["level"]
         assert cell["points"] == int(round((50.0 - 1.0) / h2)) + 1
     assert f2["h"] == zm.moments.moment_step("F2", 1, 50.0) and f2["em_cut"] is None
     assert zeta["h"] == zm.moments.moment_step("zeta", 1, 50.0) and zeta["em_cut"] == 100
+    # the final level's blocks: F2's two runs of one Y (Y = 100 below t = 50,
+    # then N/74), zeta's one chunk at its top cut
+    assert [(b["t_first"], b["t_last"], b["Y"], b["em_cut"]) for b in f2["blocks"]] == [
+        (1.0, f2["blocks"][0]["t_last"], 100.0, None), (50.0, 50.0, 8000 / 74.0, None)]
+    assert zeta["blocks"] == [{"t_first": 1.0, "t_last": 50.0, "points": zeta["points"],
+                               "em_cut": 100, "Y": None}]
+    assert sum(b["points"] for b in f2["blocks"]) == f2["points"]
     assert f2["spread"] > 0
     assert zeta["spread"] == 0
     # the checksum of the table each cell read; zeta reads none

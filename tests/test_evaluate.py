@@ -27,6 +27,8 @@ from zetamoments.evaluate import (
     _nu_cheb,
     _nufft,
     _phase_dot,
+    _pole_bound,
+    _pole_points,
     _zeta_em,
     chi_factor,
     gamma_fn,
@@ -559,3 +561,71 @@ def test_smoothed_grid_memory_stays_tiled(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def _smoothed_columns(values, sigma, ts, Y):
+    # smoothed_grid's two columns v(Y) and v(2Y) before any pole term
+    n = np.arange(1, min(len(values), int(math.ceil(74.0 * Y))) + 1, dtype=np.float64)
+    npw = values[: len(n)] * n ** (-sigma)
+    W = np.stack([npw * np.exp(-n / Y), npw * np.exp(-n / (2.0 * Y))], axis=1)
+    acc = _phase_dot(ts, np.log(n), W)[0]
+    return acc[:, 0], acc[:, 1]
+
+
+def _smoothed_pole_everywhere(values, sigma, ts, Y, residue):
+    # the reference: smoothed_grid with the pole term subtracted at every point
+    v1, v2 = _smoothed_columns(values, sigma, ts, Y)
+    one_m_s = 1.0 - (sigma + 1j * ts)
+    lg = loggamma(one_m_s)
+    v1 -= residue * np.exp(lg + one_m_s * math.log(Y))
+    v2 -= residue * np.exp(lg + one_m_s * math.log(2.0 * Y))
+    return 2.0 * v2 - v1, float(np.abs(v2 - v1).max())
+
+
+_Z2_GRIDS = [
+    0.01 * np.arange(16000),  # from t = 0
+    1.0 + 0.01 * np.arange(15901),  # the Z2 pass of T = 160
+    -80.0 + 0.01 * np.arange(16001),  # negative t
+    *[np.array([t]) for t in (0.0, 1.0, 20.0, 27.3, 40.0, -5.0)],
+]
+
+
+@pytest.mark.parametrize("sigma", [0.55, 0.8, 0.95])
+def test_smoothed_grid_pole_term_skip_is_bit_identical(rankin_16e4, sigma):
+    A = zm.rankin_A(rankin_16e4, rankin_16e4.N)[0]
+    for ts in _Z2_GRIDS:
+        for Y in (100.0, 12000 / 74.0):
+            got = smoothed_grid(rankin_16e4.values, sigma, ts, Y, residue=A)
+            ref = _smoothed_pole_everywhere(rankin_16e4.values, sigma, ts, Y, A)
+            assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1], (ts[0], Y)
+
+
+@pytest.mark.parametrize("sigma", [0.55, 0.8, 0.95])
+def test_pole_term_skip_drops_only_negligible_points(rankin_16e4, sigma):
+    # at every point left out, the pole term at Y and at 2Y (30 digits) is
+    # under a quarter ulp of every component it would be subtracted from
+    A = zm.rankin_A(rankin_16e4, rankin_16e4.N)[0]
+    Y = 12000 / 74.0
+    ts = -40.0 + 0.02 * np.arange(4001)
+    v1, v2 = _smoothed_columns(rankin_16e4.values, sigma, ts, Y)
+    kept = _pole_points(A, sigma, ts, Y, v1, v2)
+    dropped = np.setdiff1d(np.arange(len(ts)), kept)
+    assert 0 < len(kept) < len(ts) and len(dropped) > 1000
+    with mpmath.workdps(30):
+        for i in dropped:
+            s = mpmath.mpc(sigma, ts[i])
+            for Yp, v in ((Y, v1[i]), (2.0 * Y, v2[i])):
+                term = float(abs(A * mpmath.gamma(1 - s) * mpmath.mpf(Yp) ** (1 - s)))
+                assert term < np.spacing(min(abs(v.real), abs(v.imag))) / 4.0, ts[i]
+
+
+@pytest.mark.parametrize("sigma", [0.55, 0.8, 0.95])
+def test_pole_bound_holds_against_mpmath(sigma):
+    # P(t)/2 bounds |A Gamma(1-s) (2Y)^(1-sigma)| and is sharp to 20%
+    A, Y = 0.7, 162.0
+    ts = np.r_[np.linspace(-200.0, 200.0, 401), np.linspace(-2.0, 2.0, 41)]
+    P = _pole_bound(A, sigma, ts, Y)
+    with mpmath.workdps(30):
+        for t, p in zip(ts, P):
+            exact = A * abs(mpmath.gamma(1 - mpmath.mpc(sigma, t))) * mpmath.mpf(2 * Y) ** (1 - sigma)
+            assert exact <= p / 2.0 <= 1.2 * exact, t

@@ -10,7 +10,6 @@ from zetamoments.arith import prime_sieve
 from zetamoments.evaluate import _zeta_em, gamma_fn, zeta_em_grid
 from zetamoments.moments import (
     _block_evaluator,
-    _dyadic_blocks,
     _euler_arith_factor,
     _integrand_grid,
     _integrate_moment_grid,
@@ -189,27 +188,68 @@ def test_a_record_is_exactly_a_ledger_row():
     q = recs.quadrature
     assert (q.h, q.em_cut, q.spread) == (moment_step("zeta", 1, 150.0), 300, 0.0)
     assert q.points == int(round(149.0 / (q.h / 2.0**q.level))) + 1
+    assert q.blocks == (zm.moments.PassBlock(1.0, 150.0, q.points, em_cut=300),)
     assert q.integrand_s > 0.0 and q.simpson_s > 0.0
 
 
-def test_blocks_are_doubled_edges_past_the_grid(atilde_12e3):
-    # a series family's blocks: edges 0, 50, 100, ... doubled until past the
-    # grid's last t, however far that is; a grid ending on an edge gets a
-    # one-point block above it
-    blocks, _ = _block_evaluator(family_of("F2"), 1, 0.8, atilde_12e3)
-    assert blocks is _dyadic_blocks
+def _series_blocks(ts, N):
+    # (points, p) of each block a series pass over ts evaluates with a table of N
+    param, _ = _block_evaluator(family_of("F2"), 1, 0.8, zm.CoeffTable("a_tilde", N, np.zeros(N)))
     seen = []
 
-    def block(tt, hi):
-        seen.append((len(tt), hi))
-        return np.zeros(len(tt)), 0.0
+    def block(tt, p):
+        seen.append((len(tt), p))
+        return np.zeros(len(tt)), 0.0, {}
 
-    _integrand_grid(1.0 + 0.5 * np.arange(1599), blocks, block, 1)  # t in [1, 800]
-    assert seen == [(98, 50.0), (100, 100.0), (200, 200.0), (400, 400.0), (800, 800.0),
-                    (1, 1600.0)]
-    seen.clear()
-    y, _ = _integrand_grid(np.array([10.0, 7000.0, 30000.0]), blocks, block, 1)
-    assert seen == [(1, 50.0), (1, 12800.0), (1, 51200.0)] and len(y) == 3
+    y, _, _ = _integrand_grid(ts, param, block, 1)
+    assert len(y) == len(ts)
+    return seen
+
+
+def test_series_blocks_split_where_y_changes():
+    # a series pass splits where Y = min(max(2 hi, 100), N/74) changes between
+    # the dyadic t-blocks [lo, hi), edges 0, 50, 100, ... doubled until past
+    # the grid's last t: at N = 12 000 Y reaches N/74 from the second block up
+    ts = 1.0 + 0.5 * np.arange(1599)  # t in [1, 800]
+    assert _series_blocks(ts, 12_000) == [(98, 100.0), (1501, 12_000 / 74.0)]
+    assert _series_blocks(np.array([10.0, 7000.0, 30000.0]), 12_000) == [
+        (1, 100.0), (2, 12_000 / 74.0)]
+    # at N = 2e5 no two blocks share a Y, and a grid ending on an edge gets a
+    # one-point block above it
+    assert _series_blocks(ts, 200_000) == [
+        (98, 100.0), (100, 200.0), (200, 400.0), (400, 800.0), (800, 1600.0),
+        (1, 200_000 / 74.0)]
+
+
+def test_series_run_splits_into_equal_chunks_that_keep_y(atilde_12e3, monkeypatch):
+    # past the chunk limit a run is the fewest equal chunks, each at the
+    # run's Y; the pass's blocks are the calls; the rows do not depend on the
+    # worker count
+    calls = []
+
+    def spy(values, sigma, ts, Y, residue=None):
+        calls.append((float(ts[0]), float(ts[-1]), len(ts), Y))
+        return zm.evaluate.smoothed_grid(values, sigma, ts, Y, residue)
+
+    monkeypatch.setattr(zm.moments, "_ZETA_CHUNK", 1000)
+    monkeypatch.setattr(zm.moments, "smoothed_grid", spy)
+    rows = {}
+    for workers in (1, 2):
+        calls.clear()
+        recs = integrate_moment_grid("F2", 1, 0.8, [40.0, 80.0], coeffs=atilde_12e3,
+                                     workers=workers)
+        rows[workers] = [repr(r) for r in recs]
+        q = recs.quadrature
+        assert sorted(calls) == [(b.t_first, b.t_last, b.points, b.Y) for b in q.blocks]
+        assert all(b.em_cut is None for b in q.blocks)
+        runs = {}
+        for b in q.blocks:
+            runs.setdefault(b.Y, []).append(b.points)
+        assert list(runs) == [100.0, 12_000 / 74.0]
+        for Y, sizes in runs.items():
+            assert len(sizes) == -(-sum(sizes) // 1000) > 1 and max(sizes) - min(sizes) <= 1
+        assert sum(b.points for b in q.blocks) == q.points
+    assert rows[1] == rows[2]
 
 
 def test_zeta_pass_is_one_call_at_the_top_cut(monkeypatch):
