@@ -49,6 +49,12 @@ _INT64_SAFE = 1 << 61
 # Default memory budget for sieves (values), in entries
 _SIEVE_BUDGET = 10**8
 
+# sieve_dk's wheel: prime -> exponent, and the period prod p^e = 151200
+_WHEEL = {2: 5, 3: 3, 5: 2, 7: 1}
+_WHEEL_PERIOD = math.prod(p**e for p, e in _WHEEL.items())
+# entries per block of sieve_dk's last step, which stays in cache
+_BLOCK = 1 << 16
+
 
 class CapacityError(Exception):
     """A table request exceeds the configured size/overflow budget."""
@@ -143,6 +149,14 @@ def sieve_dk(k: int, N: int) -> CoeffTable:
     2^31) multiplied by p.  An n whose found part ends below n has one prime
     factor > sqrt(N) left, worth d_k(p) = k; the found array turns into that
     factor in place, so the sieve allocates no int64 temporaries.
+
+    The small prime powers, whose strided passes would each touch every
+    cache line of the table, are sieved once over one wheel period
+    P = 2^5 3^3 5^2 7 (the whole table when N < P): the factor that
+    p^a, a <= e_p, contributes to n depends only on min(v_p(n), e_p), a
+    function of n mod p^e_p, so that period repeats exactly.  It is copied
+    over the table by doubling slices in place, and the higher powers of
+    the wheel primes continue from a = e_p + 1.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -157,26 +171,48 @@ def sieve_dk(k: int, N: int) -> CoeffTable:
         # loose a priori guard; the exact post-check below still runs
         if k > 16:
             raise CapacityError(f"d_{k} at N={N} may overflow int64")
-    vals = np.ones(N, dtype=np.int64)
     if k == 1:
-        return CoeffTable("d_k", N, vals, {"k": 1})
-    found = np.ones(N, dtype=np.int32)  # N <= _SIEVE_BUDGET < 2^31
-    for p in map(int, prime_sieve(math.isqrt(N))):
-        vals[p - 1:: p] *= k
-        found[p - 1:: p] *= p
-        pa, a = p * p, 2
-        while pa <= N:
-            sl = vals[pa - 1:: pa]
-            sl *= a + k - 1
-            sl //= a
-            found[pa - 1:: pa] *= p
+        return CoeffTable("d_k", N, np.ones(N, dtype=np.int64), {"k": 1})
+    period = min(N, _WHEEL_PERIOD)
+    vals = np.empty(N, dtype=np.int64)  # filled from the first period on
+    found = np.empty(N, dtype=np.int32)  # N <= _SIEVE_BUDGET < 2^31
+    vals[:period] = 1
+    found[:period] = 1
+
+    def sieve_powers(p: int, a: int, top: int, stop: int) -> None:
+        # the passes of p^a, p^(a+1), ... up to p^top, over vals[:stop]
+        pa = p**a
+        while a <= top and pa <= stop:
+            sl = vals[pa - 1: stop: pa]
+            if a == 1:
+                sl *= k
+            else:
+                sl *= a + k - 1
+                sl //= a
+            found[pa - 1: stop: pa] *= p
             a += 1
             pa *= p
-    # found becomes the factor k where a prime > sqrt(N) is left, else 1
-    np.less(found, np.arange(1, N + 1, dtype=np.int32), out=found)
-    found *= k - 1
-    found += 1
-    vals *= found
+
+    for p, e in _WHEEL.items():
+        sieve_powers(p, 1, e, period)
+    m = period
+    while m < N:  # vals[:m] holds whole periods; double it
+        c = min(m, N - m)
+        vals[m: m + c] = vals[:c]
+        found[m: m + c] = found[:c]
+        m += c
+    for p in map(int, prime_sieve(math.isqrt(N))):
+        sieve_powers(p, _WHEEL.get(p, 0) + 1, N, N)
+    # found becomes the factor k where a prime > sqrt(N) is left, else 1,
+    # a block at a time so that no table-sized n array is made
+    n = np.arange(1, min(N, _BLOCK) + 1, dtype=np.int32)
+    for lo in range(0, N, _BLOCK):
+        f = found[lo: lo + _BLOCK]
+        np.less(f, n[: len(f)], out=f)
+        f *= k - 1
+        f += 1
+        vals[lo: lo + _BLOCK] *= f
+        n += _BLOCK
     if int(vals.max()) >= _INT64_SAFE:
         raise CapacityError(f"d_{k} values at N={N} exceed the int64 budget")
     return CoeffTable("d_k", N, vals, {"k": k})

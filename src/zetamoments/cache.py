@@ -5,7 +5,8 @@ u64 header length, JSON header (label, params, dtype, sha256 of the payload),
 then the raw payload.  int64/float64 tables are stored as little-endian
 arrays, hashed and written straight from the array's buffer;
 arbitrary-precision integer tables ("bigint") store each value as
-u32 byte-length, sign byte, magnitude bytes (little-endian).
+u32 byte-length, sign byte, magnitude bytes (little-endian), encoded for
+all values at once from one fixed-width record array (`_payload`).
 
 Every read checks the payload against the header's sha256, and a short,
 unparsable or incomplete header is a CacheError like a checksum mismatch.  Values are
@@ -26,6 +27,7 @@ import hashlib
 import json
 import os
 import struct
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,17 +40,31 @@ class CacheError(Exception):
 
 
 def _payload(values, dtype: str):
-    """The payload as a buffer: bytes for bigint, else a little-endian array
-    (the table itself when it already is one, so no copy is made)."""
+    """The payload as a buffer: a little-endian array, which for int64 and
+    float64 is the table itself when it already is one, so no copy is made.
+
+    A bigint table is encoded without a loop over its values in Python:
+    every magnitude becomes W bytes (W those of the widest, at least 1) in
+    one (n, 5 + W) uint8 record array that also holds the u32 lengths and
+    the sign bytes; one boolean mask keeps the first 5 + length bytes of
+    each record, in order.  The records cost n (5 + W) bytes, so one value
+    far wider than the rest makes the encoder's buffer that much larger
+    than the payload."""
     if dtype == "bigint":
-        chunks = []
-        for v in values:
-            v = int(v)
-            mag = abs(v)
-            raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "little")
-            chunks.append(struct.pack("<IB", len(raw), 1 if v < 0 else 0))
-            chunks.append(raw)
-        return b"".join(chunks)
+        ints = list(map(int, values))
+        n = len(ints)
+        W = max((max(map(int.bit_length, ints), default=0) + 7) // 8, 1)
+        mags = np.frombuffer(b"".join(map(int.to_bytes, map(abs, ints), repeat(W),
+                                          repeat("little"))), dtype=np.uint8).reshape(n, W)
+        # byte length: up to the last nonzero byte, and one byte for a zero
+        nonzero = mags != 0
+        nonzero[:, 0] = True
+        length = W - np.argmax(nonzero[:, ::-1], axis=1)
+        rec = np.empty((n, 5 + W), dtype=np.uint8)
+        rec[:, :4] = length.astype("<u4").view(np.uint8).reshape(n, 4)
+        rec[:, 4] = np.array(ints, dtype=object) < 0
+        rec[:, 5:] = mags
+        return rec[np.arange(5 + W) < 5 + length[:, None]]
     return np.ascontiguousarray(values, dtype="<i8" if dtype == "int64" else "<f8")
 
 

@@ -5,15 +5,14 @@ q prod_{m>=1} (1-q^m)^24.  The cube of the Euler product E = prod (1-q^m) is
 read off Jacobi's identity E^3 = sum (-1)^m (2m+1) q^{m(m+1)/2}, then squared
 three times: E^24 = ((E^3)^2)^2)^2.  Every squaring is an exact convolution by
 float FFT on balanced 11-bit limbs whose rounding is certified (_square), so
-the table is exact arbitrary-precision integers.
+the table is exact arbitrary-precision integers; the limb products are
+recombined in int64 runs bounded by their exact maxima, joined in Python ints.
 
 Every tau table is certified against Deligne's bound tau(n)^2 <= d(n)^2 n^11
 before it is normalized.  The check runs in float64 with a margin of 64 eps,
 four times its worst rounding, so a pass in floats implies the exact bound;
 each n inside the margin (on real tables only n = 1) is settled in exact
-integer arithmetic.  The int64 guard of a squaring, |a|_2^2 < 2^61, is decided
-the same way: by one float sum of squares when it is clear of its error band,
-else by the exact sum.
+integer arithmetic.
 
 Derived tables: the Deligne-normalized a~(n) = tau(n) n^{-11/2}, the
 self-convolution a~*a~ (coefficients of F^2), and the Rankin-Selberg
@@ -31,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import (_INT64_SAFE, CapacityError, CoeffTable, PrecisionError,
-                    SummatoryPolynomial, delta_mean_square, dirichlet_convolve, sieve_dk)
+from .arith import (CapacityError, CoeffTable, PrecisionError, SummatoryPolynomial,
+                    delta_mean_square, dirichlet_convolve, sieve_dk)
 
 __all__ = [
     "TauTable",
@@ -49,6 +48,7 @@ _TAU_BUDGET = 2 * 10**5
 _LIMB_BITS = 11
 _EPS = 2.0**-53  # float64 unit roundoff
 _BETA = 2.0**-51  # assumed relative error of numpy's FFT twiddle factors
+_RUN_LIMIT = 1 << 62  # bound on a run of limb sums recombined in int64
 
 
 class DeligneBoundError(Exception):
@@ -65,27 +65,6 @@ class TauTable:
     rounding: dict = field(default_factory=dict, compare=False)
 
 
-def _norm2_at_least(a: np.ndarray, limit: int) -> bool:
-    """Exactly whether sum a_i^2 >= limit for an int64 array a.
-
-    One float sum of squares decides when it is clear of the limit:
-    conversion and squaring cost eps each, and numpy's pairwise sum, in
-    which no term passes more than len - 1 additions (fewer than a running
-    sum's), errs by at most (len - 1) eps of the sum of its nonnegative
-    terms, so (len + 2) eps relative, taken twice, covers the whole.  Only a
-    norm within that band of the limit is summed in Python ints.  No BLAS
-    dot product: with its threads on, one call on 10^4 - 10^5 values costs
-    milliseconds.
-    """
-    af = a.astype(np.float64)
-    af *= af
-    s = float(af.sum())
-    err = (len(a) + 2) * 2 * _EPS * s
-    if abs(s - limit) > err:
-        return s > limit
-    return sum(x * x for x in a.tolist()) >= limit
-
-
 def _square(a: np.ndarray) -> tuple:
     """Exact truncated square sum_{i+j=n} a_i a_j, n <= M = len(a) - 1, by FFT.
 
@@ -96,9 +75,12 @@ def _square(a: np.ndarray) -> tuple:
         sum_{i+j=s} |d_i|_2 |d_j|_2 ((1+eps)^3n (1+eps sqrt5)^(3n+1) (1+beta)^3n - 1) < 1/4,
     beta = 2^-51 assumed for numpy's twiddles (an rfft of a unit impulse
     returns them within 2.4 eps at L = 2^19), and max|c_s - rint(c_s)| < 1/4;
-    else PrecisionError.  Horner's rule recombines the c_s in int64 when
-    |a|_2^2 < 2^61, which by Cauchy-Schwarz bounds every coefficient and
-    Horner partial sum, else in Python ints.  Returns (square, (largest
+    else PrecisionError.  The c_s are cut into runs s0 <= s < s1, each as
+    long as sum max|c_s| 2^(11 (s - s0)) < 2^62 allows with the exact
+    integer maxima; that sum bounds every Horner partial sum of the run, so
+    each run recombines in place in int64.  The runs are joined in Python
+    ints, one shift-add per run past the first (two runs for tau to 15 000),
+    and a square that is one run stays int64.  Returns (square, (largest
     a-priori bound, largest observed deviation)).
     """
     M = len(a) - 1
@@ -130,9 +112,24 @@ def _square(a: np.ndarray) -> tuple:
         if observed >= 0.25:
             raise PrecisionError(f"FFT rounding deviation {observed:.3g} >= 1/4 for limb sum {s}")
         sums.append(ci.astype(np.int64))
-    acc = sums.pop().astype(object if _norm2_at_least(a, _INT64_SAFE) else np.int64)
-    for c in reversed(sums):
-        acc = (acc << _LIMB_BITS) + c
+    # cut the c_s into runs s0 <= s < s1 whose sum of max|c_s| 2^(11 (s - s0))
+    # stays below 2^62, from exact integer maxima
+    starts, weight = [0], 0
+    for s, c in enumerate(sums):
+        m = int(np.abs(c).max())
+        weight += m << _LIMB_BITS * (s - starts[-1])
+        if weight >= _RUN_LIMIT and s > starts[-1]:
+            starts.append(s)
+            weight = m
+    acc = None
+    for s0, s1 in reversed(list(zip(starts, starts[1:] + [len(sums)]))):
+        run = sums[s1 - 1]
+        for c in reversed(sums[s0: s1 - 1]):  # Horner in place, in int64
+            run <<= _LIMB_BITS
+            run += c
+        if acc is not None:  # join the runs in Python ints
+            run = (acc.astype(object, copy=False) << _LIMB_BITS * (s1 - s0)) + run
+        acc = run
     return acc, (bound, observed)
 
 

@@ -716,25 +716,43 @@ def secondary_term(sigma: float, T, k: int = 1):
     _check_sigma(sigma)
     T = np.asarray(T, dtype=np.float64) if np.ndim(T) else float(T)
     if k == 1:
-        z = zeta_em(complex(2.0 * sigma - 1.0, 0.0), 1e-10).value.real
-        g = gamma_fn(complex(2.0 * sigma - 1.0, 0.0)).value.real
-        return z * g * math.sin(math.pi * sigma) / (1.0 - sigma) * T ** (2.0 - 2.0 * sigma)
+        return _secondary_factor(sigma) * T ** (2.0 - 2.0 * sigma)
     if k not in (2, 3):
         raise ValueError(f"secondary terms cover k = 1, 2, 3, not k={k}")
     return _one_swap_recipe(k, sigma, T)
 
 
+def _secondary_factor(sigma: float) -> float:
+    """S_1's factor of T^{2-2 sigma}: zeta(2 sigma-1) Gamma(2 sigma-1) sin(pi sigma)/(1-sigma)."""
+    _check_sigma(sigma)
+    z = zeta_em(complex(2.0 * sigma - 1.0, 0.0), 1e-10).value.real
+    g = gamma_fn(complex(2.0 * sigma - 1.0, 0.0)).value.real
+    return z * g * math.sin(math.pi * sigma) / (1.0 - sigma)
+
+
 def residual(rec: MomentRecord, C: MainTermConstant) -> MomentRecord:
     """Fill main = C*T (+ secondary term for the k=1 zeta family) and residual."""
-    if C.family != rec.family or C.k != rec.k:
-        raise ValueError(f"constant {C.family},k={C.k} does not match record "
-                         f"{rec.family},k={rec.k}")
-    if abs(C.sigma - rec.sigma) > 1e-12:
-        raise ValueError("sigma mismatch between record and constant")
-    main = C.value * rec.T
-    if rec.family == "zeta" and rec.k == 1:
-        main += secondary_term(rec.sigma, rec.T)
-    return replace(rec, main=main, residual=rec.integral - main)
+    return _residuals([rec], C)[0]
+
+
+def _residuals(records, C: MainTermConstant) -> list:
+    """residual() of each record, with S_1's factor computed once per sigma
+    and each row's own T^{2-2 sigma}, so every row equals residual()'s."""
+    factors = {}
+    out = []
+    for rec in records:
+        if C.family != rec.family or C.k != rec.k:
+            raise ValueError(f"constant {C.family},k={C.k} does not match record "
+                             f"{rec.family},k={rec.k}")
+        if abs(C.sigma - rec.sigma) > 1e-12:
+            raise ValueError("sigma mismatch between record and constant")
+        main = C.value * rec.T
+        if rec.family == "zeta" and rec.k == 1:
+            if rec.sigma not in factors:
+                factors[rec.sigma] = _secondary_factor(rec.sigma)
+            main += factors[rec.sigma] * float(rec.T) ** (2.0 - 2.0 * rec.sigma)
+        out.append(replace(rec, main=main, residual=rec.integral - main))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -958,7 +976,7 @@ def exponent_experiment(
     grid = integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs=coeffs,
                                  workers=workers, budget=budget)
     t2 = time.perf_counter()
-    records = [residual(r, constant) for r in grid]
+    records = _residuals(grid, constant)
     theo = theory_exponent(family, k, sigma)
     fit = fit_power_law([(r.T, r.residual) for r in records if r.T > 1], strict=False)
     near_half = sigma - 0.5 < 0.05

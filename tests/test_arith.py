@@ -60,6 +60,53 @@ def _dk_by_trial_division(k: int, n: int) -> int:
     return out * (k if n > 1 else 1)
 
 
+def _sieve_dk_strided(k: int, N: int) -> np.ndarray:
+    """d_k(1..N) by one strided pass per prime power over the whole table
+    (sieve_dk before its wheel pre-sieve)."""
+    vals = np.ones(N, dtype=np.int64)
+    if k == 1:
+        return vals
+    found = np.ones(N, dtype=np.int32)
+    for p in map(int, prime_sieve(math.isqrt(N))):
+        vals[p - 1:: p] *= k
+        found[p - 1:: p] *= p
+        pa, a = p * p, 2
+        while pa <= N:
+            sl = vals[pa - 1:: pa]
+            sl *= a + k - 1
+            sl //= a
+            found[pa - 1:: pa] *= p
+            a += 1
+            pa *= p
+    np.less(found, np.arange(1, N + 1, dtype=np.int32), out=found)
+    return vals * (1 + (k - 1) * found.astype(np.int64))
+
+
+def test_dk_wheel_matches_strided_sieve_for_every_N_to_300():
+    for k in range(1, 9):
+        for N in range(1, 301):
+            assert np.array_equal(zm.sieve_dk(k, N).values, _sieve_dk_strided(k, N)), (k, N)
+
+
+_P = zm.arith._WHEEL_PERIOD  # 151200
+
+
+@pytest.mark.parametrize("N", [_P - 1, _P, _P + 1, 2 * _P, 2 * _P + 1, 10**6])
+def test_dk_wheel_matches_strided_sieve_across_periods(N):
+    # one period short of, at and past the wheel's whole copies
+    for k in (2, 3, 5):
+        assert np.array_equal(zm.sieve_dk(k, N).values, _sieve_dk_strided(k, N)), (k, N)
+
+
+def test_dk_wheel_against_trial_division_around_periods():
+    N = 2 * _P + 40
+    for k in (2, 3, 4):
+        table = zm.sieve_dk(k, N).values
+        for centre in (_P, 2 * _P):
+            for n in range(centre - 40, centre + 41):
+                assert table[n - 1] == _dk_by_trial_division(k, n), (k, n)
+
+
 def test_dk_random_sample_against_trial_division(rng):
     N = 10**5
     ns = rng.integers(1, N + 1, size=500)

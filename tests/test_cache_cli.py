@@ -51,6 +51,32 @@ def test_cache_roundtrip_bigint(tmp_path):
     assert out == vals
 
 
+def _payload_per_value(values) -> bytes:
+    """The bigint payload encoded one value at a time."""
+    chunks = []
+    for v in values:
+        mag = abs(v)
+        raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "little")
+        chunks.append(struct.pack("<IB", len(raw), 1 if v < 0 else 0))
+        chunks.append(raw)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("values", [
+    [], [0], [1], [-1], [255], [-255], [256], [-256], [2**64], [-(2**200)],
+    [0, -1, 255, -256, 2**64, -(2**200), 3**100, 7, 0],  # mixed widths
+])
+def test_bigint_payload_matches_per_value_encoder(values):
+    payload = cache._payload(values, "bigint")
+    assert bytes(payload) == _payload_per_value(values)
+    assert cache._decode_payload(bytes(payload), len(values), "bigint") == values
+
+
+def test_bigint_payload_of_tau_matches_per_value_encoder():
+    tau = zm.tau_table(15000).tau
+    assert bytes(cache._payload(tau, "bigint")) == _payload_per_value(tau)
+
+
 def test_cache_detects_corruption(tmp_path):
     p = tmp_path / "c.zml"
     cache.save_table(p, "d_k", {"k": 2, "N": 10}, zm.sieve_dk(2, 10).values)
@@ -109,9 +135,21 @@ def test_build_tables_tau_bytes_pinned(tmp_path):
         "dd37370837ae6711f9c35f5ef44d96a2a7a906dcba5e16fa7f93476584a2edeb")
 
 
+def test_build_tables_tau_bytes_pinned_at_15000(tmp_path):
+    # two int64 runs recombine each value of the last squaring
+    build_table(RunConfig(tmp_path), "tau", 15000)
+    path = tmp_path / cache.cache_key("tau", {}, 15000)
+    assert cache.table_header(path)["sha256"] == (
+        "90381dbca21c5fbc91c9e8078096ec8a62a953682971cdafef723099b5f38a2b")
+
+
+# 10^6 and 2 * 151200 + 1 cover whole copies of sieve_dk's wheel period and a
+# partial one
 @pytest.mark.parametrize("k, N, sha256", [
     (3, 10**5, "3947898e2372c7b609f8745fc32e383e1c627b3e2c77b9b3fe084ea3029bd134"),
     (2, 10**4, "77d9a472af678398d14aaada9a724a9ab9a167d232da2c21f5d3c2d04ca69c88"),
+    (3, 10**6, "725ebc213277ce20f1706dbfd487c69dbee4c15682f0c305b88017fa197bccd5"),
+    (2, 302401, "ddbaa04bf64d754582ed7ea066cd82afce349d4771dee4e9395b665195d39153"),
 ])
 def test_build_tables_dk_bytes_pinned(tmp_path, k, N, sha256):
     # d_k is exact little-endian int64, so its cache payload is the same everywhere

@@ -137,16 +137,22 @@ def test_square_int64_guard_raises():
     assert mf._square(a)[0].tolist() == schoolbook_square(a.tolist(), 9)
 
 
-def test_square_int64_guard_decides_exactly():
-    # norm^2 = 2^61 - 2^31 + 1 recombines in int64; exactly 2^61 is inside the
-    # float dot product's error band, so the exact sum picks Python ints
-    for a in ([2**30, 2**30 - 1], [2**30, 2**30]):
-        a = np.array(a, dtype=np.int64)
-        assert mf._square(a)[0].tolist() == schoolbook_square(a.tolist(), 1)
-    # norm^2 = 2^61 - 1, also decided by the exact sum, is below the limit
-    edge = np.array([2**30, 2**30 - 1, 46340, 296, 20, 5, 2, 1], dtype=np.int64)
-    assert sum(x * x for x in edge.tolist()) == 2**61 - 1
-    assert not mf._norm2_at_least(edge, 2**61)
+def test_square_int64_guard_decides_exactly(monkeypatch):
+    # a = [1, x] with every balanced limb of x in [1, 2^10): the limb sums'
+    # maxima are 2 d_s(x), so the run bound sum max|c_s| 2^(11 s) is exactly
+    # 2 x; one run just below the limit, a second run from s = 5 at it
+    x = sum(1023 << 11 * s for s in range(5)) + (63 << 55)  # the largest such x < 2^61
+    for limit, dtype in ((2 * x + 1, np.int64), (2 * x, object)):
+        monkeypatch.setattr(mf, "_RUN_LIMIT", limit)
+        sq = mf._square(np.array([1, x], dtype=np.int64))[0]
+        assert sq.dtype == dtype
+        assert sq.tolist() == schoolbook_square([1, x], 1)
+    monkeypatch.undo()
+    assert mf._square(np.array([1, x], dtype=np.int64))[0].dtype == np.int64
+    # x = 2^61 (one limb, 64 at s = 5): the bound 2^62 + 1 reaches 2^62
+    sq = mf._square(np.array([1, 2**61], dtype=np.int64))[0]
+    assert sq.dtype == object
+    assert sq.tolist() == schoolbook_square([1, 2**61], 1) == [1, 2**62]
 
 
 def test_deligne_corruption_near_N_raises(tau_1e5):
