@@ -1,24 +1,25 @@
 """Versioned binary cache and CSV export for coefficient tables.
 
-Cache layout: magic b"ZML1", little-endian u64 value count, little-endian
-u64 header length, JSON header (label, params, dtype, sha256 of the payload),
-then the raw payload.  int64/float64 tables are stored as little-endian
-arrays, hashed and written straight from the array's buffer;
-arbitrary-precision integer tables ("bigint") store each value as
-u32 byte-length, sign byte, magnitude bytes (little-endian), encoded for
-all values at once from one fixed-width record array (`_payload`).
+Cache layout: magic b"ZML2", little-endian u64 value count n, little-endian
+u64 header length, JSON header (label, params, dtype, width, sha256 of the
+payload), then the payload: n records of `width` bytes each, little-endian
+two's-complement integers, or IEEE doubles for a float64 table.
 
-Every read checks the payload against the header's sha256, and a short,
-unparsable or incomplete header is a CacheError like a checksum mismatch.  Values are
-decoded only for a caller that needs them: `load_table` verifies and
-decodes, `verify_table` verifies and decodes nothing, hashing the payload
-1 MB at a time so that a cache hit makes no payload-sized buffer.
+The width is the fewest bytes that hold every value of the table (`_width`),
+rounded up to 1, 2, 4 or 8 for an int64 table so that it decodes as one
+numpy array; a float64 table takes 8.  So d_3 to 10^7 (max 22 680) is
+stored in 2 bytes a value, and tau to 15 000 in 10.
 
-The value count is outside the checksum.  An int64/float64 payload must
-hold 8 bytes per value on both paths; a bigint payload must decode into
-exactly the counted values with no byte left, which only `load_table`
-checks: `verify_table` would have to walk the whole payload to do so, a
-cost on every warm cache hit.
+Every read checks the payload against the header's sha256 and its size
+against width * n, one size check for every dtype, so a value count that
+disagrees with the payload is caught without decoding it.  A short,
+unparsable or incomplete header (one without a positive integer width
+that its dtype allows) is a CacheError like a checksum mismatch, and so is
+a file of an older layout, whose magic differs: `build-tables` rebuilds it.
+Values are decoded only for a caller that needs them: `load_table`
+verifies and decodes (an int64 table back to int64, a bigint one into
+Python ints), `verify_table` verifies and decodes nothing, hashing the
+payload 1 MB at a time so that a cache hit makes no payload-sized buffer.
 """
 
 from __future__ import annotations
@@ -27,65 +28,46 @@ import hashlib
 import json
 import os
 import struct
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-MAGIC = b"ZML1"
+MAGIC = b"ZML2"
+# the record widths an int64 or float64 table may take; a bigint one takes any
+_WIDTHS = {"int64": (1, 2, 4, 8), "float64": (8,)}
 
 
 class CacheError(Exception):
     pass
 
 
-def _payload(values, dtype: str):
-    """The payload as a buffer: a little-endian array, which for int64 and
-    float64 is the table itself when it already is one, so no copy is made.
+def _width(lo: int, hi: int) -> int:
+    """The fewest bytes that hold every integer in [lo, hi] in two's complement."""
+    return max(hi, ~lo).bit_length() // 8 + 1
 
-    A bigint table is encoded without a loop over its values in Python:
-    every magnitude becomes W bytes (W those of the widest, at least 1) in
-    one (n, 5 + W) uint8 record array that also holds the u32 lengths and
-    the sign bytes; one boolean mask keeps the first 5 + length bytes of
-    each record, in order.  The records cost n (5 + W) bytes, so one value
-    far wider than the rest makes the encoder's buffer that much larger
-    than the payload."""
+
+def _payload(values, dtype: str) -> tuple:
+    """(width, payload): the table as n records of `width` bytes, in a buffer
+    to hash and write.  A float64 table that already is a little-endian
+    array is its own payload, so no copy is made."""
+    if dtype == "float64":
+        return 8, np.ascontiguousarray(values, dtype="<f8")
+    if dtype == "int64":
+        need = _width(int(values.min(initial=0)), int(values.max(initial=0)))
+        width = next(w for w in _WIDTHS["int64"] if w >= need)
+        return width, np.ascontiguousarray(values, dtype=f"<i{width}")
+    ints = list(map(int, values))
+    width = _width(min(ints, default=0), max(ints, default=0))
+    return width, b"".join([v.to_bytes(width, "little", signed=True) for v in ints])
+
+
+def _decode_payload(buf: bytes, n: int, dtype: str, width: int):
     if dtype == "bigint":
-        ints = list(map(int, values))
-        n = len(ints)
-        W = max((max(map(int.bit_length, ints), default=0) + 7) // 8, 1)
-        mags = np.frombuffer(b"".join(map(int.to_bytes, map(abs, ints), repeat(W),
-                                          repeat("little"))), dtype=np.uint8).reshape(n, W)
-        # byte length: up to the last nonzero byte, and one byte for a zero
-        nonzero = mags != 0
-        nonzero[:, 0] = True
-        length = W - np.argmax(nonzero[:, ::-1], axis=1)
-        rec = np.empty((n, 5 + W), dtype=np.uint8)
-        rec[:, :4] = length.astype("<u4").view(np.uint8).reshape(n, 4)
-        rec[:, 4] = np.array(ints, dtype=object) < 0
-        rec[:, 5:] = mags
-        return rec[np.arange(5 + W) < 5 + length[:, None]]
-    return np.ascontiguousarray(values, dtype="<i8" if dtype == "int64" else "<f8")
-
-
-def _decode_payload(buf: bytes, n: int, dtype: str):
-    if dtype == "bigint":
-        out = []
-        off = 0
-        try:
-            for _ in range(n):
-                ln, sign = struct.unpack_from("<IB", buf, off)
-                off += 5
-                mag = int.from_bytes(buf[off: off + ln], "little")
-                off += ln
-                out.append(-mag if sign else mag)
-        except struct.error:
-            off = -1
-        if off != len(buf):
-            raise CacheError(f"{n} values do not fill the {len(buf)} payload bytes")
-        return out
-    arr = np.frombuffer(buf, dtype="<i8" if dtype == "int64" else "<f8", count=n)
-    return arr.copy()
+        return [int.from_bytes(buf[i: i + width], "little", signed=True)
+                for i in range(0, n * width, width)]
+    if dtype == "int64":
+        return np.frombuffer(buf, dtype=f"<i{width}").astype(np.int64)
+    return np.frombuffer(buf, dtype="<f8").copy()
 
 
 def table_dtype(values) -> str:
@@ -97,10 +79,11 @@ def table_dtype(values) -> str:
 def save_table(path, label: str, params: dict, values) -> str:
     """Write a table; returns the payload checksum (hex)."""
     dtype = table_dtype(values)
-    payload = _payload(values, dtype)
+    width, payload = _payload(values, dtype)
     checksum = hashlib.sha256(payload).hexdigest()
     header = json.dumps(
-        {"label": label, "params": params, "dtype": dtype, "sha256": checksum},
+        {"label": label, "params": params, "dtype": dtype, "width": width,
+         "sha256": checksum},
         sort_keys=True,
     ).encode()
     path = Path(path)
@@ -117,7 +100,7 @@ def save_table(path, label: str, params: dict, values) -> str:
 def _read_header(f, path) -> tuple:
     head = f.read(20)
     if head[:4] != MAGIC:
-        raise CacheError(f"{path}: bad magic (not a ZML1 cache)")
+        raise CacheError(f"{path}: bad magic (not a {MAGIC.decode()} cache)")
     if len(head) < 20:
         raise CacheError(f"{path}: truncated header")
     n, hlen = struct.unpack("<QQ", head[4:])
@@ -127,14 +110,18 @@ def _read_header(f, path) -> tuple:
         header = json.loads(f.read(hlen))
     except ValueError as exc:
         raise CacheError(f"{path}: unreadable header ({exc})") from None
-    if not (isinstance(header, dict) and {"label", "params", "sha256"} <= header.keys()
-            and header.get("dtype") in ("int64", "float64", "bigint")):
+    if not isinstance(header, dict):
+        header = {}
+    dtype, width = header.get("dtype"), header.get("width")
+    if not ({"label", "params", "sha256"} <= header.keys()
+            and dtype in ("int64", "float64", "bigint") and type(width) is int and width > 0
+            and (dtype == "bigint" or width in _WIDTHS[dtype])):
         raise CacheError(f"{path}: unreadable header (fields)")
     return n, header
 
 
 def table_header(path) -> dict:
-    """The JSON header of a cache file (label, params, dtype, sha256), unverified."""
+    """The JSON header of a cache file (label, params, dtype, width, sha256), unverified."""
     with open(path, "rb") as f:
         return _read_header(f, path)[1]
 
@@ -142,7 +129,7 @@ def table_header(path) -> dict:
 def _check_payload(path, n: int, header: dict, digest, size: int) -> None:
     if digest.hexdigest() != header["sha256"]:
         raise CacheError(f"{path}: checksum mismatch (corrupted cache)")
-    if header["dtype"] != "bigint" and size != 8 * n:
+    if size != header["width"] * n:
         raise CacheError(f"{path}: {size} payload bytes for {n} values")
 
 
@@ -174,7 +161,8 @@ def load_table(path):
         n, header = _read_header(f, path)
         payload = f.read()
     _check_payload(path, n, header, hashlib.sha256(payload), len(payload))
-    return header["label"], header["params"], _decode_payload(payload, n, header["dtype"])
+    return header["label"], header["params"], _decode_payload(payload, n, header["dtype"],
+                                                              header["width"])
 
 
 def cache_key(label: str, params: dict, N: int) -> str:

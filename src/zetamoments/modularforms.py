@@ -106,7 +106,16 @@ def _square(a: np.ndarray) -> tuple:
         bound = max(bound, growth * sum(norms[i] * norms[j] for i, j in pairs))
         if bound >= 0.25:
             raise PrecisionError(f"FFT rounding bound {bound:.3g} >= 1/4 for limb sum {s}")
-        c = np.fft.irfft(sum(spectra[i] * spectra[j] for i, j in pairs), L)[: M + 1]
+        spec = None
+        for i, j in pairs[: (len(pairs) + 1) // 2]:  # i <= j
+            p = spectra[i] * spectra[j]
+            if i < j:
+                p *= 2  # (i, j) and (j, i) share one product; doubling is exact
+            if spec is None:
+                spec = p
+            else:
+                spec += p
+        c = np.fft.irfft(spec, L)[: M + 1]
         ci = np.rint(c)
         observed = max(observed, float(np.abs(c - ci).max()))
         if observed >= 0.25:

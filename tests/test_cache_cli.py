@@ -31,8 +31,8 @@ def test_cache_roundtrip_int64(tmp_path):
     cache.save_table(p, "d_k", {"k": 2, "N": 1000}, vals)
     label, params, out = cache.load_table(p)
     assert label == "d_k" and params["k"] == 2
-    assert np.array_equal(out, vals)
-    assert p.read_bytes()[:4] == b"ZML1"
+    assert out.dtype == np.int64 and np.array_equal(out, vals)
+    assert p.read_bytes()[:4] == b"ZML2"
 
 
 def test_cache_roundtrip_float(tmp_path):
@@ -52,7 +52,8 @@ def test_cache_roundtrip_bigint(tmp_path):
 
 
 def _payload_per_value(values) -> bytes:
-    """The bigint payload encoded one value at a time."""
+    """The ZML1 bigint payload (u32 length, sign byte, magnitude), encoded one
+    value at a time: its sha256 is a check on tau's values."""
     chunks = []
     for v in values:
         mag = abs(v)
@@ -62,19 +63,61 @@ def _payload_per_value(values) -> bytes:
     return b"".join(chunks)
 
 
+def _narrowest(values, widths=range(1, 100)) -> int:
+    """The first of `widths` whose two's-complement range holds every value."""
+    return next(w for w in widths if all(-(1 << 8 * w - 1) <= v < 1 << 8 * w - 1 for v in values))
+
+
+def _records(values, width: int) -> bytes:
+    """The payload encoded one value at a time, `width` bytes a value."""
+    return b"".join(int(v).to_bytes(width, "little", signed=True) for v in values)
+
+
+def _file_payload(path) -> bytes:
+    raw = path.read_bytes()
+    return raw[20 + struct.unpack_from("<Q", raw, 12)[0]:]
+
+
 @pytest.mark.parametrize("values", [
     [], [0], [1], [-1], [255], [-255], [256], [-256], [2**64], [-(2**200)],
     [0, -1, 255, -256, 2**64, -(2**200), 3**100, 7, 0],  # mixed widths
+    [127], [128], [-128], [-129],
 ])
 def test_bigint_payload_matches_per_value_encoder(values):
-    payload = cache._payload(values, "bigint")
-    assert bytes(payload) == _payload_per_value(values)
-    assert cache._decode_payload(bytes(payload), len(values), "bigint") == values
+    width, payload = cache._payload(values, "bigint")
+    assert width == _narrowest(values)
+    assert bytes(payload) == _records(values, width)
+    assert cache._decode_payload(bytes(payload), len(values), "bigint", width) == values
 
 
 def test_bigint_payload_of_tau_matches_per_value_encoder():
     tau = zm.tau_table(15000).tau
-    assert bytes(cache._payload(tau, "bigint")) == _payload_per_value(tau)
+    width, payload = cache._payload(tau, "bigint")
+    assert width == _narrowest(tau) == 10
+    assert bytes(payload) == _records(tau, width)
+    assert cache._decode_payload(bytes(payload), len(tau), "bigint", width) == tau
+
+
+@pytest.mark.parametrize("value, width", [
+    (-129, 2), (-128, 1), (127, 1), (128, 2), (-2**15, 2), (2**15 - 1, 2),
+    (-2**15 - 1, 4), (2**15, 4), (-2**31, 4), (2**31 - 1, 4), (-2**31 - 1, 8), (2**31, 8),
+    (-2**63, 8), (2**63 - 1, 8),
+])
+def test_int_payload_takes_the_narrowest_width(value, width):
+    values = np.array([0, value, 1], dtype=np.int64)
+    got, payload = cache._payload(values, "int64")
+    assert got == width == _narrowest(values.tolist(), (1, 2, 4, 8))
+    assert bytes(payload) == _records(values, width)
+    out = cache._decode_payload(bytes(payload), 3, "int64", width)
+    assert out.dtype == np.int64 and np.array_equal(out, values)
+
+
+def test_empty_int_table_roundtrips(tmp_path):
+    p = tmp_path / "e.zml"
+    cache.save_table(p, "d_k", {"k": 2, "N": 0}, np.zeros(0, dtype=np.int64))
+    assert cache.verify_table(p)["width"] == 1
+    out = cache.load_table(p)[2]
+    assert out.dtype == np.int64 and out.size == 0
 
 
 def test_cache_detects_corruption(tmp_path):
@@ -127,20 +170,30 @@ def test_build_tables_tau_spot_value(tmp_path):
     assert lines[2] == "2,-24"
 
 
+def _check_tau_pins(tmp_path, N: int, values_sha256: str, width: int, sha256: str) -> None:
+    # tau is exact integers, so its cache payload is the same on every
+    # platform; the values are pinned through their ZML1 encoding, the bytes
+    # by the payload's own sha256
+    build_table(RunConfig(tmp_path), "tau", N)
+    path = tmp_path / cache.cache_key("tau", {}, N)
+    tau = cache.load_table(path)[2]
+    assert hashlib.sha256(_payload_per_value(tau)).hexdigest() == values_sha256
+    header = cache.table_header(path)
+    assert (header["width"], header["sha256"]) == (width, sha256)
+    assert len(_file_payload(path)) == width * N
+
+
 def test_build_tables_tau_bytes_pinned(tmp_path):
-    # tau is exact integers, so its cache payload is the same on every platform
-    build_table(RunConfig(tmp_path), "tau", 2000)
-    path = tmp_path / cache.cache_key("tau", {}, 2000)
-    assert cache.table_header(path)["sha256"] == (
-        "dd37370837ae6711f9c35f5ef44d96a2a7a906dcba5e16fa7f93476584a2edeb")
+    _check_tau_pins(tmp_path, 2000,
+                    "dd37370837ae6711f9c35f5ef44d96a2a7a906dcba5e16fa7f93476584a2edeb", 8,
+                    "1a11a9142b88a5b022af8ab064ab401d646ff861e51976418621881ecff0a515")
 
 
 def test_build_tables_tau_bytes_pinned_at_15000(tmp_path):
     # two int64 runs recombine each value of the last squaring
-    build_table(RunConfig(tmp_path), "tau", 15000)
-    path = tmp_path / cache.cache_key("tau", {}, 15000)
-    assert cache.table_header(path)["sha256"] == (
-        "90381dbca21c5fbc91c9e8078096ec8a62a953682971cdafef723099b5f38a2b")
+    _check_tau_pins(tmp_path, 15000,
+                    "90381dbca21c5fbc91c9e8078096ec8a62a953682971cdafef723099b5f38a2b", 10,
+                    "abf486fe92b68009635ab2a6f4fe0cc82b773fec44560c8cae26f6879aba6417")
 
 
 # 10^6 and 2 * 151200 + 1 cover whole copies of sieve_dk's wheel period and a
@@ -152,10 +205,26 @@ def test_build_tables_tau_bytes_pinned_at_15000(tmp_path):
     (2, 302401, "ddbaa04bf64d754582ed7ea066cd82afce349d4771dee4e9395b665195d39153"),
 ])
 def test_build_tables_dk_bytes_pinned(tmp_path, k, N, sha256):
-    # d_k is exact little-endian int64, so its cache payload is the same everywhere
+    # d_k is exact integers, so its cache payload is the same everywhere;
+    # `sha256` pins the values as little-endian int64 (their ZML1 payload),
+    # _DK_PAYLOAD the width and the bytes that are stored
     build_table(RunConfig(tmp_path), f"d_{k}", N)
     path = tmp_path / cache.cache_key(f"d_{k}", {"k": k}, N)
-    assert cache.table_header(path)["sha256"] == sha256
+    values = cache.load_table(path)[2]
+    assert hashlib.sha256(values.astype("<i8").tobytes()).hexdigest() == sha256
+    width, payload_sha256 = _DK_PAYLOAD[k, N]
+    header = cache.table_header(path)
+    assert (header["width"], header["sha256"]) == (width, payload_sha256)
+    # d_3 to 10^6 takes 2 bytes a value, not int64's 8
+    assert len(_file_payload(path)) == width * N
+
+
+_DK_PAYLOAD = {
+    (3, 10**5): (2, "4e2942c502714644c543820c4573f8342a040131d0e32a69cbeb802489a76fb9"),
+    (2, 10**4): (1, "54690d69bf8a0173d31a18a056f7f87912df8ff451540c98c682d263c6208fe2"),
+    (3, 10**6): (2, "b731689cc8636c712af20ee4704cc90adb74f8e07d6bab3ed283fb2f0ebf901b"),
+    (2, 302401): (2, "63f892920737243a45b360017666debfcb90607a7d6c9754a4a4bd1ad777d3b6"),
+}
 
 
 def test_build_tables_dependency_chain(tmp_path):
@@ -211,6 +280,10 @@ def test_truncated_cache_header_forces_rebuild(tmp_path, capsys, cut):
     (b'"sha256"', b'"sha2x6"', "unreadable header"),         # a missing field
     (b'"int64"', b'"int65"', "unreadable header"),           # an unknown dtype
     (b"\x0a" + b"\0" * 7, b"\x0b" + b"\0" * 7, "payload bytes"),  # the value count
+    (b'"width": 1', b'"widt_": 1', "unreadable header"),     # no width
+    (b'"width": 1', b'"width": 0', "unreadable header"),     # not positive
+    (b'"width": 1', b'"width": 3', "unreadable header"),     # no int64 width
+    (b'"width": 1', b'"width": 2', "payload bytes"),         # the wrong width
 ])
 def test_corrupt_cache_header_is_a_cache_error(tmp_path, old, new, message):
     # the header is outside the payload's checksum, so it is checked on its own
@@ -225,14 +298,15 @@ def test_corrupt_cache_header_is_a_cache_error(tmp_path, old, new, message):
 
 @pytest.mark.parametrize("count", [3, 7])
 def test_bigint_value_count_must_fill_the_payload(tmp_path, capsys, count):
-    # a tau file's value count is outside its checksum: decoding must use the
-    # whole payload for exactly that many values, else the file is rebuilt
+    # a tau file's value count is outside its checksum: the payload must hold
+    # exactly width * count bytes on both paths, else the file is rebuilt
     cfg = RunConfig(tmp_path)
     tau = build_table(cfg, "tau", 5)
     path = tmp_path / cache.cache_key("tau", {}, 5)
     good = path.read_bytes()
     path.write_bytes(good[:4] + struct.pack("<Q", count) + good[12:])
-    cache.verify_table(path)  # decodes nothing, so the count passes here
+    with pytest.raises(cache.CacheError, match="payload bytes"):
+        cache.verify_table(path)
     with pytest.raises(cache.CacheError, match="payload bytes"):
         cache.load_table(path)
     capsys.readouterr()
@@ -241,11 +315,32 @@ def test_bigint_value_count_must_fill_the_payload(tmp_path, capsys, count):
     assert path.read_bytes() == good
 
 
+def test_zml1_file_is_rebuilt_and_not_exported(tmp_path, capsys):
+    # a file of the older layout (8-byte int64 records, no width) fails on
+    # its magic: build-tables rebuilds it, export exits 2
+    argv = ["--cache-dir", str(tmp_path), "build-tables", "d_2=1000"]
+    assert main(argv) == 0
+    path = tmp_path / cache.cache_key("d_2", {"k": 2}, 1000)
+    good = path.read_bytes()
+    values = zm.sieve_dk(2, 1000).values.astype("<i8").tobytes()
+    header = json.dumps({"dtype": "int64", "label": "d_2", "params": {"k": 2, "N": 1000},
+                         "sha256": hashlib.sha256(values).hexdigest()}, sort_keys=True).encode()
+    path.write_bytes(b"ZML1" + struct.pack("<QQ", 1000, len(header)) + header + values)
+    with pytest.raises(cache.CacheError, match="bad magic"):
+        cache.verify_table(path)
+    assert main(["--cache-dir", str(tmp_path), "export", "--label", "d_2", "--N", "1000",
+                 "--out", str(tmp_path / "d2.csv")]) == 2
+    assert "bad magic" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert f"[cache corrupt, rebuilding] {path}" in capsys.readouterr().out
+    assert path.read_bytes() == good
+
+
 def test_build_tables_reads_back_nothing_and_decodes_no_hit(tmp_path, monkeypatch, capsys):
     decoded, verified = [], []
     decode, verify = cache._decode_payload, cache._verified
-    monkeypatch.setattr(cache, "_decode_payload",
-                        lambda buf, n, dtype: decoded.append(dtype) or decode(buf, n, dtype))
+    monkeypatch.setattr(cache, "_decode_payload", lambda buf, n, dtype, width:
+                        decoded.append(dtype) or decode(buf, n, dtype, width))
     monkeypatch.setattr(cache, "_verified", lambda path: verified.append(path.name) or verify(path))
     argv = ["--cache-dir", str(tmp_path), "build-tables", "d_3=3000", "tau=2000",
             "a_tilde=2000", "a_tilde_sq_conv=2000", "rankin_c=2000"]
