@@ -27,11 +27,17 @@ residual,quad_err); a JSON summary per run records slope / theory_exponent /
 pass, the cell's moments.QuadraturePass (start step `h`, halving `level`,
 integrand `points`, Euler-Maclaurin cut `em_cut`, null for series, Y-doubling
 `spread`, and the final level's `blocks`, each with its first and last t,
-points and em_cut or Y), its wall seconds per stage (`stage_s`: table_load, main_term,
+points, em_cut or Y, and zeta's `estimate`), its wall seconds per stage
+(`stage_s`: table_load, main_term,
 integrand with a pole's residue, simpson_fit) and the sha256 of the cached
 table it read (`table_sha256`, null for zeta), none of which reach ledger.csv.
-Identical manifests re-run against the same cache append identical value
-rows, independent of --workers.
+The cells of a manifest run as one call: cells that share a grid share its
+integrand passes (see moments), every first grid is held to --budget before
+any cell runs, and the rows are appended in manifest order once every cell
+has run.  A shared pass's integrand time is split evenly among the cells
+it evaluated, so `stage_s.integrand` is each cell's share.  Identical
+manifests re-run against the same cache append identical value rows,
+independent of --workers and of which cells share a manifest.
 """
 
 from __future__ import annotations
@@ -217,20 +223,24 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
                 f"required table missing: run `zetamoments build-tables {fam.table}={N}` first"
             )
         tables.append((fam.table, N))
-    all_pass = True
-    summaries = []
+    specs, loads = [], []
     for cell, (label, N) in zip(cells, tables):
-        family, k, sigma = cell["family"], cell["k"], cell["sigma"]
         coeffs = table_sha256 = None
         t0 = time.perf_counter()
         if label is not None:
             coeffs = load_coeff_table(cfg, label, N)
             table_sha256 = cache.table_header(_cache_path(cfg, label, N))["sha256"]
-        table_load_s = time.perf_counter() - t0
-        res = moments.exponent_experiment(
-            family, k, sigma, cell["T_grid"], coeffs=coeffs, workers=cfg.workers,
-            budget=cfg.budget, **{key: cell[key] for key in ("rel_tol", "slack") if key in cell},
-        )
+        loads.append((time.perf_counter() - t0, table_sha256))
+        specs.append(dict(family=cell["family"], k=cell["k"], sigma=cell["sigma"],
+                          T_grid=cell["T_grid"], coeffs=coeffs,
+                          **{key: cell[key] for key in ("rel_tol", "slack") if key in cell}))
+    # one call for every cell: cells that share a grid share its passes, and
+    # every first grid is held to the budget before any cell runs
+    results = moments._experiments(specs, cfg.workers, cfg.budget)
+    all_pass = True
+    summaries = []
+    for res, (table_load_s, table_sha256) in zip(results, loads):
+        family, k, sigma = res.family, res.k, res.sigma
         ledger.append_records(res.records)
         summaries.append({
             "family": family, "k": k, "sigma": sigma,
@@ -298,21 +308,31 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
     # zeta on a short uniform grid at |t| < 5, where the deconvolution's
     # rounding dominates the estimate, against mpmath at 30 digits
     ts = -4.75 + 0.5 * np.arange(20)
-    vals, est = _zeta_em(2.0, ts, _em_cut(float(np.abs(ts).max())))
+    vals, (est,) = _zeta_em((2.0,), ts, _em_cut(float(np.abs(ts).max())))
     with mpmath.workdps(30):
-        worst = max(abs(v - complex(mpmath.zeta(mpmath.mpc(2.0, t)))) for v, t in zip(vals, ts))
+        worst = max(abs(v - complex(mpmath.zeta(mpmath.mpc(2.0, t))))
+                    for v, t in zip(vals[:, 0], ts))
     worst /= est
     check("zeta on a short uniform grid (sigma = 2, |t| < 5) vs mpmath within its estimate",
           worst < 1, f"worst {worst:.3f} of est + rnd")
 
     # the quadrature estimate against the same cell from a 4x finer start
-    cell = dict(family="zeta", k=1, sigma=0.75, T_grid=[200.0], rel_tol=1e-4,
-                coeffs=None, workers=1, budget=cfg.budget)
-    rule = moments.integrate_moment_grid(**cell)[0]
-    finer = moments._integrate_moment_grid(**cell, refine=4)[0]
+    cell = dict(family="zeta", k=1, sigma=0.75, T_grid=[200.0])
+    rule = moments.integrate_moment_grid(**cell, budget=cfg.budget)[0]
+    finer = moments._integrate_cells([cell], 1, cfg.budget, refine=4)[0][0]
     ratio = abs(rule.integral - finer.integral) / rule.quad_err
     check("zeta k=1 moment to T=200 within its quad_err of a 4x finer start", ratio < 1,
           f"|dI| = {ratio:.3f} quad_err")
+
+    # a shared pass against its cells' solo passes: the column bits must not
+    # depend on the other columns of a call, which rests on the local BLAS
+    cells = [dict(cell, sigma=sg) for sg in (0.75, 0.9)]
+    shared = moments._integrate_cells(cells, 1, cfg.budget)
+    solo = [moments._integrate_cells([c], 1, cfg.budget)[0] for c in cells]
+    same = all((a.integral, a.quad_err) == (b.integral, b.quad_err)
+               for x, y in zip(shared, solo) for a, b in zip(x, y))
+    check("zeta k=1, sigma 0.75 and 0.9 to T=200: one shared pass equals two solo passes "
+          "bit for bit", same)
 
     # Hecke relations on tau up to 1e4 (cache-aware so corruption is caught)
     N = 10**4
@@ -365,8 +385,9 @@ def main(argv=None) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--cache-dir", default="zml_cache")
     ap.add_argument("--workers", type=int, default=1,
-                    help="threads that evaluate a pass's blocks: a series' runs of "
-                         "one smoothing Y, and chunks of at most 2^20 points")
+                    help="threads that evaluate a pass's blocks (a series' runs of "
+                         "one smoothing Y, and chunks of at most 2^20 points): the "
+                         "calling one and a pool, one per command, of the rest")
     ap.add_argument("--budget", type=int, default=5_000_000)
     sub = ap.add_subparsers(dest="cmd", required=True)
 

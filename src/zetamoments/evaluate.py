@@ -1,9 +1,10 @@
 """Numerical evaluation of zeta, Gamma, chi and smoothed Dirichlet series.
 
 zeta(s) is computed by Euler-Maclaurin summation with cut M = max(2|t|, 50)
-and 12 Bernoulli correction terms, in one body shared by the scalar
-`zeta_em` (a one-point grid) and `zeta_em_grid` (cut at max |t|), after one
-domain check, the pole at s = 1 and the desk range |t| <= 1e5.  The
+and 12 Bernoulli correction terms, in one body, `_zeta_em`, that takes
+several sigma on one grid and is shared by the scalar `zeta_em` (a
+one-point grid), `zeta_em_grid` (cut at max |t|) and the moment passes,
+after one domain check, the pole at s = 1 and the desk range |t| <= 1e5.  The
 correction terms are summed by Horner in the quadratic factors
 (s+2r-1)(s+2r) of their Pochhammer symbols, one complex product per term
 and point, and multiplied by M^{-s} = exp(-s ln M) once.  The
@@ -11,7 +12,8 @@ error estimate combines the first omitted Bernoulli term (classical
 remainder bound) with a worst-case rounding model for the main sum, so it
 stays honest at large |t| where argument reduction in exp(-it log n)
 dominates, and a first-order rounding model of the Horner tail;
-`zeta_em` reports it, `zeta_em_grid` returns values only.
+`zeta_em` reports it, `zeta_em_grid` returns values only, and a moment pass
+records it per block.
 
 Gamma(s) uses a fixed Lanczos rational approximation (g=7, 9 terms) with
 reflection for Re s < 1/2; chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) is
@@ -27,11 +29,14 @@ combination 2 v(2Y) - v(Y) (the O(1/Y) term from the Gamma pole at w=-1
 cancels); the Y-doubling difference is the reported error estimate.  The
 pole term is evaluated only at the points where a Stirling bound on it
 reaches a quarter ulp of the values it is subtracted from, so the result
-is bit-identical to subtracting it everywhere.
+is bit-identical to subtracting it everywhere.  `_smoothed_grids` smooths
+several tables of one length on one grid at one Y in one phase sum.
 
-Every grid evaluation is a phase sum sum_n W_n e^{-it ln n} with one or two
-weight columns, and `_phase_dot` is its one entry; the grid's shape alone
-picks the kernel.  A uniform grid of two or more points -- every moment
+Every grid evaluation is a phase sum sum_n W_n e^{-it ln n} with weight
+columns in groups: one n^-sigma column per zeta sigma, a Y and a 2Y column
+per smoothed table.  `_phase_dot` is its one entry, and a group's columns
+are bit-identical whatever other groups share the call; the grid's shape
+alone picks the kernel.  A uniform grid of two or more points -- every moment
 block, zeta's and the series' alike -- goes to `_nufft`, a type-1
 nonuniform FFT with the t-grid as its modes and h ln n as its sources.  It
 uses Gaussian gridding (Greengard-Lee, SIAM Review 2004) rather than the
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -99,11 +105,12 @@ def _em_cut(t: float) -> int:
     return int(max(2.0 * abs(t), 50.0))
 
 
-def _zeta_domain(sigma: float, ts: np.ndarray) -> float:
-    """max |t| of a grid, after the checks both zeta entry points make: the
+def _zeta_domain(sigmas, ts: np.ndarray) -> float:
+    """max |t| of a grid, after the checks every zeta entry point makes: the
     pole at s = 1 (PoleError) and the desk range |t| <= 1e5 (PrecisionError)."""
     absts = np.abs(ts)
-    if abs(sigma - 1.0) < 1e-12 and math.hypot(sigma - 1.0, float(absts.min())) < 1e-12:
+    if any(abs(sigma - 1.0) < 1e-12 and math.hypot(sigma - 1.0, float(absts.min())) < 1e-12
+           for sigma in sigmas):
         raise PoleError("zeta has its pole at s=1")
     if absts.max() > 1e5:
         raise PrecisionError("|t| > 1e5 is outside the configured desk range")
@@ -121,15 +128,15 @@ def zeta_em(s: complex, target_abs_err: float = 1e-9) -> EvalResult:
     """
     s = complex(s)
     ts = np.array([s.imag])
-    M = _em_cut(_zeta_domain(s.real, ts))
+    M = _em_cut(_zeta_domain((s.real,), ts))
     if target_abs_err < 1e-12:
         raise PrecisionError("target_abs_err below the 1e-12 floor")
-    value, est = _zeta_em(s.real, ts, M)
+    value, (est,) = _zeta_em((s.real,), ts, M)
     if est > target_abs_err:
         raise PrecisionError(
             f"zeta_em cannot reach {target_abs_err:g} at s={s} (estimate {est:g})"
         )
-    return EvalResult(complex(value[0]), est)
+    return EvalResult(complex(value[0, 0]), est)
 
 
 _DIRECT_TILE = 1 << 18  # phase-matrix entries per direct-sum tile (4 MB)
@@ -146,9 +153,25 @@ def _grid_step(ts: np.ndarray) -> float | None:
     return h if drift <= 8 * _EPS * np.abs(ts).max() else None
 
 
-def _phase_dot(ts: np.ndarray, ln: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _groups(W: np.ndarray, widths) -> list:
+    """[c0, c1) of each column group of W, widths=None being one group."""
+    ends = list(accumulate(widths or (W.shape[1],), initial=0))
+    return list(zip(ends[:-1], ends[1:]))
+
+
+def _phase_dot(ts: np.ndarray, ln: np.ndarray, W: np.ndarray,
+               widths=None) -> tuple[np.ndarray, np.ndarray]:
     """out[i, :] = sum_n exp(-i ts[i] ln[n]) W[n, :] for real weights W, and
     its rounding bound per weight column.
+
+    The columns come in groups of `widths` (default: one group), one per
+    cell of a shared pass.  Every product whose bits could depend on the
+    number of columns (BLAS blocks a matrix product by its shape, and numpy
+    sums a lone column pairwise) is taken per group, on an array of the
+    group's own shape, so a group's columns and bounds are bit-identical to
+    a call with that group alone; the rest is elementwise or per row.  The
+    result is column-major, so that each column is contiguous, as it is in
+    a one-column call.
 
     The grid's shape alone picks the kernel: a uniform grid of two or more
     points goes to `_nufft`, any other grid is summed directly, a few rows
@@ -163,17 +186,23 @@ def _phase_dot(ts: np.ndarray, ln: np.ndarray, W: np.ndarray) -> tuple[np.ndarra
     most of its error).
     """
     ts = np.asarray(ts, dtype=np.float64)
-    aW = np.abs(W)
-    sW = aW.sum(axis=0)
+    groups = _groups(W, widths)
     tmax = float(np.abs(ts).max()) if len(ts) else 0.0
-    rnd = _EPS * ((tmax + 1.0) * (ln @ aW) + sW)
+    rnd, sW = np.empty(W.shape[1]), np.empty(W.shape[1])
+    for c0, c1 in groups:
+        aW = np.abs(W[:, c0:c1])
+        sW[c0:c1] = aW.sum(axis=0)
+        rnd[c0:c1] = _EPS * ((tmax + 1.0) * (ln @ aW) + sW[c0:c1])
     h = _grid_step(ts)
     if h is not None:
-        return _nufft(ts, h, ln, W), rnd + (_EPS * _NU_MOM * _NU_AMP + 2.0 * _NU_GAUSS) * sW
+        return (_nufft(ts, h, ln, W, widths),
+                rnd + (_EPS * _NU_MOM * _NU_AMP + 2.0 * _NU_GAUSS) * sW)
     rows = max(1, _DIRECT_TILE // max(len(ln), 1))
-    out = np.empty((len(ts), W.shape[1]), dtype=np.complex128)
+    out = np.empty((len(ts), W.shape[1]), dtype=np.complex128, order="F")
     for i0 in range(0, len(ts), rows):
-        out[i0: i0 + rows] = np.exp(-1j * np.outer(ts[i0: i0 + rows], ln)) @ W
+        phase = np.exp(-1j * np.outer(ts[i0: i0 + rows], ln))
+        for c0, c1 in groups:
+            out[i0: i0 + rows, c0:c1] = phase @ np.ascontiguousarray(W[:, c0:c1])
     return out, rnd + _EPS * 0.5 * max(len(ln) - 1, 0) * sW
 
 
@@ -272,19 +301,24 @@ def _fft_len(n: int) -> int:
 
 
 def _cell_moments(x: np.ndarray, phase: np.ndarray, W: np.ndarray,
-                  starts: np.ndarray) -> np.ndarray:
-    """mu[j, r, k] = sum_n cp[r, n] T_j(x[n]), j < _NU_TERMS, over the k-th
-    run of terms, runs starting at `starts`, with cp the terms
-    c_n = W_n e^{i phase_n} as real rows Re c[:, 0], Im c[:, 0],
-    Re c[:, 1], ...; one reduceat per j, whose inner loop runs over terms."""
+                  starts: np.ndarray, groups: list) -> list:
+    """Per column group [c0, c1), mu[j, r, k] = sum_n cp[r, n] T_j(x[n]),
+    j < _NU_TERMS, over the k-th run of terms, runs starting at `starts`,
+    with cp the group's terms c_n = W_n e^{i phase_n} as real rows
+    Re c[:, c0], Im c[:, c0], Re c[:, c0 + 1], ...; one reduceat per j and
+    group, on the group's own rows, whose inner loop runs over terms."""
     cp = np.empty((2 * W.shape[1], len(x)))
-    prod = np.empty_like(cp)  # scratch for cos and sin, then cp T_j
+    # scratch for cos and sin, then a group's cp T_j
+    prod = np.empty((2 * max(c1 - c0 for c0, c1 in groups), len(x)))
     np.cos(phase, out=prod[0])
     np.multiply(W.T, prod[0], out=cp[0::2])
     np.sin(phase, out=prod[0])
     np.multiply(W.T, prod[0], out=cp[1::2])
-    mu = np.empty((_NU_TERMS, len(cp), len(starts)))
-    np.add.reduceat(cp, starts, axis=1, out=mu[0])
+    # per group: its rows of cp, its rows of scratch and its moments
+    rows = [(cp[2 * c0: 2 * c1], prod[: 2 * (c1 - c0)],
+             np.empty((_NU_TERMS, 2 * (c1 - c0), len(starts)))) for c0, c1 in groups]
+    for c, _, mu in rows:
+        np.add.reduceat(c, starts, axis=1, out=mu[0])
     x2 = 2.0 * x
     tp, tj, tn = np.ones_like(x), x, np.empty_like(x)
     for j in range(1, _NU_TERMS):
@@ -292,12 +326,14 @@ def _cell_moments(x: np.ndarray, phase: np.ndarray, W: np.ndarray,
             np.multiply(x2, tj, out=tn)
             tn -= tp
             tp, tj, tn = tj, tn, tp
-        np.multiply(cp, tj, out=prod)
-        np.add.reduceat(prod, starts, axis=1, out=mu[j])
-    return mu
+        for c, p, mu in rows:
+            np.multiply(c, tj, out=p)
+            np.add.reduceat(p, starts, axis=1, out=mu[j])
+    return [mu for _, _, mu in rows]
 
 
-def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray,
+           widths=None) -> np.ndarray:
     """The phase sum on a uniform grid ts[j] = ts[mid] + m h, m = j - mid, as
     a type-1 nonuniform FFT with Gaussian gridding (Greengard-Lee 2004).
 
@@ -326,10 +362,16 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray) -> np.ndarra
     padding is folded back once, before the FFT.  C @ mu is taken as 2H
     matrix-vector products, one batched `np.matmul` per half of the
     offsets, not as a matrix-matrix product, which would page in BLAS's gemm
-    code (some 0.2 MB the rest of the program never runs).  Each value is
-    then one dot product over j, and every other sum has a fixed order too,
-    so the result depends only on the inputs, not on workers or BLAS
-    threads.
+    code (some 0.2 MB the rest of the program never runs).  BLAS blocks
+    those products by their row count, so a row's bits would depend on how
+    many columns share the call: each column group of `widths` (a cell of a
+    shared pass) gets its own moments, on its own (J, 2 columns, K) array,
+    and its own products, which have the shape of the group's call alone.
+    The terms' cells, phases and cosines, the FFT plan and the
+    deconvolution are shared.  Each value is then one dot product over j,
+    and every other sum has a fixed order per row, so a group's columns
+    depend only on its own weights and the grid, not on the other groups,
+    workers or BLAS threads.
 
     Error account, per mode m and in units of sum |c_n|: an absolute error
     E in the grid reaches mode m as E sqrt(pi/tau)/L exp(tau m^2), and the
@@ -343,6 +385,7 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray) -> np.ndarra
     per unit |c_n| (_NU_MOM = 1.28); deconvolved, eps _NU_MOM _NU_AMP.
     """
     npts, ncol = len(ts), W.shape[1]
+    groups = _groups(W, widths)
     mid = npts // 2
     L = _fft_len(math.ceil(_NU_OVERSAMPLE * npts))
     tau = math.pi * _NU_HALF / (L * (L - npts / 2.0))
@@ -356,7 +399,9 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray) -> np.ndarra
     rows = np.array([r // 2 * 2 * M + r % 2 for r in range(R)])  # row r's start in flat
     # where[o + H - 1, r]: offset o from cell 0, in row r of flat
     where = (2 * np.arange(2 * _NU_HALF))[:, None, None] + rows[:, None]
-    halves = [(C[i: i + _NU_HALF, :, None], where[i: i + _NU_HALF]) for i in (0, _NU_HALF)]
+    # per group, per half of the offsets: its coefficients and its rows' places
+    halves = [[(C[i: i + _NU_HALF, :, None], where[i: i + _NU_HALF, 2 * c0: 2 * c1])
+               for i in (0, _NU_HALF)] for c0, c1 in groups]
     j0 = 0
     while j0 < len(ln):
         lnt = ln[j0: j0 + _NU_TILE]
@@ -372,27 +417,33 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray) -> np.ndarra
         u -= cell
         u *= 2.0
         u -= 1.0  # 2 f - 1
-        mu = _cell_moments(u, lnt * -ts[mid], W[j0: j0 + len(u)], starts)
-        muT = mu.reshape(_NU_TERMS, -1).T  # muT[r K + k, j] = mu[j, r, k]
-        vals = np.empty((_NU_HALF, len(muT), 1))
-        for Ch, at in halves:  # vals[o, r K + k] = sum_j C[o, j] mu[j, r, k]
-            np.matmul(muT, Ch, out=vals)
-            np.add.at(flat, (at + cells).ravel(), vals.ravel())
+        mus = _cell_moments(u, lnt * -ts[mid], W[j0: j0 + len(u)], starts, groups)
+        for mu, group_halves in zip(mus, halves):
+            muT = mu.reshape(_NU_TERMS, -1).T  # muT[r K + k, j] = mu[j, r, k]
+            vals = np.empty((_NU_HALF, len(muT), 1))
+            for Ch, at in group_halves:  # vals[o, r K + k] = sum_j C[o, j] mu[j, r, k]
+                np.matmul(muT, Ch, out=vals)
+                np.add.at(flat, (at + cells).ravel(), vals.ravel())
         j0 += len(u)
     grid = pad[:, _NU_HALF - 1: _NU_HALF - 1 + L]
     edge = np.r_[0: _NU_HALF - 1, L + _NU_HALF - 1: M]
     np.add.at(grid, (slice(None), (edge - (_NU_HALF - 1)) % L), pad[:, edge])
     np.fft.fft(grid, out=grid)
     m = np.arange(npts) - mid
-    out = grid.T[m % L]
+    out = grid[:, m % L].T
     out *= (np.exp(tau * m * m) * (math.sqrt(math.pi / tau) / L))[:, None]
     return out
 
 
-def _zeta_em(sigma: float, ts: np.ndarray, M: int) -> tuple[np.ndarray, float]:
-    """Euler-Maclaurin zeta(sigma+it) at cut M on a t-grid, with one error
-    estimate for the grid: the method's part plus the rounding of tail and
-    value.
+def _zeta_em(sigmas, ts: np.ndarray, M: int) -> tuple[np.ndarray, list]:
+    """Euler-Maclaurin zeta(sigma+it) at cut M on a t-grid for each sigma of
+    `sigmas`, as the columns of one (points, sigmas) array, with one error
+    estimate per sigma for the grid: the method's part plus the rounding of
+    tail and value.
+
+    The main sums are one `_phase_dot`, one column n^-sigma per sigma, each
+    its own column group, so each column is bit-identical to a one-sigma
+    call; the tail and the estimate are then taken per sigma.
 
     The value is the main sum over n < M plus M^{-s} B, with
         B = 1/2 + M/(s-1) + s A,  s A = sum_{r<=R} c_r P_r,
@@ -423,10 +474,23 @@ def _zeta_em(sigma: float, ts: np.ndarray, M: int) -> tuple[np.ndarray, float]:
     the grid's largest |t|; M/|s-1| is taken at its smallest.
     """
     n = np.arange(1, M, dtype=np.float64)
-    out, rnd = _phase_dot(ts, np.log(n), (n ** (-sigma))[:, None])
-    out = out[:, 0]
+    W = np.empty((M - 1, len(sigmas)))
+    for i, sigma in enumerate(sigmas):
+        W[:, i] = n ** (-sigma)
+    out, rnd = _phase_dot(ts, np.log(n), W, (1,) * len(sigmas))
+    del W
     R = _EM_TERMS
     c = [_BERN2R[r - 1] / math.factorial(2 * r) * M ** (1.0 - 2 * r) for r in range(1, R + 1)]
+    ests = [_zeta_em_tail(sigma, ts, M, c, out[:, i], float(rnd[i]))
+            for i, sigma in enumerate(sigmas)]
+    return out, ests
+
+
+def _zeta_em_tail(sigma: float, ts: np.ndarray, M: int, c: list, out: np.ndarray,
+                  rnd: float) -> float:
+    """Adds the Euler-Maclaurin tail M^{-s} B at one sigma to its main sums
+    `out` (in place), and returns the grid's estimate; see `_zeta_em`."""
+    R = _EM_TERMS
     lnM = math.log(M)
     A = np.full(len(ts), c[-1], dtype=np.complex128)
     q = np.empty_like(A)
@@ -474,15 +538,21 @@ def _zeta_em(sigma: float, ts: np.ndarray, M: int) -> tuple[np.ndarray, float]:
     near = math.hypot(sigma - 1.0, float(absts.min()))
     b = 0.5 + (M / near if near else math.inf) + E
     rnd_value = _EPS * (Ms * (b * (abs(s) * lnM + 9.0) + H) + 0.5 * float(np.abs(out).max()))
-    return out, trunc + float(rnd[0]) + rnd_value
+    return trunc + rnd + rnd_value
+
+
+def _zeta_em_grids(sigmas, ts: np.ndarray) -> tuple[np.ndarray, list]:
+    """zeta on a non-empty grid at each sigma, cut fixed per call at max |t|:
+    `_zeta_em`'s columns and estimates, after the domain checks."""
+    ts = np.asarray(ts, dtype=np.float64)
+    return _zeta_em(sigmas, ts, _em_cut(_zeta_domain(sigmas, ts)))
 
 
 def zeta_em_grid(sigma: float, ts: np.ndarray) -> np.ndarray:
     """Vectorized zeta(sigma+it) on a grid, cut fixed per call at max |t|."""
-    ts = np.asarray(ts, dtype=np.float64)
     if not len(ts):
         return np.empty(0, dtype=np.complex128)
-    return _zeta_em(sigma, ts, _em_cut(_zeta_domain(sigma, ts)))[0]
+    return _zeta_em_grids((sigma,), ts)[0][:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -650,21 +720,39 @@ def smoothed_grid(
     change a bit of either column; elsewhere subtracting it would return the
     same doubles, and |Gamma(1-s)| falls like e^{-pi |t|/2}, so above
     |t| ~ 30 no point needs it.  Terms run to n = 74 Y (or the table's end),
-    where e^{-n/(2Y)} < 1e-16.
+    where e^{-n/(2Y)} < 1e-16.  A one-table `_smoothed_grids`.
     """
+    return next(_smoothed_grids([(values, sigma, residue)], ts, Y))
+
+
+def _smoothed_grids(tables: list, ts: np.ndarray, Y: float):
+    """`smoothed_grid` of each (values, sigma, residue) of `tables`, all of
+    one length, on one grid at one Y, yielded in order: the tables' Y and 2Y
+    columns are the column groups of one `_phase_dot`, so each table's
+    values are bit-identical to its own call, and n, ln n and the two
+    smoothing factors are computed once."""
     ts = np.asarray(ts, dtype=np.float64)
-    cut2 = min(len(values), int(math.ceil(74.0 * Y)))
+    cut2 = min(len(tables[0][0]), int(math.ceil(74.0 * Y)))
     n = np.arange(1, cut2 + 1, dtype=np.float64)
-    npw = values[:cut2] * n ** (-sigma)
-    W = np.stack([npw * np.exp(-n / Y), npw * np.exp(-n / (2.0 * Y))], axis=1)
-    acc = _phase_dot(ts, np.log(n), W)[0]
-    v1 = acc[:, 0]
-    v2 = acc[:, 1]
-    if residue is not None:
-        at = _pole_points(residue, sigma, ts, Y, v1, v2)
-        one_m_s = 1.0 - (sigma + 1j * ts[at])
-        lg = loggamma(one_m_s)
-        v1[at] -= residue * np.exp(lg + one_m_s * math.log(Y))
-        v2[at] -= residue * np.exp(lg + one_m_s * math.log(2.0 * Y))
-    spread = float(np.abs(v2 - v1).max()) if len(ts) else 0.0
-    return 2.0 * v2 - v1, spread
+    e1, e2 = np.exp(-n / Y), np.exp(-n / (2.0 * Y))
+    powers = {sigma: n ** (-sigma) for _, sigma, _ in tables}
+    W = np.empty((cut2, 2 * len(tables)))
+    for i, (values, sigma, _) in enumerate(tables):
+        npw = values[:cut2] * powers[sigma]
+        np.multiply(npw, e1, out=W[:, 2 * i])
+        np.multiply(npw, e2, out=W[:, 2 * i + 1])
+    ln = np.log(n)
+    del n, e1, e2, powers, npw  # this frame outlives the phase sum
+    acc = _phase_dot(ts, ln, W, (2,) * len(tables))[0]
+    del ln, W
+    for i, (_, sigma, residue) in enumerate(tables):
+        v1 = acc[:, 2 * i]
+        v2 = acc[:, 2 * i + 1]
+        if residue is not None:
+            at = _pole_points(residue, sigma, ts, Y, v1, v2)
+            one_m_s = 1.0 - (sigma + 1j * ts[at])
+            lg = loggamma(one_m_s)
+            v1[at] -= residue * np.exp(lg + one_m_s * math.log(Y))
+            v2[at] -= residue * np.exp(lg + one_m_s * math.log(2.0 * Y))
+        spread = float(np.abs(v2 - v1).max()) if len(ts) else 0.0
+        yield 2.0 * v2 - v1, spread

@@ -38,7 +38,14 @@ points.  zeta has no parameter, so a pass is one run, each chunk summed at
 its own top cut; a series' parameter is its smoothing Y, so dyadic blocks
 that share a Y are one run.  One pass serves a T grid: a MomentRecord, one
 ledger.csv row, per T and one QuadraturePass of diagnostics, with its
-blocks, for summary.json.  Residual magnitudes are
+blocks, for summary.json.  Cells that share a grid share its pass: the
+cells of one call (`_integrate_cells`, `_experiments`, of which
+integrate_moment_grid and exponent_experiment are the one-cell calls) are
+grouped by kind (zeta, or a series at one table length), start step and
+top T; each block of a group's grid is evaluated once, with every cell's
+weight columns in one phase sum, and each halving level re-evaluates only
+the cells whose Simpson check failed, so every cell gets the values,
+records and diagnostics of its own pass.  Residual magnitudes are
 fitted log-log against T and compared with the tabulated error-term
 exponents (the beta-envelope and sigma*-energy routes plus older comparison
 bounds).
@@ -49,6 +56,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -56,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import CoeffTable, PrecisionError, prime_sieve
-from .evaluate import _EPS, _em_cut, gamma_fn, smoothed_grid, zeta_em, zeta_em_grid
+from .evaluate import _EPS, _em_cut, _smoothed_grids, _zeta_em_grids, gamma_fn, zeta_em
 from .modularforms import rankin_A
 
 __all__ = [
@@ -161,13 +169,16 @@ class MomentRecord:
 class PassBlock(NamedTuple):
     """One block of a quadrature pass, for summary.json: its first and last
     t, its points and its evaluation parameter, zeta's Euler-Maclaurin cut
-    or a series' smoothing Y (the other is None)."""
+    or a series' smoothing Y (the other is None), and for zeta the block's
+    `_zeta_em` error estimate, the largest |zeta - value| it allows on the
+    block (None for a series)."""
 
     t_first: float
     t_last: float
     points: int
     em_cut: int | None = None
     Y: float | None = None
+    estimate: float | None = None
 
 
 @dataclass(frozen=True)
@@ -429,46 +440,137 @@ def _blocks(ts: np.ndarray, param) -> list:
     return out
 
 
-def _block_evaluator(fam: Family, k: int, sigma: float, coeffs: CoeffTable | None):
-    """(param, block): param(hi), the family's evaluation parameter on a dyadic
-    t-block below hi, and block(tt, p), the |.|^{2k} of the points tt at
-    parameter p, their Y-doubling spread and their PassBlock parameter
-    field.  zeta has no parameter: each block is summed by Euler-Maclaurin
-    at its own top cut.  A series is smoothed at Y = min(max(2 hi, 100),
-    N/74), as Y must grow with t, with a pole's residue A (sum_{n<=x} c_n =
-    A x + Delta) estimated from its table."""
-    if fam.table is None:
-        def zeta_block(tt, _):
-            vals = np.abs(zeta_em_grid(sigma, tt)) ** (2 * k)
-            return vals, 0.0, {"em_cut": _em_cut(tt[-1])}
+class _CellPass:
+    """One cell of a shared pass: its checked inputs (slack only for its
+    fit), its running stage times, and its records once its Simpson check
+    passes."""
+
+    def __init__(self, family: str, k: int, sigma: float, T_grid, rel_tol: float = 1e-4,
+                 coeffs: CoeffTable | None = None, slack: float = 0.25):
+        self.fam = _checked_family(family, k, coeffs)
+        T_grid = sorted(float(T) for T in T_grid)
+        _check_ranges(sigma, T_grid, rel_tol)
+        self.family, self.k, self.sigma, self.rel_tol, self.coeffs = family, k, sigma, rel_tol, coeffs
+        self.slack = slack
+        self.done = [MomentRecord(family, k, sigma, T, 0.0, quad_err=0.0) for T in T_grid if T <= 1.0]
+        self.todo = [T for T in T_grid if T > 1.0]
+        self.records = None if self.todo else MomentRecords(self.done)
+        self.integrand_s = self.simpson_s = 0.0
+
+    def simpson(self, y: np.ndarray, h: float) -> list | None:
+        """A record per T from the integrand y at step h/2, or None as soon as
+        one T's step-halving difference misses rel_tol."""
+        h2 = h / 2.0
+        out = []
+        for T in self.todo:
+            m2 = int(round((T - 1.0) / h2))
+            m2 -= m2 % 4  # snap so both h and h/2 Simpson counts are even
+            Ts = 1.0 + h2 * m2
+            I_h = _simpson_prefix(y[::2], h, m2 // 2)
+            I_h2 = _simpson_prefix(y, h2, m2)
+            qerr = abs(I_h - I_h2)
+            if qerr > self.rel_tol * max(abs(I_h2), 1e-300):
+                return None
+            out.append(MomentRecord(self.family, self.k, self.sigma, Ts, I_h2, quad_err=qerr))
+        return out
+
+
+# most points x weight columns of one phase-sum call: a grouped block splits
+# its cells into calls of at most this many, so that a wide sigma sweep at
+# T = 1e5 holds no more per call than a two-column chunk of _ZETA_CHUNK points
+_SHARED_POINTS = 2 * _ZETA_CHUNK
+
+
+def _group_evaluator(group: list):
+    """(param, block) for the cells of one group: param(hi), their evaluation
+    parameter on a dyadic t-block below hi, and block(tt, p, cells), per
+    cell the |.|^{2k} of the points tt at parameter p, its Y-doubling spread
+    and its PassBlock's parameter fields.  One evaluation serves every cell:
+    zeta's columns n^-sigma, one per cell, are summed by Euler-Maclaurin at
+    the block's own top cut, and each PassBlock carries its cell's estimate;
+    a series is smoothed at Y = min(max(2 hi, 100), N/74), as Y must grow
+    with t, with each table's Y and 2Y columns and a pole's residue A
+    (sum_{n<=x} c_n = A x + Delta) estimated from the cell's own table, and
+    timed with its integrand.  The cells of a block share calls of at most
+    _SHARED_POINTS points x columns, whole cells each."""
+    if group[0].fam.table is None:
+        def zeta_block(tt, _, cells):
+            out = []
+            for batch in _batches(cells, len(tt)):
+                values, ests = _zeta_em_grids([c.sigma for c in batch], tt)
+                out += [(np.abs(values[:, i]) ** (2 * c.k), 0.0,
+                         {"em_cut": _em_cut(tt[-1]), "estimate": est})
+                        for i, (c, est) in enumerate(zip(batch, ests))]
+            return out
 
         return (lambda hi: None), zeta_block
-    values = coeffs.values.astype(np.float64)
-    residue = rankin_A(coeffs, coeffs.N)[0] if fam.pole else None
+    tables = {}
+    for c in group:
+        t0 = time.perf_counter()
+        residue = rankin_A(c.coeffs, c.coeffs.N)[0] if c.fam.pole else None
+        tables[c] = (np.asarray(c.coeffs.values, dtype=np.float64), c.sigma, residue)
+        c.integrand_s += time.perf_counter() - t0
 
-    def block(tt, Y):
-        vals, spread = smoothed_grid(values, sigma, tt, Y, residue=residue)
-        return np.abs(vals) ** 2, spread, {"Y": Y}
+    def block(tt, Y, cells):
+        out = []
+        for batch in _batches(cells, 2 * len(tt)):
+            out += [(np.abs(vals) ** 2, spread, {"Y": Y})
+                    for vals, spread in _smoothed_grids([tables[c] for c in batch], tt, Y)]
+        return out
 
-    return (lambda hi: min(max(2.0 * hi, 100.0), coeffs.N / 74.0)), block
+    N = group[0].coeffs.N
+    return (lambda hi: min(max(2.0 * hi, 100.0), N / 74.0)), block
 
 
-def _integrand_grid(ts: np.ndarray, param, block, workers: int) -> tuple:
-    """block(tt, p) on each block of _blocks(ts, param), joined: the values,
-    the max spread and the blocks' PassBlocks.  The blocks and their
-    parameters depend on the grid alone, so values are independent of the
-    worker count; blocks are joined in fixed order, and a pass of one block
-    starts no pool."""
-    args = [(ts[i0:i1], p) for i0, i1, p in _blocks(ts, param)]
-    if workers <= 1 or len(args) == 1:
-        results = [block(*a) for a in args]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(block, *zip(*args)))
-    values = results[0][0] if len(results) == 1 else np.concatenate([r[0] for r in results])
-    info = tuple(PassBlock(float(tt[0]), float(tt[-1]), len(tt), **r[2])
-                 for (tt, _), r in zip(args, results))
-    return values, max(r[1] for r in results), info
+def _batches(cells: list, column_points: int) -> list:
+    """cells in runs of at most _SHARED_POINTS // column_points, at least one:
+    column_points is one cell's points x columns."""
+    size = max(1, _SHARED_POINTS // column_points)
+    return [cells[i: i + size] for i in range(0, len(cells), size)]
+
+
+@contextmanager
+def _block_pool(workers: int):
+    """run(fn, args): fn(*a) for each a in args, in order.  With more than
+    one worker and more than one a, the calling thread evaluates every
+    workers-th a, from the first, and a pool of workers - 1 threads the
+    others: the same pool for every pass of one `with`, started by the
+    first such call.  The caller works rather than waits, which also spares
+    a thread and the heap it would hold."""
+    pool = []
+
+    def run(fn, args):
+        if workers <= 1 or len(args) == 1:
+            return [fn(*a) for a in args]
+        if not pool:
+            pool.append(ThreadPoolExecutor(max_workers=workers - 1))
+        futures = [None if i % workers == 0 else pool[0].submit(fn, *a)
+                   for i, a in enumerate(args)]
+        own = [fn(*a) for a in args[::workers]]
+        return [own[i // workers] if f is None else f.result() for i, f in enumerate(futures)]
+
+    try:
+        yield run
+    finally:
+        for ex in pool:
+            ex.shutdown()
+
+
+def _integrand_grid(ts: np.ndarray, param, block, cells: list, run) -> list:
+    """block(tt, p, cells) on each block of _blocks(ts, param), joined per
+    cell: its values, its max spread and its PassBlocks.  The blocks and
+    their parameters depend on the grid alone, so values are independent of
+    the worker count; blocks are joined in fixed order."""
+    args = [(ts[i0:i1], p, cells) for i0, i1, p in _blocks(ts, param)]
+    results = run(block, args)  # results[block][cell]
+    out = []
+    for c in range(len(cells)):
+        mine = [r[c] for r in results]
+        values = mine[0][0] if len(mine) == 1 else np.concatenate([r[0] for r in mine])
+        info = tuple(PassBlock(float(tt[0]), float(tt[-1]), len(tt), **r[2])
+                     for (tt, _, _), r in zip(args, mine))
+        out.append((values, max(r[1] for r in mine), info))
+    return out
 
 
 def _simpson_prefix(y: np.ndarray, h: float, m: int) -> float:
@@ -517,62 +619,83 @@ def integrate_moment_grid(
     Simpson value at step h plus the step-halved value, and their difference
     is the recorded quadrature error (must clear rel_tol, else a further
     halving is attempted within the evaluation budget).  The list's
-    `quadrature` holds the pass's diagnostics.
+    `quadrature` holds the pass's diagnostics.  A one-cell `_integrate_cells`.
     """
-    return _integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs, workers, budget, 1)
+    cell = dict(family=family, k=k, sigma=sigma, T_grid=T_grid, rel_tol=rel_tol, coeffs=coeffs)
+    return _integrate_cells([cell], workers, budget)[0]
 
 
-def _integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs, workers, budget,
-                           refine: int) -> MomentRecords:
-    """integrate_moment_grid from the start step moment_step(...)/refine; a
-    refine > 1 gives the finer values its quad_err is checked against."""
-    fam = _checked_family(family, k, coeffs)
-    T_grid = sorted(float(T) for T in T_grid)
-    _check_ranges(sigma, T_grid, rel_tol)
-    records = [MomentRecord(family, k, sigma, T, 0.0, quad_err=0.0) for T in T_grid if T <= 1.0]
-    todo = [T for T in T_grid if T > 1.0]
-    if not todo:
-        return MomentRecords(records)
-    Tmax = todo[-1]
-    h = h0 = moment_step(family, k, Tmax) / refine
-    em_cut = _em_cut(Tmax) if fam.table is None else None
-    level = 1  # current grid is at h/2
-    t0 = time.perf_counter()  # a pole's residue is timed with the integrand
-    param, block = _block_evaluator(fam, k, sigma, coeffs)
-    integrand_s = simpson_s = 0.0
-    while True:
-        h2 = h / 2.0
-        npts = int(round((Tmax - 1.0) / h2)) + 1
-        if npts > budget:
-            raise BudgetError(f"refinement needs {npts} evaluations > budget {budget}")
-        ts = 1.0 + h2 * np.arange(npts)
-        y, spread, blocks = _integrand_grid(ts, param, block, workers)
-        t1 = time.perf_counter()
-        integrand_s += t1 - t0
-        ok = True
-        out = []
-        for T in todo:
-            m2 = int(round((T - 1.0) / h2))
-            m2 -= m2 % 4  # snap so both h and h/2 Simpson counts are even
-            Ts = 1.0 + h2 * m2
-            I_h = _simpson_prefix(y[::2], h, m2 // 2)
-            I_h2 = _simpson_prefix(y, h2, m2)
-            qerr = abs(I_h - I_h2)
-            if qerr > rel_tol * max(abs(I_h2), 1e-300):
-                ok = False
-                break
-            out.append(MomentRecord(family, k, sigma, Ts, I_h2, quad_err=qerr))
-        t0 = time.perf_counter()
-        simpson_s += t0 - t1
-        if ok:
-            records = MomentRecords(records + out)
-            records.quadrature = QuadraturePass(h0, level, npts, em_cut, spread, blocks,
-                                                integrand_s, simpson_s)
-            return records
-        h = h2
-        level += 1
-        if level > 4:
-            raise BudgetError("step halving did not converge within 4 levels")
+def _integrate_cells(cells: list, workers: int, budget: int, refine: int = 1) -> list:
+    """integrate_moment_grid of each cell, given as a dict of its arguments,
+    by one pass per group of cells that share a grid, from the start step
+    moment_step(...)/refine; a refine > 1 gives the finer values a quad_err
+    is checked against."""
+    passes, groups = _plan(cells, budget, refine)
+    _run_groups(groups, workers, budget)
+    return [p.records for p in passes]
+
+
+def _plan(cells: list, budget: int, refine: int) -> tuple:
+    """The _CellPass of each cell, and its groups: (h0, Tmax) -> the cells
+    that share that start step and top T and one kind of evaluation (zeta,
+    or a series at one table length), whose grids at every level are the
+    same.  Every cell's family, table and ranges, and every group's first
+    grid against the budget, are checked here, before any evaluation."""
+    passes = [_CellPass(**c) for c in cells]
+    groups: dict = {}
+    for p in passes:
+        if p.todo:
+            N = None if p.coeffs is None else p.coeffs.N
+            h0 = moment_step(p.family, p.k, p.todo[-1]) / refine
+            groups.setdefault((p.fam.table is None, N, h0, p.todo[-1]), []).append(p)
+    for _, _, h0, Tmax in groups:
+        _grid_points(h0 / 2.0, Tmax, budget)
+    return passes, groups
+
+
+def _grid_points(h2: float, Tmax: float, budget: int) -> int:
+    """Points of the grid [1, Tmax] at step h2, held to the budget."""
+    npts = int(round((Tmax - 1.0) / h2)) + 1
+    if npts > budget:
+        raise BudgetError(f"refinement needs {npts} evaluations > budget {budget}")
+    return npts
+
+
+def _run_groups(groups: dict, workers: int, budget: int) -> None:
+    """One pass per group, every pass's blocks on one thread pool.
+
+    Each level evaluates the group's grid at h/2 once, for the cells whose
+    Simpson check has not passed yet, so every cell gets the grids, blocks,
+    cuts, Y and values of its own pass.  A level's evaluation time is split
+    evenly among the cells it evaluated; each cell's Simpson time is its
+    own."""
+    with _block_pool(workers) as run:
+        for (is_zeta, _, h0, Tmax), cells in groups.items():
+            param, block = _group_evaluator(cells)
+            em_cut = _em_cut(Tmax) if is_zeta else None
+            h, level = h0, 1  # the current grid is at h/2
+            while cells:
+                t0 = time.perf_counter()
+                npts = _grid_points(h / 2.0, Tmax, budget)
+                ts = 1.0 + h / 2.0 * np.arange(npts)
+                results = _integrand_grid(ts, param, block, cells, run)
+                share = (time.perf_counter() - t0) / len(cells)
+                failed = []
+                for c, (y, spread, blocks) in zip(cells, results):
+                    t1 = time.perf_counter()
+                    c.integrand_s += share
+                    out = c.simpson(y, h)
+                    c.simpson_s += time.perf_counter() - t1
+                    if out is None:
+                        failed.append(c)
+                        continue
+                    c.records = MomentRecords(c.done + out)
+                    c.records.quadrature = QuadraturePass(h0, level, npts, em_cut, spread, blocks,
+                                                          c.integrand_s, c.simpson_s)
+                cells, h = failed, h / 2.0
+                level += 1
+                if cells and level > 4:
+                    raise BudgetError("step halving did not converge within 4 levels")
 
 
 # ---------------------------------------------------------------------------
@@ -966,23 +1089,39 @@ def exponent_experiment(
 
     Family, k and coeffs are checked against FAMILIES before any evaluation.
     Within 0.05 of sigma = 1/2 the experiment runs but refuses to pass
-    (slow convergence makes the claim unverifiable there).
+    (slow convergence makes the claim unverifiable there).  A one-cell
+    `_experiments`.
     """
-    fam = _checked_family(family, k, coeffs)
-    t0 = time.perf_counter()
-    constant = (main_term_zeta(k, sigma) if fam.table is None
-                else main_term_series(coeffs, sigma))
-    t1 = time.perf_counter()
-    grid = integrate_moment_grid(family, k, sigma, T_grid, rel_tol, coeffs=coeffs,
-                                 workers=workers, budget=budget)
-    t2 = time.perf_counter()
-    records = _residuals(grid, constant)
-    theo = theory_exponent(family, k, sigma)
-    fit = fit_power_law([(r.T, r.residual) for r in records if r.T > 1], strict=False)
-    near_half = sigma - 0.5 < 0.05
-    passed = (fit.slope <= theo + slack) and not near_half
-    fit = replace(fit, theory_exponent=theo, slack=slack, pass_=passed)
-    stage_s = {"main_term": t1 - t0, "integrand": grid.quadrature.integrand_s,
-               "simpson_fit": grid.quadrature.simpson_s + time.perf_counter() - t2}
-    return ExperimentResult(family, k, sigma, records, fit, constant, grid.quadrature,
-                            near_half, stage_s)
+    cell = dict(family=family, k=k, sigma=sigma, T_grid=T_grid, coeffs=coeffs,
+                rel_tol=rel_tol, slack=slack)
+    return _experiments([cell], workers, budget)[0]
+
+
+def _experiments(cells: list, workers: int, budget: int) -> list:
+    """exponent_experiment of each cell, given as a dict of its arguments
+    (slack 0.25 where it names none), with one integrand pass per group of
+    cells that share a grid (see `_plan`).  Every cell and every first grid
+    is checked before any main term or integrand is evaluated."""
+    passes, groups = _plan(cells, budget, 1)
+    constants, main_s = [], []
+    for p in passes:
+        t0 = time.perf_counter()
+        constants.append(main_term_zeta(p.k, p.sigma) if p.fam.table is None
+                         else main_term_series(p.coeffs, p.sigma))
+        main_s.append(time.perf_counter() - t0)
+    _run_groups(groups, workers, budget)
+    out = []
+    for p, constant, t_main in zip(passes, constants, main_s):
+        t2 = time.perf_counter()
+        grid = p.records
+        records = _residuals(grid, constant)
+        theo = theory_exponent(p.family, p.k, p.sigma)
+        fit = fit_power_law([(r.T, r.residual) for r in records if r.T > 1], strict=False)
+        near_half = p.sigma - 0.5 < 0.05
+        passed = (fit.slope <= theo + p.slack) and not near_half
+        fit = replace(fit, theory_exponent=theo, slack=p.slack, pass_=passed)
+        stage_s = {"main_term": t_main, "integrand": grid.quadrature.integrand_s,
+                   "simpson_fit": grid.quadrature.simpson_s + time.perf_counter() - t2}
+        out.append(ExperimentResult(p.family, p.k, p.sigma, records, fit, constant,
+                                    grid.quadrature, near_half, stage_s))
+    return out

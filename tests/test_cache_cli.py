@@ -443,8 +443,12 @@ def test_experiment_summary_carries_quadrature_diagnostics(tmp_path):
     # then N/74), zeta's one chunk at its top cut
     assert [(b["t_first"], b["t_last"], b["Y"], b["em_cut"]) for b in f2["blocks"]] == [
         (1.0, f2["blocks"][0]["t_last"], 100.0, None), (50.0, 50.0, 8000 / 74.0, None)]
-    assert zeta["blocks"] == [{"t_first": 1.0, "t_last": 50.0, "points": zeta["points"],
-                               "em_cut": 100, "Y": None}]
+    (zb,) = zeta["blocks"]
+    assert zb == {"t_first": 1.0, "t_last": 50.0, "points": zeta["points"], "em_cut": 100,
+                  "Y": None, "estimate": zb["estimate"]}
+    # every zeta block carries its _zeta_em estimate; a series block has none
+    assert 0 < zb["estimate"] < 1e-9
+    assert all(b["estimate"] is None for b in f2["blocks"])
     assert sum(b["points"] for b in f2["blocks"]) == f2["points"]
     assert f2["spread"] > 0
     assert zeta["spread"] == 0
@@ -530,6 +534,9 @@ def test_experiment_f4_cell_without_k_writes_k2_rows(tmp_path):
     ([], "T_grid = 50 100\n\nfamily = zeta\nrel_tol = 1e-7\n", "rel_tol must lie in"),
     ([], "T_grid = 50 100\n\nfamily = F2\nsigma = 0.8\nN = 8000\n",
      "build-tables a_tilde=8000"),
+    # a later cell's first grid over the budget: no cell runs, no row is written
+    (["--budget", "1000"], "T_grid = 10 20\n\nfamily = zeta\nk = 1\nsigma = 0.75\n"
+     "T_grid = 100 200\n", "refinement needs 1593 evaluations > budget 1000"),
 ])
 def test_experiment_run_errors_exit_2(tmp_path, capsys, argv, manifest, message):
     m = tmp_path / "m.txt"
@@ -540,6 +547,47 @@ def test_experiment_run_errors_exit_2(tmp_path, capsys, argv, manifest, message)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
     assert not (out / "ledger.csv").exists() and not (out / "summary.json").exists()
+
+
+def test_shared_passes_write_the_ledger_of_one_command_per_cell(tmp_path):
+    # cells that share a grid share its passes: a zeta sigma pair at one k;
+    # F2, F4 and Z2 at different sigma on one N; and a group where the cell
+    # with the tighter rel_tol needs a second halving level and the others
+    # do not.  One command writes the rows and diagnostics that one command
+    # per cell writes, byte for byte, at 1 and 2 workers
+    cache_dir = str(tmp_path / "c")
+    assert main(["--cache-dir", cache_dir, "build-tables", "a_tilde=8000",
+                 "a_tilde_sq_conv=8000", "rankin_c=8000"]) == 0
+    cells = ["family = zeta\nk = 1\nsigma = 0.75 0.9\nT_grid = 50 100 200\n",
+             "family = F2\nsigma = 0.7\nT_grid = 20 40\nN = 8000\n",
+             "family = F4\nsigma = 0.8\nT_grid = 20 40\nN = 8000\n",
+             "family = Z2\nsigma = 0.9\nT_grid = 20 40\nN = 8000\n",
+             "family = zeta\nk = 1\nsigma = 0.6 0.75\nT_grid = 6 12\n",
+             "family = zeta\nk = 1\nsigma = 0.75\nT_grid = 6 12\nrel_tol = 5e-5\n"]
+
+    def run(manifests, out, workers="1"):
+        for i, text in enumerate(manifests):
+            m = tmp_path / f"m{i}.txt"
+            m.write_text(text)
+            assert main(["--cache-dir", cache_dir, "--workers", workers, "experiment", str(m),
+                         "--out-dir", str(out)]) in (0, 1)
+        return (out / "ledger.csv").read_bytes()
+
+    def diagnostics(out):
+        cells = json.loads((out / "summary.json").read_text())["cells"]
+        return [{key: v for key, v in c.items() if key != "stage_s"} for c in cells]
+
+    solo = run(cells, tmp_path / "solo")
+    solo_diag = []
+    for i, text in enumerate(cells):  # the summary of each one-cell command
+        run([text], tmp_path / f"solo{i}")
+        solo_diag += diagnostics(tmp_path / f"solo{i}")
+    for workers in ("1", "2"):
+        out = tmp_path / f"shared{workers}"
+        assert run(["\n".join(cells)], out, workers) == solo
+        assert diagnostics(out) == solo_diag
+    assert [c["level"] for c in solo_diag] == [1, 1, 1, 1, 1, 1, 1, 2]
+    assert len(solo.splitlines()) == 1 + 2 * 3 + 3 * 2 + 3 * 2
 
 
 def test_experiment_rerun_appends_identical_rows(tmp_path):
@@ -566,12 +614,29 @@ def test_selfcheck_passes_fresh(tmp_path, capsys):
 def test_selfcheck_catches_a_wrong_phase_sum(tmp_path, capsys, monkeypatch):
     nufft = zm.evaluate._nufft
 
-    def off_by_a_part_in_1e10(ts, h, ln, W):
-        return nufft(ts, h, ln, W) * (1.0 + 1e-10)
+    def off_by_a_part_in_1e10(ts, h, ln, W, widths=None):
+        return nufft(ts, h, ln, W, widths) * (1.0 + 1e-10)
 
     monkeypatch.setattr(zm.evaluate, "_nufft", off_by_a_part_in_1e10)
     assert cmd_selfcheck(RunConfig(tmp_path)) == 1
     assert "[FAIL] NUFFT phase sum" in capsys.readouterr().out
+
+
+def test_selfcheck_catches_a_column_that_depends_on_its_neighbours(tmp_path, capsys,
+                                                                   monkeypatch):
+    nufft = zm.evaluate._nufft
+
+    def last_column_off_when_shared(ts, h, ln, W, widths=None):
+        out = nufft(ts, h, ln, W, widths)
+        if widths is not None and len(widths) > 1:
+            out[:, -1] *= 1.0 + 1e-12
+        return out
+
+    monkeypatch.setattr(zm.evaluate, "_nufft", last_column_off_when_shared)
+    assert cmd_selfcheck(RunConfig(tmp_path)) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] zeta k=1, sigma 0.75 and 0.9 to T=200: one shared pass" in out
+    assert out.count("[FAIL]") == 1
 
 
 def test_selfcheck_catches_corrupt_tau_cache(tmp_path, capsys):

@@ -117,7 +117,7 @@ def test_zeta_error_estimate_honest(rng):
         sigma = float(rng.uniform(0.1, 0.95))
         t = float(rng.uniform(1, 500))
         r = zeta_em(complex(sigma, t))
-        ref = _zeta_em(sigma, np.array([t]), 2 * max(int(2 * t), 50))[0][0]
+        ref = _zeta_em((sigma,), np.array([t]), 2 * max(int(2 * t), 50))[0][0, 0]
         assert abs(r.value - ref) <= r.abs_error_estimate
         assert abs(r.value - _mp_zeta(complex(sigma, t))) <= r.abs_error_estimate
 
@@ -144,8 +144,8 @@ def test_zeta_grid_estimate_honest_against_mpmath():
         sigma = float(rng.uniform(-0.5, 2.5))
         t0 = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3.0, math.log10(5.0)))
         ts = t0 + 10 ** rng.uniform(-3.0, -1.0) * np.arange(rng.integers(2, 30))
-        vals, est = _zeta_em(sigma, ts, _em_cut(np.abs(ts).max()))
-        for t, v in zip(ts, vals):
+        vals, (est,) = _zeta_em((sigma,), ts, _em_cut(np.abs(ts).max()))
+        for t, v in zip(ts, vals[:, 0]):
             assert abs(v - _mp_zeta(complex(sigma, t))) <= est, (sigma, t)
 
 
@@ -160,7 +160,7 @@ def test_zeta_grid_matches_pointwise():
     M = int(max(2 * ts[-1], 50))
     for i in (0, 57, 199):
         s = complex(0.75, ts[i])
-        assert abs(grid[i] - _mp_zeta(s)) <= _zeta_em(0.75, np.array([ts[i]]), M)[1]
+        assert abs(grid[i] - _mp_zeta(s)) <= _zeta_em((0.75,), np.array([ts[i]]), M)[1][0]
 
 
 def test_zeta_grid_matches_pointwise_at_height():
@@ -169,7 +169,7 @@ def test_zeta_grid_matches_pointwise_at_height():
     M = _em_cut(ts[-1])
     for i in (0, 333, 1000):
         s = complex(0.75, ts[i])
-        assert abs(grid[i] - _mp_zeta(s)) <= _zeta_em(0.75, np.array([ts[i]]), M)[1]
+        assert abs(grid[i] - _mp_zeta(s)) <= _zeta_em((0.75,), np.array([ts[i]]), M)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +259,34 @@ def test_nufft_matches_direct_sum(ts, nterms, rng):
     for i in rows:
         ref = np.exp(-1j * ts[i] * ln) @ W
         assert np.all(np.abs(out[i] - ref) <= tol), i
+
+
+@pytest.mark.parametrize("ts, width, groups", [
+    # zeta one-column cells in pairs and triples on the T = 800 blocks of
+    # k = 1 and 2, series two-column cells in triples on the series blocks,
+    # and the direct sum's grids: one point, and non-uniform
+    (1.0 + np.arange(9589) / 12.0, 1, 2),
+    (1.0 + np.arange(9589) / 12.0, 1, 3),
+    (1.0 + np.arange(15981) / 20.0, 1, 2),
+    (1.0 + np.arange(15981) / 20.0, 1, 3),
+    (_moment_block("F2", 1, 160.0, 0.0, 50.0), 2, 3),
+    (_moment_block("F2", 1, 160.0, 50.0, 200.0), 2, 3),
+    (np.array([160.0]), 1, 3),
+    (np.array([160.0]), 2, 3),
+    (np.sort(np.random.default_rng(3).uniform(1.0, 800.0, 300)), 2, 2),
+])
+def test_phase_dot_columns_do_not_depend_on_the_other_columns(ts, width, groups, rng):
+    # a cell's columns in a shared call are bit-identical to its call alone,
+    # and so is their rounding bound
+    n = np.arange(1, (1600 if width == 1 else 12000), dtype=np.float64)
+    ln = np.log(n)
+    Ws = [rng.standard_normal((len(n), width)) * (n ** -0.75)[:, None] for _ in range(groups)]
+    out, bound = _phase_dot(ts, ln, np.concatenate(Ws, axis=1), (width,) * groups)
+    assert out.shape == (len(ts), width * groups)
+    for g, W in enumerate(Ws):
+        alone, alone_bound = _phase_dot(ts, ln, W)
+        cols = slice(g * width, (g + 1) * width)
+        assert np.array_equal(out[:, cols], alone) and np.array_equal(bound[cols], alone_bound)
 
 
 def test_nufft_is_deterministic(rng):
@@ -372,9 +400,9 @@ def test_phase_sum_kernel_by_grid(rng, monkeypatch):
     nufft = zm.evaluate._nufft
     calls = []
 
-    def spy(ts, h, ln, W):
+    def spy(ts, h, ln, W, widths=None):
         calls.append(len(ts))
-        return nufft(ts, h, ln, W)
+        return nufft(ts, h, ln, W, widths)
 
     monkeypatch.setattr(zm.evaluate, "_nufft", spy)
     values = rng.standard_normal(3000)

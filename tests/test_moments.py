@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 
 import zetamoments as zm
 from zetamoments.arith import prime_sieve
-from zetamoments.evaluate import _zeta_em, gamma_fn, zeta_em_grid
+from zetamoments.evaluate import _smoothed_grids, _zeta_em, _zeta_em_grids, gamma_fn
 from zetamoments.moments import (
-    _block_evaluator,
+    _CellPass,
     _euler_arith_factor,
+    _group_evaluator,
     _integrand_grid,
-    _integrate_moment_grid,
+    _integrate_cells,
     _one_swap_recipe,
     exponent_classical,
     BudgetError,
@@ -24,7 +26,6 @@ from zetamoments.moments import (
     exponent_lindelof,
     exponent_beta_envelope,
     exponent_sigma_star,
-    family_of,
     fit_power_law,
     integrate_moment_grid,
     main_term_series,
@@ -188,20 +189,26 @@ def test_a_record_is_exactly_a_ledger_row():
     q = recs.quadrature
     assert (q.h, q.em_cut, q.spread) == (moment_step("zeta", 1, 150.0), 300, 0.0)
     assert q.points == int(round(149.0 / (q.h / 2.0**q.level))) + 1
-    assert q.blocks == (zm.moments.PassBlock(1.0, 150.0, q.points, em_cut=300),)
+    (block,) = q.blocks
+    assert block[:5] == (1.0, 150.0, q.points, 300, None)
+    assert block == zm.moments.PassBlock(1.0, 150.0, q.points, em_cut=300, estimate=block.estimate)
+    # the block's estimate is _zeta_em's for its grid and cut
+    ts = 1.0 + q.h / 2.0**q.level * np.arange(q.points)
+    assert block.estimate == _zeta_em((0.75,), ts, 300)[1][0] and 0 < block.estimate < 1e-9
     assert q.integrand_s > 0.0 and q.simpson_s > 0.0
 
 
 def _series_blocks(ts, N):
     # (points, p) of each block a series pass over ts evaluates with a table of N
-    param, _ = _block_evaluator(family_of("F2"), 1, 0.8, zm.CoeffTable("a_tilde", N, np.zeros(N)))
+    cell = _CellPass("F2", 1, 0.8, [2.0], coeffs=zm.CoeffTable("a_tilde", N, np.zeros(N)))
+    param, _ = _group_evaluator([cell])
     seen = []
 
-    def block(tt, p):
+    def block(tt, p, cells):
         seen.append((len(tt), p))
-        return np.zeros(len(tt)), 0.0, {}
+        return [(np.zeros(len(tt)), 0.0, {})]
 
-    y, _, _ = _integrand_grid(ts, param, block, 1)
+    ((y, _, _),) = _integrand_grid(ts, param, block, [cell], lambda fn, args: [fn(*a) for a in args])
     assert len(y) == len(ts)
     return seen
 
@@ -227,12 +234,12 @@ def test_series_run_splits_into_equal_chunks_that_keep_y(atilde_12e3, monkeypatc
     # worker count
     calls = []
 
-    def spy(values, sigma, ts, Y, residue=None):
+    def spy(tables, ts, Y):
         calls.append((float(ts[0]), float(ts[-1]), len(ts), Y))
-        return zm.evaluate.smoothed_grid(values, sigma, ts, Y, residue)
+        return _smoothed_grids(tables, ts, Y)
 
     monkeypatch.setattr(zm.moments, "_ZETA_CHUNK", 1000)
-    monkeypatch.setattr(zm.moments, "smoothed_grid", spy)
+    monkeypatch.setattr(zm.moments, "_smoothed_grids", spy)
     rows = {}
     for workers in (1, 2):
         calls.clear()
@@ -253,19 +260,19 @@ def test_series_run_splits_into_equal_chunks_that_keep_y(atilde_12e3, monkeypatc
 
 
 def test_zeta_pass_is_one_call_at_the_top_cut(monkeypatch):
-    # the benchmark's seed-0 zeta cells: each pass is one zeta_em_grid call
-    # over all its points, at the cut of the grid's last t, with no one-point
-    # block, and with two workers it starts no pool
+    # the benchmark's seed-0 zeta cells: each pass is one zeta call over all
+    # its points, at the cut of the grid's last t, with no one-point block,
+    # and with two workers it starts no pool
     calls = []
 
-    def spy(sigma, ts):
+    def spy(sigmas, ts):
         calls.append((len(ts), float(ts[-1])))
-        return zeta_em_grid(sigma, ts)
+        return _zeta_em_grids(sigmas, ts)
 
     def no_pool(*a, **kw):
         raise AssertionError("a pass of one block started a pool")
 
-    monkeypatch.setattr(zm.moments, "zeta_em_grid", spy)
+    monkeypatch.setattr(zm.moments, "_zeta_em_grids", spy)
     monkeypatch.setattr(zm.moments, "ThreadPoolExecutor", no_pool)
     points = 0
     for k, sigma in ((1, 0.75), (1, 0.9), (2, 0.75), (3, 0.9)):
@@ -281,9 +288,9 @@ def test_zeta_pass_splits_into_equal_chunks(monkeypatch):
     # of its own last t; the rows do not depend on the worker count
     cuts = []
 
-    def spy(sigma, ts, M):
+    def spy(sigmas, ts, M):
         cuts.append((len(ts), float(ts[-1]), M))
-        return _zeta_em(sigma, ts, M)
+        return _zeta_em(sigmas, ts, M)
 
     monkeypatch.setattr(zm.moments, "_ZETA_CHUNK", 1000)
     monkeypatch.setattr(zm.evaluate, "_zeta_em", spy)
@@ -297,6 +304,56 @@ def test_zeta_pass_splits_into_equal_chunks(monkeypatch):
         assert max(m for m, _, _ in cuts) - min(m for m, _, _ in cuts) <= 1
         assert [M for _, _, M in cuts] == [int(max(2.0 * t, 50.0)) for _, t, _ in cuts]
     assert rows[1] == rows[2]
+
+
+def test_a_multi_cell_call_starts_one_pool(atilde_12e3, monkeypatch):
+    # passes of more than one block share one pool per call, of workers - 1
+    # threads beside the calling one, and a call whose passes are all one
+    # block starts none; rows do not depend on the worker count
+    started = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, *a, **kw):
+            started.append(kw["max_workers"])
+            super().__init__(*a, **kw)
+
+    monkeypatch.setattr(zm.moments, "ThreadPoolExecutor", Pool)
+    # two groups (top T 80 and 120), each pass two runs of one Y
+    cells = [dict(family="F2", k=1, sigma=sigma, T_grid=T_grid, coeffs=atilde_12e3)
+             for sigma, T_grid in ((0.7, [40.0, 80.0]), (0.8, [40.0, 80.0]), (0.8, [60.0, 120.0]))]
+    rows = {}
+    for workers in (1, 2, 3):
+        started.clear()
+        recs = _integrate_cells(cells, workers, 5_000_000)
+        assert all(len(r.quadrature.blocks) == 2 for r in recs)
+        assert started == ([] if workers == 1 else [workers - 1])
+        rows[workers] = [repr(r) for cell in recs for r in cell]
+    assert rows[1] == rows[2] == rows[3]
+    started.clear()
+    zeta = [dict(family="zeta", k=1, sigma=sigma, T_grid=[100.0]) for sigma in (0.7, 0.8)]
+    assert all(len(r.quadrature.blocks) == 1 for r in _integrate_cells(zeta, 2, 5_000_000))
+    assert started == []
+
+
+def test_a_shared_block_splits_its_cells_not_its_points(monkeypatch):
+    # past _SHARED_POINTS points x columns a block's cells go to several
+    # calls, each of whole cells, and every cell keeps its solo values
+    calls = []
+
+    def spy(sigmas, ts):
+        calls.append((len(sigmas), len(ts)))
+        return _zeta_em_grids(sigmas, ts)
+
+    cells = [dict(family="zeta", k=1, sigma=sigma, T_grid=[50.0, 100.0])
+             for sigma in (0.6, 0.7, 0.8, 0.9, 0.95)]
+    solo = [_integrate_cells([c], 1, 5_000_000)[0] for c in cells]
+    npts = solo[0].quadrature.points
+    monkeypatch.setattr(zm.moments, "_SHARED_POINTS", 2 * npts)
+    monkeypatch.setattr(zm.moments, "_zeta_em_grids", spy)
+    shared = _integrate_cells(cells, 1, 5_000_000)
+    assert calls == [(2, npts), (2, npts), (1, npts)]
+    assert [repr(r) for c in shared for r in c] == [repr(r) for c in solo for r in c]
+    assert [c.quadrature.blocks for c in shared] == [c.quadrature.blocks for c in solo]
 
 
 def test_integrate_additive():
@@ -344,8 +401,8 @@ def test_integrate_workers_deterministic():
 ])
 def test_zeta_quad_err_bounds_a_4x_finer_start(k, sigma, T_grid):
     recs = integrate_moment_grid("zeta", k, sigma, T_grid)
-    refs = _integrate_moment_grid("zeta", k, sigma, T_grid, rel_tol=1e-4, coeffs=None,
-                                  workers=1, budget=5_000_000, refine=4)
+    refs = _integrate_cells([dict(family="zeta", k=k, sigma=sigma, T_grid=T_grid)], 1,
+                            5_000_000, refine=4)[0]
     assert refs.quadrature.h == recs.quadrature.h / 4
     for rec, ref, T in zip(recs, refs, T_grid):
         assert rec.T == ref.T == T
@@ -396,11 +453,11 @@ def test_z2_residue_comes_from_its_table(atilde_12e3, monkeypatch):
     c = zm.rankin_c(atilde_12e3)
     residues = []
 
-    def spy(*args, **kw):
-        residues.append(kw["residue"])
-        return zm.evaluate.smoothed_grid(*args, **kw)
+    def spy(tables, ts, Y):
+        residues.extend(residue for _, _, residue in tables)
+        return _smoothed_grids(tables, ts, Y)
 
-    monkeypatch.setattr(zm.moments, "smoothed_grid", spy)
+    monkeypatch.setattr(zm.moments, "_smoothed_grids", spy)
     r = integrate_moment_grid("Z2", 1, 0.8, [40.0], coeffs=c)[0]
     assert residues and all(x == zm.rankin_A(c, c.N)[0] for x in residues)
     assert abs(r.integral - 53.59574120175502) <= r.quad_err
@@ -409,11 +466,11 @@ def test_z2_residue_comes_from_its_table(atilde_12e3, monkeypatch):
 def test_family_mismatch_raises_before_any_evaluation(atilde_12e3, monkeypatch):
     calls = []
 
-    def spy(*args, **kw):
+    def spy(*args):
         calls.append(args)
-        return zm.evaluate.smoothed_grid(*args, **kw)
+        return _smoothed_grids(*args)
 
-    monkeypatch.setattr(zm.moments, "smoothed_grid", spy)
+    monkeypatch.setattr(zm.moments, "_smoothed_grids", spy)
     conv = zm.self_convolve(atilde_12e3)
     for family, k, coeffs in (("F4", 2, atilde_12e3),  # F2's table
                               ("F2", 3, atilde_12e3),  # F2 is k = 1
