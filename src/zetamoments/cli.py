@@ -31,6 +31,8 @@ points, em_cut or Y, and zeta's `estimate`), its wall seconds per stage
 (`stage_s`: table_load, main_term,
 integrand with a pole's residue, simpson_fit) and the sha256 of the cached
 table it read (`table_sha256`, null for zeta), none of which reach ledger.csv.
+A command loads each table once, for every cell that reads it, and splits its
+`stage_s.table_load` evenly among them.
 The cells of a manifest run as one call: cells that share a grid share its
 integrand passes (see moments), every first grid is held to --budget before
 any cell runs, and the rows are appended in manifest order once every cell
@@ -223,14 +225,17 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
                 f"required table missing: run `zetamoments build-tables {fam.table}={N}` first"
             )
         tables.append((fam.table, N))
-    specs, loads = [], []
-    for cell, (label, N) in zip(cells, tables):
-        coeffs = table_sha256 = None
+    loaded = {}  # (label, N) -> its CoeffTable, sha256 and each cell's share of the load
+    for label, N in dict.fromkeys(t for t in tables if t[0] is not None):
         t0 = time.perf_counter()
-        if label is not None:
-            coeffs = load_coeff_table(cfg, label, N)
-            table_sha256 = cache.table_header(_cache_path(cfg, label, N))["sha256"]
-        loads.append((time.perf_counter() - t0, table_sha256))
+        coeffs = load_coeff_table(cfg, label, N)
+        table_sha256 = cache.table_header(_cache_path(cfg, label, N))["sha256"]
+        loaded[label, N] = (coeffs, table_sha256,
+                            (time.perf_counter() - t0) / tables.count((label, N)))
+    specs, loads = [], []
+    for cell, table in zip(cells, tables):
+        coeffs, table_sha256, table_load_s = loaded.get(table, (None, None, 0.0))
+        loads.append((table_load_s, table_sha256))
         specs.append(dict(family=cell["family"], k=cell["k"], sigma=cell["sigma"],
                           T_grid=cell["T_grid"], coeffs=coeffs,
                           **{key: cell[key] for key in ("rel_tol", "slack") if key in cell}))
@@ -269,7 +274,7 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
 def cmd_selfcheck(cfg: RunConfig) -> int:
     import mpmath
 
-    from .evaluate import _em_cut, _phase_dot, _zeta_em, chi_factor, zeta_em
+    from .evaluate import _EM_BLOCK, _em_cut, _phase_dot, _zeta_em, chi_factor, zeta_em
 
     failures = []
 
@@ -315,6 +320,18 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
     worst /= est
     check("zeta on a short uniform grid (sigma = 2, |t| < 5) vs mpmath within its estimate",
           worst < 1, f"worst {worst:.3f} of est + rnd")
+
+    # zeta at height on a grid of two tail blocks, each of which sums only the
+    # Bernoulli terms its own remainder bound needs: the blocks' first and
+    # last points against mpmath at 30 digits
+    ts = 1e4 + np.arange(_EM_BLOCK + _EM_BLOCK // 4) / 64.0
+    vals, (est,) = _zeta_em((0.75,), ts, _em_cut(float(ts[-1])))
+    with mpmath.workdps(30):
+        worst = max(abs(vals[j, 0] - complex(mpmath.zeta(mpmath.mpc(0.75, ts[j]))))
+                    for j in (0, _EM_BLOCK - 1, _EM_BLOCK, len(ts) - 1))
+    worst /= est
+    check("zeta at t ~ 1e4 (sigma = 0.75, two tail blocks) vs mpmath within its estimate",
+          worst < 1, f"worst {worst:.3f} of the estimate")
 
     # the quadrature estimate against the same cell from a 4x finer start
     cell = dict(family="zeta", k=1, sigma=0.75, T_grid=[200.0])

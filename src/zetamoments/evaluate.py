@@ -1,17 +1,21 @@
 """Numerical evaluation of zeta, Gamma, chi and smoothed Dirichlet series.
 
-zeta(s) is computed by Euler-Maclaurin summation with cut M = max(2|t|, 50)
-and 12 Bernoulli correction terms, in one body, `_zeta_em`, that takes
-several sigma on one grid and is shared by the scalar `zeta_em` (a
-one-point grid), `zeta_em_grid` (cut at max |t|) and the moment passes,
-after one domain check, the pole at s = 1 and the desk range |t| <= 1e5.  The
-correction terms are summed by Horner in the quadratic factors
-(s+2r-1)(s+2r) of their Pochhammer symbols, one complex product per term
-and point, and multiplied by M^{-s} = exp(-s ln M) once.  The
+zeta(s) is computed by Euler-Maclaurin summation with cut M = max(2|t|, 50),
+in one body, `_zeta_em`, that takes several sigma on one grid and is shared
+by the scalar `zeta_em` (a one-point grid), `zeta_em_grid` (cut at max |t|)
+and the moment passes, after one domain check, the pole at s = 1 and the
+desk range |t| <= 1e5.  The tail is added a block of at most 2^15 points at
+a time, and each block sums the fewest Bernoulli correction terms, at most
+12, whose remainder bound at its largest |t| is within 2^-10 of the main
+sum's rounding bound.  The terms are summed by Horner in the quadratic
+factors (s+2r-1)(s+2r) of their Pochhammer symbols, one complex product per
+term and point, and multiplied by M^{-s} = exp(-s ln M) once, which on a
+uniform grid is an exp at every 64th point times a table of rotations.  The
 error estimate combines the first omitted Bernoulli term (classical
 remainder bound) with a worst-case rounding model for the main sum, so it
 stays honest at large |t| where argument reduction in exp(-it log n)
-dominates, and a first-order rounding model of the Horner tail;
+dominates, and a first-order rounding model of the Horner tail, each over
+a block's own |t| range; a grid's is the largest of its blocks'.
 `zeta_em` reports it, `zeta_em_grid` returns values only, and a moment pass
 records it per block.
 
@@ -88,7 +92,10 @@ _BERN2R = [
     -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
     -236364091 / 2730, 8553103 / 6,
 ]
-_EM_TERMS = 12
+_EM_TERMS = 12  # the most Bernoulli terms a tail sums
+_EM_RATIO = 2.0 ** -10  # a tail's remainder bound against its column's rounding bound
+_EM_BLOCK = 1 << 15  # points per tail block, whose temporaries stay in cache
+_EM_ROT = 64  # points per exp of M^{-s} on a uniform tail block, see _zeta_em
 
 
 class PoleError(Exception):
@@ -244,17 +251,15 @@ def _cheb_bound(J: int) -> np.ndarray:
 # Chebyshev terms per offset: the fewest J whose `_cheb_bound(J)`, summed over
 # the 2H offsets and carried through the deconvolution (a gain of at most
 # _NU_AMP / sqrt(H)), stays under the Gaussian's own error _NU_GAUSS.  The
-# tests derive it; it is written out so that importing the module computes
-# nothing.
+# tests derive it; it is written out so that importing the module does not
+# search for it.
 _NU_TERMS = 16
 
 
-def _nu_cheb(npts: int, L: int) -> np.ndarray:
-    """C[o + H - 1, j], j < _NU_TERMS: exp(-a (o - f)^2) ~ sum_j C[o, j]
-    T_j(2f - 1) on f in [0, 1) for the kernel exponent a = pi (L - P/2) / (L H)
-    of a P-point grid on L cells.  It is the Chebyshev interpolant at the J
-    first-kind points f_i = (1 + cos theta_i) / 2, theta_i = pi (2i + 1) / 2J,
-    computed in long double and rounded once to double."""
+def _nu_nodes() -> tuple:
+    """The grid-independent part of `_nu_cheb`, in long double: the DCT
+    matrix cos(j theta_i) 2/J (halved at j = 0) and (o - f_i)^2 for
+    o = 1..H, at the J first-kind points f_i."""
     J, ld = _NU_TERMS, np.longdouble
     # cos(pi k / 2J), k < 4J, by halving angles from cos(k pi / 2), k = 0, 1, 2:
     # cos(x/2) = sqrt((1 + cos x) / 2) on [0, pi], then cos(2 pi - x) = cos x
@@ -267,24 +272,42 @@ def _nu_cheb(npts: int, L: int) -> np.ndarray:
     f = (1 + cos[k]) / 2
     dct = cos[np.outer(k, np.arange(J)) % (4 * J)] * (ld(2) / J)  # cos(j theta_i) = cos(pi k_i j / 2J)
     dct[:, 0] /= 2
+    o = np.arange(1, _NU_HALF + 1, dtype=ld)[:, None]
+    return dct, (o - f) ** 2
+
+
+# made once, at import: made at the first pass, these small arrays would sit
+# above that pass's arrays in the heap and keep it from shrinking past them
+# (0.2-0.3 MB more peak RSS in a series command, measured)
+_NU_NODES = _nu_nodes()
+
+
+def _nu_cheb(npts: int, L: int) -> np.ndarray:
+    """C[o + H - 1, j], j < _NU_TERMS: exp(-a (o - f)^2) ~ sum_j C[o, j]
+    T_j(2f - 1) on f in [0, 1) for the kernel exponent a = pi (L - P/2) / (L H)
+    of a P-point grid on L cells.  It is the Chebyshev interpolant at the J
+    first-kind points f_i = (1 + cos theta_i) / 2, theta_i = pi (2i + 1) / 2J,
+    computed in long double and rounded once to double."""
+    ld = np.longdouble
+    dct, of2 = _NU_NODES
     pi = ld(math.pi) + ld(1.2246467991473532e-16)  # math.pi and its remainder
     a = pi * (L - ld(npts) / 2) / (L * ld(_NU_HALF))
-    o = np.arange(1, _NU_HALF + 1, dtype=ld)[:, None]
-    up = np.dot(np.exp(-a * (o - f) ** 2), dct).astype(np.float64)
+    up = np.dot(np.exp(-a * of2), dct).astype(np.float64)
     # f -> 1 - f takes o to 1 - o and T_j(x) to (-1)^j T_j(x), and the points
     # are symmetric, so the offsets o <= 0 mirror the offsets o > 0
-    return np.concatenate((up[::-1] * (-1.0) ** np.arange(J), up))
+    return np.concatenate((up[::-1] * (-1.0) ** np.arange(_NU_TERMS), up))
 
 
 # The moments' weight on rounding: sum_{o,j} |C[o, j]| against the kernel's
 # mass sum_o exp(-a (o - f)^2) = sqrt(pi/a), which grows with a and is
 # 1.2758 at the top of _NU_A (the tests check the bound)
 _NU_MOM = 1.276
-_NU_TILE = 4096  # terms spread per pass, at most _NU_CELLS cells of them
-# so that a pass's moments (J per cell and real row), the values of half its
-# offsets (H per cell and row) and their indices each hold no more numbers
-# than its terms do as complex weights, 2 _NU_TILE per column
-_NU_CELLS = _NU_TILE // max(_NU_TERMS, _NU_HALF)
+# terms spread per pass: a pass has at most one cell per term, so its moments
+# (J per cell and real row) hold at most 16 * 2 * 4096 doubles, 1 MB, per
+# column, and the values of a quarter of its offsets (H/2 per cell and row)
+# and their indices half as many
+_NU_TILE = 4096
+_NU_PART = _NU_HALF // 2  # offsets per batched product of C @ mu
 
 
 def _fft_len(n: int) -> int:
@@ -320,7 +343,8 @@ def _cell_moments(x: np.ndarray, phase: np.ndarray, W: np.ndarray,
     for c, _, mu in rows:
         np.add.reduceat(c, starts, axis=1, out=mu[0])
     x2 = 2.0 * x
-    tp, tj, tn = np.ones_like(x), x, np.empty_like(x)
+    # T_{j-2}, T_{j-1} and the next T_j rotate through buffers of this call's own
+    tp, tj, tn = np.ones_like(x), x.copy(), np.empty_like(x)
     for j in range(1, _NU_TERMS):
         if j > 1:  # T_j = 2 x T_{j-1} - T_{j-2}
             np.multiply(x2, tj, out=tn)
@@ -357,12 +381,12 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray,
     over the runs of terms that share a cell.  The cost is O(J terms
     + 2H J cells + L log L): J real multiply-adds per term and real column
     for the moments, 2H J per cell for C @ mu, and the FFT.  A pass takes at
-    most _NU_TILE terms and _NU_CELLS cells, and adds its values to a grid
-    padded by 2H - 1 cells, so that no index is reduced mod L until the
+    most _NU_TILE terms, so at most as many cells, and adds its values to a
+    grid padded by 2H - 1 cells, so that no index is reduced mod L until the
     padding is folded back once, before the FFT.  C @ mu is taken as 2H
-    matrix-vector products, one batched `np.matmul` per half of the
-    offsets, not as a matrix-matrix product, which would page in BLAS's gemm
-    code (some 0.2 MB the rest of the program never runs).  BLAS blocks
+    matrix-vector products, one batched `np.matmul` per quarter of the
+    offsets (_NU_PART), not as a matrix-matrix product, which would page in
+    BLAS's gemm code (some 0.2 MB the rest of the program never runs).  BLAS blocks
     those products by their row count, so a row's bits would depend on how
     many columns share the call: each column group of `widths` (a cell of a
     shared pass) gets its own moments, on its own (J, 2 columns, K) array,
@@ -371,7 +395,9 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray,
     deconvolution are shared.  Each value is then one dot product over j,
     and every other sum has a fixed order per row, so a group's columns
     depend only on its own weights and the grid, not on the other groups,
-    workers or BLAS threads.
+    workers or BLAS threads.  Mode m = j - mid is FFT cell m mod L, so the
+    output is two slices of the grid, each times the deconvolution
+    exp(tau m^2) sqrt(pi/tau)/L, which is taken once per |m| <= mid.
 
     Error account, per mode m and in units of sum |c_n|: an absolute error
     E in the grid reaches mode m as E sqrt(pi/tau)/L exp(tau m^2), and the
@@ -399,40 +425,40 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray,
     rows = np.array([r // 2 * 2 * M + r % 2 for r in range(R)])  # row r's start in flat
     # where[o + H - 1, r]: offset o from cell 0, in row r of flat
     where = (2 * np.arange(2 * _NU_HALF))[:, None, None] + rows[:, None]
-    # per group, per half of the offsets: its coefficients and its rows' places
-    halves = [[(C[i: i + _NU_HALF, :, None], where[i: i + _NU_HALF, 2 * c0: 2 * c1])
-               for i in (0, _NU_HALF)] for c0, c1 in groups]
-    j0 = 0
-    while j0 < len(ln):
+    # per group, per quarter of the offsets: its coefficients and its rows' places
+    parts = [[(C[i: i + _NU_PART, :, None], where[i: i + _NU_PART, 2 * c0: 2 * c1])
+              for i in range(0, 2 * _NU_HALF, _NU_PART)] for c0, c1 in groups]
+    for j0 in range(0, len(ln), _NU_TILE):
         lnt = ln[j0: j0 + _NU_TILE]
         u = lnt * (h * L / (2.0 * math.pi))  # x_n in cells
         cell = np.floor(u)
         starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
-        if len(starts) > _NU_CELLS:  # end the pass at its _NU_CELLS-th cell
-            nt = starts[_NU_CELLS]
-            lnt, u, cell, starts = lnt[:nt], u[:nt], cell[:nt], starts[:_NU_CELLS]
         cells = cell[starts].astype(np.int64)
         cells %= L
         cells *= 2  # where cell c of row 0 sits in flat, less the left padding
         u -= cell
         u *= 2.0
         u -= 1.0  # 2 f - 1
-        mus = _cell_moments(u, lnt * -ts[mid], W[j0: j0 + len(u)], starts, groups)
-        for mu, group_halves in zip(mus, halves):
+        mus = _cell_moments(u, lnt * -ts[mid], W[j0: j0 + _NU_TILE], starts, groups)
+        for mu, group_parts in zip(mus, parts):
             muT = mu.reshape(_NU_TERMS, -1).T  # muT[r K + k, j] = mu[j, r, k]
-            vals = np.empty((_NU_HALF, len(muT), 1))
-            for Ch, at in group_halves:  # vals[o, r K + k] = sum_j C[o, j] mu[j, r, k]
+            vals = np.empty((_NU_PART, len(muT), 1))
+            for Ch, at in group_parts:  # vals[o, r K + k] = sum_j C[o, j] mu[j, r, k]
                 np.matmul(muT, Ch, out=vals)
                 np.add.at(flat, (at + cells).ravel(), vals.ravel())
-        j0 += len(u)
     grid = pad[:, _NU_HALF - 1: _NU_HALF - 1 + L]
     edge = np.r_[0: _NU_HALF - 1, L + _NU_HALF - 1: M]
     np.add.at(grid, (slice(None), (edge - (_NU_HALF - 1)) % L), pad[:, edge])
     np.fft.fft(grid, out=grid)
-    m = np.arange(npts) - mid
-    out = grid[:, m % L].T
-    out *= (np.exp(tau * m * m) * (math.sqrt(math.pi / tau) / L))[:, None]
-    return out
+    # mode m = j - mid sits in cell m mod L: the modes m < 0 are the grid's last
+    # mid cells, the rest its first npts - mid; each is divided by the
+    # Gaussian's transform, taken once per |m| <= mid
+    m = np.arange(mid + 1)
+    deconv = np.exp(tau * m * m) * (math.sqrt(math.pi / tau) / L)
+    out = np.empty((ncol, npts), dtype=np.complex128)
+    np.multiply(grid[:, L - mid:], deconv[mid:0:-1], out=out[:, :mid])
+    np.multiply(grid[:, :npts - mid], deconv[:npts - mid], out=out[:, mid:])
+    return out.T
 
 
 def _zeta_em(sigmas, ts: np.ndarray, M: int) -> tuple[np.ndarray, list]:
@@ -443,27 +469,42 @@ def _zeta_em(sigmas, ts: np.ndarray, M: int) -> tuple[np.ndarray, list]:
 
     The main sums are one `_phase_dot`, one column n^-sigma per sigma, each
     its own column group, so each column is bit-identical to a one-sigma
-    call; the tail and the estimate are then taken per sigma.
+    call.  The tail and its estimate are then taken per sigma and per block
+    of at most _EM_BLOCK points, so that the tail's temporaries stay in
+    cache; each block's estimate covers its own |t| range, and the grid's is
+    the largest of them.
 
     The value is the main sum over n < M plus M^{-s} B, with
         B = 1/2 + M/(s-1) + s A,  s A = sum_{r<=R} c_r P_r,
-    P_r = s(s+1)...(s+2r-2), c_r = B_2r M^{1-2r}/(2r)! and R = _EM_TERMS.
-    A is summed by Horner, A <- c_r + A q_r from A = c_R for r = R-1 down
-    to 1, with q_r = (s+2r-1)(s+2r) = (sigma+2r-1)(sigma+2r) - t^2
-    + i t (2 sigma + 4r - 1): its real part steps down by 4 sigma + 8r + 2
-    from one r to the next and its imaginary part is formed afresh from the
-    grid, so a term costs one complex product and no array beyond A and q.
-    M^{-s} = exp(-s ln M) multiplies B once.
+    P_r = s(s+1)...(s+2r-2) and c_r = B_2r M^{1-2r}/(2r)!.  R is the
+    fewest terms, at most _EM_TERMS, whose remainder bound at the block's
+    largest |t| is at most _EM_RATIO of the column's phase-sum rounding
+    bound (`_em_terms`), so the terms left out move the estimate by under a
+    thousandth of it.  A is summed by Horner, A <- c_r + A q_r from A = c_R
+    for r = R-1 down to 1, with q_r = (s+2r-1)(s+2r) = (sigma+2r-1)(sigma+2r)
+    - t^2 + i t (2 sigma + 4r - 1): its real part steps down by
+    4 sigma + 8r + 2 from one r to the next and its imaginary part is formed
+    afresh from the grid, each in its own view of q, so a term costs one
+    complex product and no array beyond A and q.  M^{-s} = exp(-s ln M)
+    multiplies B once.  On a uniform grid of step h it is an anchor
+    exp(-(sigma + i t_a) ln M) at every _EM_ROT-th point t_a times a
+    rotation exp(-i k h ln M), k < _EM_ROT, from one table per block, so a
+    point costs one complex product in place of an exp; elsewhere it is an
+    exp at every point.
 
     The method's part is the remainder bound (first omitted Bernoulli term
-    times |s+2R+1|/(sigma+2R+1)) plus the main sum's rounding bound from
-    `_phase_dot`; both grow with |t|, so they are taken at the grid's
-    largest |t|.  The rounding part, to first order in eps:
-    - M^{-s}: its argument is known to eps |s| ln M, and exp adds 2 eps;
+    times |s+2R+1|/(sigma+2R+1)), which grows with |t| and is taken at the
+    block's largest |t|, plus the whole grid's main-sum rounding bound from
+    `_phase_dot`.  The rounding part, to first order in eps:
+    - M^{-s}: t_a ln M and k h ln M are each good to eps, the anchor's
+      t_a + k h is off the point's t by the drift d = max |t_a + k h - t|,
+      which the block measures to eps |t|, so the argument is known to
+      (eps (2 |s| + K |h|) + d) ln M (K = 1 and d = 0 off a uniform grid);
+      the two exps and their product add 6.5 eps;
     - B: the division, the product s A and the two additions cost at most
       4.5 eps b, with b = 1/2 + M/|s-1| + sum_r |c_r P_r|, and the product
       M^{-s} B 2 eps more, so together with M^{-s} the tail is good to
-      eps M^{-sigma} b (|s| ln M + 9);
+      M^{-sigma} b ((eps (2 |s| + K |h|) + d) ln M + 13 eps);
     - Horner: each q_r is off by at most eps Q, Q = (R+1) max_r (|q_r| +
       |4 sigma + 8r + 2|) (the real part's R steps of subtraction), and
       each level's product and sum cost 2.5 eps, so s A is off by
@@ -471,7 +512,7 @@ def _zeta_em(sigmas, ts: np.ndarray, M: int) -> tuple[np.ndarray, list]:
       + Q sum_{i<r} prod_{l<r, l!=i} |q_l|);
     - the one addition of the tail into the value: eps/2 max |value|.
     Every product of |s + m| grows with |t|, so the Horner sums are taken at
-    the grid's largest |t|; M/|s-1| is taken at its smallest.
+    the block's largest |t|; M/|s-1| is taken at its smallest.
     """
     n = np.arange(1, M, dtype=np.float64)
     W = np.empty((M - 1, len(sigmas)))
@@ -479,65 +520,96 @@ def _zeta_em(sigmas, ts: np.ndarray, M: int) -> tuple[np.ndarray, list]:
         W[:, i] = n ** (-sigma)
     out, rnd = _phase_dot(ts, np.log(n), W, (1,) * len(sigmas))
     del W
-    R = _EM_TERMS
-    c = [_BERN2R[r - 1] / math.factorial(2 * r) * M ** (1.0 - 2 * r) for r in range(1, R + 1)]
-    ests = [_zeta_em_tail(sigma, ts, M, c, out[:, i], float(rnd[i]))
+    c = [_BERN2R[r - 1] / math.factorial(2 * r) * M ** (1.0 - 2 * r)
+         for r in range(1, _EM_TERMS + 1)]
+    h = _grid_step(ts)
+    ests = [max(_zeta_em_tail(sigma, ts[b: b + _EM_BLOCK], M, c, out[b: b + _EM_BLOCK, i],
+                              float(rnd[i]), h)
+                for b in range(0, len(ts), _EM_BLOCK))
             for i, sigma in enumerate(sigmas)]
     return out, ests
 
 
+def _em_terms(sigma: float, tmax: float, M: int, c: list, rnd: float) -> tuple:
+    """(R, trunc, E, H) of a tail block whose largest |t| is tmax: R the
+    fewest Bernoulli terms, at most _EM_TERMS, whose remainder bound trunc
+    is at most _EM_RATIO rnd, and the sums E = sum_r |c_r P_r| and H of the
+    Horner rounding model at R terms; see `_zeta_em`."""
+    s = complex(sigma, tmax)
+    Ms = M ** -sigma
+    pp = 1.0  # prod_{l<r} |q_l|
+    dd = 0.0  # sum_{i<r} prod_{l<r, l!=i} |q_l|
+    E = H1 = H2 = Qm = 0.0  # H = H1 + Q H2, Q = (R+1) Qm
+    for R in range(1, _EM_TERMS + 1):
+        q = abs((s + (2 * R - 1)) * (s + 2 * R))
+        cs = abs(c[R - 1]) * abs(s)
+        E += cs * pp
+        H1 += cs * pp * (2.5 * R + 2.0)
+        H2 += cs * dd
+        dd = dd * q + pp
+        pp *= q
+        trunc = (
+            abs(_BERN2R[R]) / math.factorial(2 * R + 2) * M ** (-1.0 - 2 * R) * Ms
+            * abs(s) * pp * abs(s + 2 * R + 1) / (sigma + 2 * R + 1)
+        )
+        if R == _EM_TERMS or (sigma + 2 * R + 1 > 0 and trunc <= _EM_RATIO * rnd):
+            return R, trunc, E, H1 + (R + 1) * Qm * H2
+        Qm = max(Qm, q + abs(4.0 * sigma + 8 * R + 2))
+
+
 def _zeta_em_tail(sigma: float, ts: np.ndarray, M: int, c: list, out: np.ndarray,
-                  rnd: float) -> float:
-    """Adds the Euler-Maclaurin tail M^{-s} B at one sigma to its main sums
-    `out` (in place), and returns the grid's estimate; see `_zeta_em`."""
-    R = _EM_TERMS
+                  rnd: float, h: float | None) -> float:
+    """Adds the Euler-Maclaurin tail M^{-s} B at one sigma to the main sums
+    `out` of one block (in place), and returns the block's estimate; h is
+    the step of a uniform grid, else None; see `_zeta_em`."""
+    absts = np.abs(ts)
+    s = complex(sigma, float(absts.max()))
+    R, trunc, E, H = _em_terms(sigma, s.imag, M, c, rnd)
     lnM = math.log(M)
-    A = np.full(len(ts), c[-1], dtype=np.complex128)
-    q = np.empty_like(A)
+    # M^{-s} is an anchor at every K-th point times a rotation, see below; q
+    # has room for whole rows of K
+    K, h = (1, 0.0) if h is None else (_EM_ROT, float(h))
+    rows = -(-len(ts) // K)
+    qK = np.empty((rows, K), dtype=np.complex128)
+    q = qK.reshape(-1)[: len(ts)]
     qr, qi = q.real, q.imag
-    np.multiply(ts, ts, out=qr)
-    np.subtract((sigma + 2 * R - 3) * (sigma + 2 * R - 2), qr, out=qr)  # Re q_{R-1}
+    A = np.full(len(ts), c[R - 1], dtype=np.complex128)
+    Ar = A.real
+    if R > 1:
+        np.multiply(ts, ts, out=qr)
+        np.subtract((sigma + 2 * R - 3) * (sigma + 2 * R - 2), qr, out=qr)  # Re q_{R-1}
     for r in range(R - 1, 0, -1):
         if r < R - 1:
-            q -= 4.0 * sigma + 8 * r + 2
+            qr -= 4.0 * sigma + 8 * r + 2
         np.multiply(ts, 2.0 * sigma + 4 * r - 1, out=qi)
         A *= q
-        A += c[r - 1]
+        Ar += c[r - 1]
     qr[:] = sigma
     qi[:] = ts
     A *= q  # s A
-    q -= 1.0
+    qr[:] = sigma - 1.0
     np.divide(M, q, out=q)  # M/(s-1)
     A += q
-    A += 0.5
-    qr[:] = -sigma * lnM
-    np.multiply(ts, -lnM, out=qi)
-    np.exp(q, out=q)  # M^{-s}
+    Ar += 0.5
+    # M^{-s}: anchor a = exp(-(sigma + i t_a) ln M) at every K-th point t_a
+    # times rotation exp(-i k h ln M), k < K
+    kh = np.arange(K) * h
+    a = np.empty(rows, dtype=np.complex128)
+    a.real = -sigma * lnM
+    np.multiply(ts[::K], -lnM, out=a.imag)
+    np.exp(a, out=a)
+    np.multiply.outer(a, np.exp(kh * (-1j * lnM)), out=qK)
     A *= q
     out += A
-    # the bounds at the grid's largest |t|, where every |s + m| is largest
-    absts = np.abs(ts)
-    s = complex(sigma, float(absts.max()))
-    qs = [abs((s + (2 * r - 1)) * (s + 2 * r)) for r in range(1, R + 1)]
-    Q = (R + 1) * max(qs[r - 1] + abs(4.0 * sigma + 8 * r + 2) for r in range(1, R))
-    pp = 1.0  # prod_{l<r} |q_l|
-    dd = 0.0  # sum_{i<r} prod_{l<r, l!=i} |q_l|
-    E = H = 0.0
-    for r in range(1, R + 1):
-        cs = abs(c[r - 1]) * abs(s)
-        E += cs * pp
-        H += cs * (pp * (2.5 * r + 2.0) + Q * dd)
-        dd = dd * qs[r - 1] + pp
-        pp *= qs[r - 1]
-    r = R + 1
-    Ms = M ** -sigma
-    trunc = (
-        abs(_BERN2R[r - 1]) / math.factorial(2 * r) * M ** (1.0 - 2 * r) * Ms
-        * abs(s) * pp * abs(s + 2 * R + 1) / (sigma + 2 * R + 1)
-    )
+    # the drift max |t_a + k h - t|, in q's real view
+    np.add.outer(ts[::K], kh, out=qK.real)
+    qr -= ts
+    drift = float(np.abs(qr).max())
     near = math.hypot(sigma - 1.0, float(absts.min()))
     b = 0.5 + (M / near if near else math.inf) + E
-    rnd_value = _EPS * (Ms * (b * (abs(s) * lnM + 9.0) + H) + 0.5 * float(np.abs(out).max()))
+    arg = _EPS * (2.0 * abs(s) + K * abs(h)) + drift  # M^{-s}'s phase error / ln M
+    rnd_value = (M ** -sigma * (b * (arg * lnM + 13.0 * _EPS) + _EPS * H)
+                 + _EPS * 0.5 * float(np.abs(out).max()))
     return trunc + rnd + rnd_value
 
 

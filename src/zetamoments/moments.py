@@ -184,8 +184,9 @@ class PassBlock(NamedTuple):
 @dataclass(frozen=True)
 class QuadraturePass:
     """One quadrature pass's diagnostics, for summary.json only: em_cut is zeta's
-    top Euler-Maclaurin cut, spread the max Y-doubling spread, blocks the
-    final level's PassBlocks, *_s wall seconds."""
+    top Euler-Maclaurin cut, the one its top block ran at, spread the max
+    Y-doubling spread, blocks the final level's PassBlocks, *_s wall
+    seconds."""
 
     h: float = 0.0
     level: int = 0
@@ -670,9 +671,8 @@ def _run_groups(groups: dict, workers: int, budget: int) -> None:
     evenly among the cells it evaluated; each cell's Simpson time is its
     own."""
     with _block_pool(workers) as run:
-        for (is_zeta, _, h0, Tmax), cells in groups.items():
+        for (_, _, h0, Tmax), cells in groups.items():
             param, block = _group_evaluator(cells)
-            em_cut = _em_cut(Tmax) if is_zeta else None
             h, level = h0, 1  # the current grid is at h/2
             while cells:
                 t0 = time.perf_counter()
@@ -690,8 +690,9 @@ def _run_groups(groups: dict, workers: int, budget: int) -> None:
                         failed.append(c)
                         continue
                     c.records = MomentRecords(c.done + out)
-                    c.records.quadrature = QuadraturePass(h0, level, npts, em_cut, spread, blocks,
-                                                          c.integrand_s, c.simpson_s)
+                    c.records.quadrature = QuadraturePass(h0, level, npts, blocks[-1].em_cut,
+                                                          spread, blocks, c.integrand_s,
+                                                          c.simpson_s)
                 cells, h = failed, h / 2.0
                 level += 1
                 if cells and level > 4:

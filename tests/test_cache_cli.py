@@ -590,6 +590,36 @@ def test_shared_passes_write_the_ledger_of_one_command_per_cell(tmp_path):
     assert len(solo.splitlines()) == 1 + 2 * 3 + 3 * 2 + 3 * 2
 
 
+def test_cells_that_read_one_table_load_it_once(tmp_path, monkeypatch):
+    # F2 at three sigma reads a_tilde from the cache once, and writes the
+    # ledger of three one-cell commands
+    cache_dir = str(tmp_path / "c")
+    assert main(["--cache-dir", cache_dir, "build-tables", "a_tilde=8000"]) == 0
+    load = cache.load_table
+    loads = []
+
+    def spy(path):
+        loads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cache, "load_table", spy)
+
+    def run(sigmas, out):
+        m = tmp_path / "m.txt"
+        m.write_text(f"family = F2\nsigma = {sigmas}\nT_grid = 20 40\nN = 8000\n")
+        assert main(["--cache-dir", cache_dir, "experiment", str(m),
+                     "--out-dir", str(out)]) in (0, 1)
+        return (out / "ledger.csv").read_bytes()
+
+    shared = run("0.7 0.8 0.9", tmp_path / "shared")
+    assert len(loads) == 1
+    cells = json.loads((tmp_path / "shared" / "summary.json").read_text())["cells"]
+    assert len({c["stage_s"]["table_load"] for c in cells}) == 1
+    for sigma in ("0.7", "0.8", "0.9"):
+        run(sigma, tmp_path / "solo")
+    assert shared == (tmp_path / "solo" / "ledger.csv").read_bytes()
+
+
 def test_experiment_rerun_appends_identical_rows(tmp_path):
     m = tmp_path / "m.txt"
     m.write_text("family = zeta\nk = 1\nsigma = 0.75\nT_grid = 50 100\n")
@@ -620,6 +650,27 @@ def test_selfcheck_catches_a_wrong_phase_sum(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(zm.evaluate, "_nufft", off_by_a_part_in_1e10)
     assert cmd_selfcheck(RunConfig(tmp_path)) == 1
     assert "[FAIL] NUFFT phase sum" in capsys.readouterr().out
+
+
+def test_selfcheck_catches_a_wrong_tail_at_height(tmp_path, capsys, monkeypatch):
+    # a tail off by 1e-6 in every value of its blocks at height, where only
+    # the two-block check at t ~ 1e4 looks (the other checks stay at
+    # |t| <= 200), fails exactly that check, on both of its blocks
+    tail = zm.evaluate._zeta_em_tail
+    blocks = []
+
+    def off_by_1e_6(sigma, ts, M, c, out, *args):
+        est = tail(sigma, ts, M, c, out, *args)
+        if ts[0] > 1000.0:
+            out += 1e-6
+            blocks.append(len(ts))
+        return est
+
+    monkeypatch.setattr(zm.evaluate, "_zeta_em_tail", off_by_1e_6)
+    assert cmd_selfcheck(RunConfig(tmp_path)) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] zeta at t ~ 1e4" in out and out.count("[FAIL]") == 1
+    assert len(blocks) == 2
 
 
 def test_selfcheck_catches_a_column_that_depends_on_its_neighbours(tmp_path, capsys,

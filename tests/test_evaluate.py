@@ -13,6 +13,9 @@ import pytest
 import zetamoments as zm
 from zetamoments.arith import PrecisionError
 from zetamoments.evaluate import (
+    _EM_BLOCK,
+    _EM_RATIO,
+    _EM_TERMS,
     _EPS,
     _NU_AMP,
     _NU_GAUSS,
@@ -20,8 +23,10 @@ from zetamoments.evaluate import (
     _NU_MOM,
     _NU_TERMS,
     PoleError,
+    _cell_moments,
     _cheb_bound,
     _em_cut,
+    _em_terms,
     _fft_len,
     _grid_step,
     _nu_cheb,
@@ -172,6 +177,115 @@ def test_zeta_grid_matches_pointwise_at_height():
         assert abs(grid[i] - _mp_zeta(s)) <= _zeta_em((0.75,), np.array([ts[i]]), M)[1][0]
 
 
+@pytest.mark.parametrize("sigma, t0, step", [
+    (0.75, 98_000.0, 0.05),
+    (0.6, 9_000.0, 1 / 32),
+    (0.9, 1.0, 1 / 32),
+])
+def test_zeta_at_height_within_its_estimate_across_tail_blocks(sigma, t0, step):
+    # 40 000 points, tail blocks of 2^15 and 7232, each summing only the
+    # Bernoulli terms its own remainder bound needs: six points, two on
+    # either side of the block edge, against mpmath
+    ts = t0 + step * np.arange(40_000)
+    vals, (est,) = _zeta_em((sigma,), ts, _em_cut(ts[-1]))
+    for j in (0, 7919, _EM_BLOCK - 1, _EM_BLOCK, 36_000, 39_999):
+        assert abs(vals[j, 0] - _mp_zeta(complex(sigma, ts[j]))) <= est, j
+
+
+def _em_coeffs(M: int) -> list:
+    # c_r = B_2r M^(1-2r) / (2r)!, r <= _EM_TERMS, from mpmath's Bernoulli numbers
+    return [float(mpmath.bernoulli(2 * r)) / math.factorial(2 * r) * M ** (1.0 - 2 * r)
+            for r in range(1, _EM_TERMS + 1)]
+
+
+def _remainder(sigma: float, t: float, M: int, R: int) -> float:
+    # the remainder bound after R Bernoulli terms, from mpmath's B_{2R+2}
+    s = complex(sigma, t)
+    prod = math.prod(abs((s + 2 * l - 1) * (s + 2 * l)) for l in range(1, R + 1))
+    return (abs(float(mpmath.bernoulli(2 * R + 2))) / math.factorial(2 * R + 2)
+            * M ** (-1.0 - 2 * R - sigma) * abs(s) * prod * abs(s + 2 * R + 1)
+            / (sigma + 2 * R + 1))
+
+
+@pytest.mark.parametrize("sigma", [-0.5, 0.5, 0.75, 0.9, 1.5, 2.0])
+@pytest.mark.parametrize("t", [0.0, 3.0, 100.0, 800.0, 52_430.0, 1e5])
+def test_em_terms_are_the_fewest_under_the_ratio(sigma, t):
+    # R is the fewest terms, at most _EM_TERMS, whose remainder bound at the
+    # block's top |t| is within _EM_RATIO of the column's rounding bound
+    M = _em_cut(t)
+    n = np.arange(1, M, dtype=np.float64)
+    rnd = float(_rounding_model(np.array([t]), np.log(n), (n ** -sigma)[:, None])[0])
+    c = _em_coeffs(M)
+    R, trunc = _em_terms(sigma, t, M, c, rnd)[:2]
+    assert 1 <= R <= _EM_TERMS
+    assert trunc == pytest.approx(_remainder(sigma, t, M, R), rel=1e-12)
+    assert trunc <= _EM_RATIO * rnd
+    assert R == 1 or _remainder(sigma, t, M, R - 1) > _EM_RATIO * rnd
+
+
+def test_em_terms_at_the_real_axis_and_on_the_zeta_workload(monkeypatch):
+    # four terms at s = 1.5, six on each zeta moment grid to T = 800
+    terms = zm.evaluate._em_terms
+    got = []
+
+    def spy(*args):
+        out = terms(*args)
+        got.append(out[0])
+        return out
+
+    monkeypatch.setattr(zm.evaluate, "_em_terms", spy)
+    zeta_em(1.5)
+    assert got == [4]
+    got.clear()
+    for k, sigma in ((1, 0.75), (1, 0.9), (2, 0.75), (3, 0.9)):
+        zeta_em_grid(sigma, _moment_block("zeta", k, 800.0, 400.0, 800.0))
+    assert got == [6] * 4
+
+
+@pytest.mark.parametrize("t0, step, npts", [
+    (1.0, 1 / 12, 9589),  # the zeta k = 1 pass to T = 800: h not a power of 2
+    (98_000.0, 0.05, 5000),
+    (-4.75, 0.5, 20),  # 64 h is far above max |t|
+    (3.0, 0.1, 130),  # a partial last row of anchors
+])
+def test_zeta_tail_anchors_agree_with_an_exp_at_every_point(t0, step, npts):
+    # on a uniform block M^{-s} is an anchor times a rotation; off one it is
+    # an exp at every point: the two tails agree within the anchored one's
+    # estimate, and the anchored estimate carries its drift
+    ts = t0 + step * np.arange(npts)
+    h = _grid_step(ts)
+    assert h is not None
+    M = _em_cut(np.abs(ts).max())
+    c = _em_coeffs(M)
+    anchored, exp = np.zeros(npts, complex), np.zeros(npts, complex)
+    est = zm.evaluate._zeta_em_tail(0.75, ts, M, c, anchored, 1e-12, h)
+    est_exp = zm.evaluate._zeta_em_tail(0.75, ts, M, c, exp, 1e-12, None)
+    assert est >= est_exp
+    assert np.abs(anchored - exp).max() <= est + est_exp
+
+
+def test_zeta_grid_estimate_is_its_largest_block_estimate(monkeypatch):
+    # a grid of 2.5 tail blocks: each block's estimate covers its own |t|
+    # range, and the grid's is the largest of them; its values are those of
+    # the blocks taken one by one
+    tail = zm.evaluate._zeta_em_tail
+    blocks = []
+
+    def spy(sigma, ts, *args):
+        est = tail(sigma, ts, *args)
+        blocks.append((len(ts), est))
+        return est
+
+    monkeypatch.setattr(zm.evaluate, "_zeta_em_tail", spy)
+    ts = 1.0 + np.arange(2 * _EM_BLOCK + _EM_BLOCK // 2) / 32.0
+    M = _em_cut(ts[-1])
+    vals, ests = _zeta_em((0.75, 0.9), ts, M)
+    sizes = [_EM_BLOCK, _EM_BLOCK, _EM_BLOCK // 2]
+    assert [b[0] for b in blocks] == sizes * 2
+    assert ests == [max(e for _, e in blocks[:3]), max(e for _, e in blocks[3:])]
+    assert len({e for _, e in blocks[:3]}) == 3  # the estimate differs per block
+
+
 # ---------------------------------------------------------------------------
 # the phase-sum kernel
 # ---------------------------------------------------------------------------
@@ -287,6 +401,52 @@ def test_phase_dot_columns_do_not_depend_on_the_other_columns(ts, width, groups,
         alone, alone_bound = _phase_dot(ts, ln, W)
         cols = slice(g * width, (g + 1) * width)
         assert np.array_equal(out[:, cols], alone) and np.array_equal(bound[cols], alone_bound)
+
+
+def test_cell_moments_leave_x_and_match_chebvander(rng):
+    # a tile of runs of 1-40 terms and two column groups: the caller's x is
+    # unchanged, and each moment is the sum over a run of the terms' real
+    # rows times the rows of chebvander(x, J - 1)
+    runs = rng.integers(1, 41, 200)
+    starts = np.r_[0, np.cumsum(runs)[:-1]]
+    x = rng.uniform(-1.0, 1.0, runs.sum())
+    phase = rng.uniform(-50.0, 50.0, len(x))
+    W = rng.standard_normal((len(x), 3))
+    groups = [(0, 1), (1, 3)]
+    x0 = x.copy()
+    mus = _cell_moments(x, phase, W, starts, groups)
+    assert np.array_equal(x, x0)
+    V = np.polynomial.chebyshev.chebvander(x, _NU_TERMS - 1)
+    cp = np.empty((6, len(x)))
+    cp[0::2], cp[1::2] = (W * np.cos(phase)[:, None]).T, (W * np.sin(phase)[:, None]).T
+    for (c0, c1), mu in zip(groups, mus):
+        ref = np.add.reduceat(cp[2 * c0: 2 * c1, :, None] * V, starts, axis=1)
+        assert mu.shape == (_NU_TERMS, 2 * (c1 - c0), len(runs))
+        np.testing.assert_allclose(mu, ref.transpose(2, 0, 1), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("npts", [2, 3, 4900, 4901, 9589, 9590])
+def test_nufft_modes_are_the_ffts_cells_mod_l(npts, rng, monkeypatch):
+    # the two slices and the per-|m| deconvolution give, bit for bit, mode
+    # m = j - npts // 2 as FFT cell m mod L times exp(tau m^2) sqrt(pi/tau)/L
+    fft = np.fft.fft
+    grids = []
+
+    def spy(a, *args, **kwargs):
+        out = fft(a, *args, **kwargs)
+        grids.append(out.copy())
+        return out
+
+    monkeypatch.setattr(np.fft, "fft", spy)
+    ts = 1.0 + np.arange(npts) / 12.0
+    n = np.arange(1, 2001, dtype=np.float64)
+    W = rng.standard_normal((len(n), 2)) * (n ** -0.75)[:, None]
+    out = _nufft(ts, _grid_step(ts), np.log(n), W, (1, 1))
+    L = _fft_len(math.ceil(2.5 * npts))
+    tau = math.pi * _NU_HALF / (L * (L - npts / 2.0))
+    m = np.arange(npts) - npts // 2
+    ref = grids[0][:, m % L].T * (np.exp(tau * m * m) * (math.sqrt(math.pi / tau) / L))[:, None]
+    assert np.array_equal(out, ref) and out.flags.f_contiguous
 
 
 def test_nufft_is_deterministic(rng):

@@ -283,6 +283,14 @@ def test_zeta_pass_is_one_call_at_the_top_cut(monkeypatch):
     assert points == 60_728
 
 
+def test_pass_em_cut_is_its_top_blocks_cut():
+    # the grid ends past the top T, at t = 200.5, so the top block's cut is
+    # 401, not _em_cut(200.49) = 400
+    q = integrate_moment_grid("zeta", 1, 0.75, [100.0, 200.49]).quadrature
+    assert q.blocks[-1].t_last == 200.5
+    assert q.em_cut == q.blocks[-1].em_cut == 401
+
+
 def test_zeta_pass_splits_into_equal_chunks(monkeypatch):
     # past the chunk limit a pass is the fewest equal chunks, each at the cut
     # of its own last t; the rows do not depend on the worker count
