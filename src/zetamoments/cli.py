@@ -274,7 +274,8 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
 def cmd_selfcheck(cfg: RunConfig) -> int:
     import mpmath
 
-    from .evaluate import _EM_BLOCK, _em_cut, _phase_dot, _zeta_em, chi_factor, zeta_em
+    from .evaluate import (_EM_BLOCK, _em_cut, _grid_step, _nu_plan, _phase_dot, _zeta_em,
+                           chi_factor, zeta_em)
 
     failures = []
 
@@ -294,21 +295,29 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
     check("functional equation |zeta - chi zeta(1-s)| < 1e-8", worst < 1e-8, f"worst {worst:.2e}")
 
     # the phase sum on uniform blocks (the NUFFT path) against a direct sum,
-    # as a fraction of the kernel's rounding bound: a series-sized block
-    # (6000 points, 12 000 terms, two columns) and a zeta-shaped one (t in
-    # [1, 50), 98 terms n^-0.75, one column)
+    # as a fraction of the kernel's rounding bound, each with its NUFFT's
+    # (A2, D), the cells and rows of its short FFTs: a series-sized block
+    # (6000 points, 12 000 terms, two columns), a zeta-shaped one (t in
+    # [1, 50), 98 terms n^-0.75, one column), a grid whose phases wrap
+    # (h ln N = 29 > 2 pi, so D = 1: one FFT of the whole grid) and the zeta
+    # k = 3 top block (25 569 points, 1599 terms n^-0.9, L = 65 000, D = 26)
     rng = np.random.default_rng(7)
     for name, ts, W in (
         ("series", 100.0 + 0.01 * np.arange(6000),
          rng.standard_normal((12000, 2)) * (np.arange(1.0, 12001.0) ** -0.75)[:, None]),
         ("zeta", 1.0 + 0.01 * np.arange(4900), (np.arange(1.0, 99.0) ** -0.75)[:, None]),
+        ("wrapping", 7.0 + 3.1 * np.arange(500),
+         rng.standard_normal((12000, 2)) * (np.arange(1.0, 12001.0) ** -0.75)[:, None]),
+        ("zeta k=3 top", 1.0 + np.arange(25569) / 32.0, (np.arange(1.0, 1600.0) ** -0.9)[:, None]),
     ):
         ln = np.log(np.arange(1.0, len(W) + 1.0))
-        out, bound = _phase_dot(ts, ln, W)
+        h = _grid_step(ts)
+        out, bound = _phase_dot(ts, h, ln, W)
         worst = max(float((np.abs(out[i] - np.exp(-1j * ts[i] * ln) @ W) / bound).max())
                     for i in np.r_[0:len(ts):97, len(ts) - 1])
+        L, A2, D = _nu_plan(len(ts), h, ln)[:3]
         check(f"NUFFT phase sum vs direct sum within its rounding bound ({name} block)",
-              worst < 1, f"worst {worst:.3f} of the bound")
+              worst < 1, f"L = {L}, (A2, D) = ({A2}, {D}), worst {worst:.3f} of the bound")
 
     # zeta on a short uniform grid at |t| < 5, where the deconvolution's
     # rounding dominates the estimate, against mpmath at 30 digits

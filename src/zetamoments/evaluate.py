@@ -51,16 +51,24 @@ each fine-grid cell sums J = 16 moments sum c_n T_j(2 f_n - 1) of its terms
 (f_n the term's place in the cell) and puts the Gaussian's 2H = 32 values
 on its neighbours as one small matrix product with the Gaussian's Chebyshev
 coefficients.  J is the fewest terms whose truncation, by a Bernstein-ellipse
-bound, stays under the Gaussian's own error once deconvolved.  That costs
-O(J terms + 2H J cells + L log L) for L = 2.5 points fine cells.  Any other
-grid (one point, as in the scalar calls, or non-uniform) is summed directly,
-exp(-i outer(t, ln n)) @ W, in row tiles.  The rounding bound is
-eps((max|t| + 1) sum |W_n| ln n + sum |W_n|) on both paths; the NUFFT adds
-eps 1.28 e^{pi H / (4R(R - 1/2))} sum |W_n| plus its truncation (16.1 eps
-sum |W_n| at half-width H = 16 and oversampling R = 2.5): the rounding of
-the spread values, weighted by the moments' coefficients, that the
-deconvolution amplifies at the grid's edge modes, which dominates at
-small |t|.
+bound, stays under the Gaussian's own error once deconvolved.  The grid has
+L >= 2.5 points fine cells, but the terms h ln n and their Gaussians fill
+one run of A2 of them (4-10% of the grid on zeta's blocks, 2% on the
+series'), A2 a 2^a 3^b 5^c length: L = D A2, with D the most rows the run
+leaves room for (`_nu_plan`), and the transform is batched FFTs of length
+A2 of the occupied cells, row r times the twiddles e^{-2 pi i r c / L} of
+its cells c, whose entries are the modes r mod D.  No array has L cells
+unless D = 1, the one FFT of a short grid or of one whose terms wrap round
+it.  That costs O(J terms + 2H J cells + L log A2) in O(A2 + points)
+memory.  Any other grid (one point, as in the scalar
+calls, or non-uniform) is summed directly, exp(-i outer(t, ln n)) @ W, in
+row tiles.  The rounding bound is eps((max|t| + 1) sum |W_n| ln n +
+sum |W_n|) on both paths; the NUFFT adds eps 1.28 e^{pi H / (4R(R - 1/2))}
+sum |W_n| plus its truncation (16.1 eps sum |W_n| at half-width H = 16 and
+oversampling R = 2.5): the rounding of the spread values, weighted by the
+moments' coefficients, that the deconvolution amplifies at the grid's edge
+modes, which dominates at small |t|; a grid of D > 1 rows adds 13.7 times
+the first part (215 eps sum |W_n|) for the rounding of its twiddles.
 """
 
 from __future__ import annotations
@@ -166,31 +174,32 @@ def _groups(W: np.ndarray, widths) -> list:
     return list(zip(ends[:-1], ends[1:]))
 
 
-def _phase_dot(ts: np.ndarray, ln: np.ndarray, W: np.ndarray,
+def _phase_dot(ts: np.ndarray, h: float | None, ln: np.ndarray, W: np.ndarray,
                widths=None) -> tuple[np.ndarray, np.ndarray]:
     """out[i, :] = sum_n exp(-i ts[i] ln[n]) W[n, :] for real weights W, and
-    its rounding bound per weight column.
+    its rounding bound per weight column; h is the grid's `_grid_step`.
 
     The columns come in groups of `widths` (default: one group), one per
     cell of a shared pass.  Every product whose bits could depend on the
     number of columns (BLAS blocks a matrix product by its shape, and numpy
     sums a lone column pairwise) is taken per group, on an array of the
     group's own shape, so a group's columns and bounds are bit-identical to
-    a call with that group alone; the rest is elementwise or per row.  The
-    result is column-major, so that each column is contiguous, as it is in
-    a one-column call.
+    a call with that group alone; the rest is elementwise or per row.  Each
+    column of the result is contiguous, as it is in a one-column call.
 
     The grid's shape alone picks the kernel: a uniform grid of two or more
-    points goes to `_nufft`, any other grid is summed directly, a few rows
-    at a time so the phase matrix stays under _DIRECT_TILE entries.  The
-    bound is eps ((max|t| + 1) sum |W_n| ln n + sum |W_n|), since the phase
-    of n^{-it} is known to eps |t ln n| and each term rounds once; the NUFFT
-    adds (eps _NU_MOM _NU_AMP + 2 _NU_GAUSS) sum |W_n| = 16.1 eps sum |W_n|
-    for the rounding of its spread values, which the deconvolution amplifies
-    at the grid's edge modes, and for its truncation (see `_nufft`); the
-    direct sum adds eps (N - 1)/2 sum |W_n| for adding its N terms in
-    whatever order the matrix product takes (at small |t| the summation is
-    most of its error).
+    points (h not None) goes to `_nufft`, any other grid is summed directly,
+    a few rows at a time so the phase matrix stays under _DIRECT_TILE
+    entries.  The bound is eps ((max|t| + 1) sum |W_n| ln n + sum |W_n|),
+    since the phase of n^{-it} is known to eps |t ln n| and each term rounds
+    once; the NUFFT adds (eps _NU_MOM _NU_AMP + 2 _NU_GAUSS) sum |W_n| =
+    16.1 eps sum |W_n| for the rounding of its spread values, which the
+    deconvolution amplifies at the grid's edge modes, and for its
+    truncation, and where its grid splits into D > 1 rows eps _NU_TW _NU_MOM
+    _NU_AMP sum |W_n| = 215 eps sum |W_n| more for the rounding of its
+    twiddles (see `_nufft`); the direct sum adds eps (N - 1)/2 sum |W_n| for
+    adding its N terms in whatever order the matrix product takes (at small
+    |t| the summation is most of its error).
     """
     ts = np.asarray(ts, dtype=np.float64)
     groups = _groups(W, widths)
@@ -200,10 +209,11 @@ def _phase_dot(ts: np.ndarray, ln: np.ndarray, W: np.ndarray,
         aW = np.abs(W[:, c0:c1])
         sW[c0:c1] = aW.sum(axis=0)
         rnd[c0:c1] = _EPS * ((tmax + 1.0) * (ln @ aW) + sW[c0:c1])
-    h = _grid_step(ts)
     if h is not None:
-        return (_nufft(ts, h, ln, W, widths),
-                rnd + (_EPS * _NU_MOM * _NU_AMP + 2.0 * _NU_GAUSS) * sW)
+        plan = _nu_plan(len(ts), h, ln)
+        tw = _NU_TW if plan[2] > 1 else 0.0
+        nu = _EPS * _NU_MOM * _NU_AMP * (1.0 + tw) + 2.0 * _NU_GAUSS
+        return _nufft(ts, h, ln, W, widths, plan), rnd + nu * sW
     rows = max(1, _DIRECT_TILE // max(len(ln), 1))
     out = np.empty((len(ts), W.shape[1]), dtype=np.complex128, order="F")
     for i0 in range(0, len(ts), rows):
@@ -308,6 +318,9 @@ _NU_MOM = 1.276
 # and their indices half as many
 _NU_TILE = 4096
 _NU_PART = _NU_HALF // 2  # offsets per batched product of C @ mu
+_NU_BATCH = 1 << 13  # cells per call of the short FFTs of a grid of D > 1 rows
+# a twiddled cell's rounding, (6 pi + 4 + 2 sqrt 5) u in eps = 2u (see _nufft)
+_NU_TW = (6.0 * math.pi + 4.0 + 2.0 * math.sqrt(5.0)) / 2.0
 
 
 def _fft_len(n: int) -> int:
@@ -356,16 +369,75 @@ def _cell_moments(x: np.ndarray, phase: np.ndarray, W: np.ndarray,
     return [mu for _, _, mu in rows]
 
 
+def _nu_plan(npts: int, h: float, ln: np.ndarray) -> tuple:
+    """(L, A2, D, c_lo) of the NUFFT of a P-point grid of step h over the
+    terms ln: L = D A2 fine cells, at least R P (R = _NU_OVERSAMPLE), A2 a
+    length numpy's FFT does without Bluestein, and c_lo the first cell a term
+    spreads onto, H - 1 below the lowest term's cell (H = _NU_HALF).
+
+    The terms fill S = floor(max u) - floor(min u) + 2H cells, u the terms'
+    places h ln n L / 2 pi in cells, and S <= s L + 2H + 1 for the span
+    s = |h| (max ln - min ln) / 2 pi.  With n0 = ceil(R P), D = floor(n0 /
+    (s n0 + 2H + 1)) and A2 = _fft_len(ceil(n0 / D)), L = D A2 >= n0 and
+    s n0 + 2H + 1 <= n0 / D <= A2, so S <= A2 but for the stretch of L past
+    n0 and rounding; S is therefore checked on the terms' own products, and
+    D lowered until it fits; D = 1 (A2 = L, the
+    transform of the whole grid) needs no check: it is taken when the terms
+    cover more than half the grid, on short grids and where the phases wrap.
+    """
+    n0 = math.ceil(_NU_OVERSAMPLE * npts)
+    if not len(ln):
+        return _fft_len(n0), _fft_len(n0), 1, 0
+    lo, hi = float(ln.min()), float(ln.max())
+    span = abs(h) * (hi - lo) / (2.0 * math.pi)
+    D = max(1, int(n0 // (span * n0 + 2 * _NU_HALF + 1)))
+    while True:
+        A2 = _fft_len(-(-n0 // D))
+        L = D * A2
+        f = h * L / (2.0 * math.pi)  # the factor the spreading takes u by
+        u0, u1 = sorted((lo * f, hi * f))
+        if D == 1 or math.floor(u1) - math.floor(u0) + 2 * _NU_HALF <= A2:
+            return L, A2, D, math.floor(u0) - _NU_HALF + 1
+        D -= 1
+
+
+def _nu_twiddles(L: int, A2: int, D: int, c_lo: int) -> tuple:
+    """Tables for the twiddles w[r, i] = exp(-2 pi i r c(i) / L), r < D, of
+    the grid cells i < A2, c(i) the one cell of the support [c_lo, c_lo + A2)
+    that is i mod A2: (B, T_hi, T_lo, x, T_x), with w[r, i] = T_hi[r, i // B]
+    T_lo[r, i % B], except on the cells x <= i < c_lo mod A2 of the block
+    that holds c_lo mod A2, where it is T_x[r] T_lo[r, i % B].  B is the
+    divisor of A2 nearest below sqrt(A2), and each of the D (A2/B + B + 1)
+    values is the cos and sin of an angle in [-pi, pi] from an exact
+    integer exponent."""
+    B = next(d for d in range(math.isqrt(A2), 0, -1) if A2 % d == 0)
+    s = c_lo % A2
+    base = c_lo - s  # c(i) = base + i for i >= s, base + A2 + i below s
+    ih = np.arange(A2 // B) * B
+    x = s - s % B
+    # the cells each table's column stands for: the blocks' first cells, the
+    # offsets in a block, and the straddling block's first cell below s
+    c = np.concatenate((base + ih + A2 * (ih + B <= s), np.arange(B), [base + A2 + x]))
+    e = np.arange(D)[:, None] * (c % L) % L
+    e[e > L // 2] -= L
+    theta = e * (-2.0 * math.pi / L)
+    w = np.empty(e.shape, dtype=np.complex128)
+    np.cos(theta, out=w.real)
+    np.sin(theta, out=w.imag)
+    return B, w[:, : A2 // B], w[:, A2 // B: -1], x, w[:, -1]
+
+
 def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray,
-           widths=None) -> np.ndarray:
+           widths=None, plan=None) -> np.ndarray:
     """The phase sum on a uniform grid ts[j] = ts[mid] + m h, m = j - mid, as
-    a type-1 nonuniform FFT with Gaussian gridding (Greengard-Lee 2004).
+    a type-1 nonuniform FFT with Gaussian gridding (Greengard-Lee 2004);
+    plan is the grid's `_nu_plan`, made here if None.
 
     With c_n = W_n exp(-i ts[mid] ln n) and x_n = h ln n, out[j] is
     sum_n c_n exp(-i m x_n).  Each c_n is spread onto the 2H nearest cells
-    (H = _NU_HALF) of a periodic grid of L = 2^a 3^b 5^c >= R P cells
-    (R = _NU_OVERSAMPLE, P points) by the Gaussian exp(-(x - x_n)^2 / 4 tau),
-    tau = pi H / (L (L - P/2)); one FFT gives every mode, and dividing by the
+    (H = _NU_HALF) of a periodic grid of L >= R P cells (R = _NU_OVERSAMPLE,
+    P points) by the Gaussian exp(-(x - x_n)^2 / 4 tau), tau = pi H / (L (L -
+    P/2)); the grid's FFT g^ gives every mode, and dividing by the
     Gaussian's Fourier transform sqrt(tau/pi) exp(-m^2 tau) leaves a
     truncation and aliasing error near exp(-pi H (R-1)/(R-1/2)) = _NU_GAUSS
     of sum |c_n|.
@@ -378,26 +450,43 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray,
     summed over the offsets and deconvolved, stays under _NU_GAUSS.  So a
     cell's 2H values are C @ mu, mu_j = sum c_n T_j(2 f_n - 1) over its
     terms, and as x_n is monotone in n each mu_j is one `np.add.reduceat`
-    over the runs of terms that share a cell.  The cost is O(J terms
-    + 2H J cells + L log L): J real multiply-adds per term and real column
-    for the moments, 2H J per cell for C @ mu, and the FFT.  A pass takes at
-    most _NU_TILE terms, so at most as many cells, and adds its values to a
-    grid padded by 2H - 1 cells, so that no index is reduced mod L until the
-    padding is folded back once, before the FFT.  C @ mu is taken as 2H
+    over the runs of terms that share a cell.  A pass takes at most
+    _NU_TILE terms, so at most as many cells.  C @ mu is taken as 2H
     matrix-vector products, one batched `np.matmul` per quarter of the
     offsets (_NU_PART), not as a matrix-matrix product, which would page in
-    BLAS's gemm code (some 0.2 MB the rest of the program never runs).  BLAS blocks
-    those products by their row count, so a row's bits would depend on how
-    many columns share the call: each column group of `widths` (a cell of a
-    shared pass) gets its own moments, on its own (J, 2 columns, K) array,
-    and its own products, which have the shape of the group's call alone.
-    The terms' cells, phases and cosines, the FFT plan and the
-    deconvolution are shared.  Each value is then one dot product over j,
-    and every other sum has a fixed order per row, so a group's columns
-    depend only on its own weights and the grid, not on the other groups,
-    workers or BLAS threads.  Mode m = j - mid is FFT cell m mod L, so the
-    output is two slices of the grid, each times the deconvolution
-    exp(tau m^2) sqrt(pi/tau)/L, which is taken once per |m| <= mid.
+    BLAS's gemm code (some 0.2 MB the rest of the program never runs).
+    BLAS blocks those products by their row count, so a row's bits would
+    depend on how many columns share the call: each column group of
+    `widths` (a cell of a shared pass) gets its own moments, on its own
+    (J, 2 columns, K) array, and its own products and FFT calls, which have
+    the shape of the group's call alone.  The terms' cells, phases and
+    cosines, the twiddles and the deconvolution are shared.  Each value is
+    then one dot product over j, and every other sum has a fixed order per
+    row, so a group's columns depend only on its own weights and the grid,
+    not on the other groups, workers or BLAS threads.
+
+    The transform covers only the cells the terms reach (`_nu_plan`): they
+    fill S = s L + O(2H) of the L cells, s the span |h| (max ln - min ln) /
+    2 pi of the terms in periods, 4-10% of the grid on zeta's blocks and
+    2% on the series'.  The grid is L = D A2 cells with every term's 2H
+    cells in one run of A2 >= S, and the values are added mod A2 into a
+    grid g of A2 cells padded by 2H - 1, folded back once; cell i holds the
+    one cell c(i) = i mod A2 of that run.  Mode m = r + D k, r < D, k < A2,
+    is then sum_i g[i] w^{(r + D k) c(i)}, w = exp(-2 pi i / L), which is
+    entry k of the length-A2 FFT of the row g[i] w^{r c(i)}: one radix-D
+    step of a Cooley-Tukey FFT, taken on the occupied cells alone.  The D
+    rows go through batched FFTs of at most _NU_BATCH cells a call (the
+    twiddles w^{r c(i)} made per row batch from `_nu_twiddles`'s tables, two
+    products a cell); the modes m >= 0 of row r are FFT entries k =
+    0, 1, ..., the modes m < 0 the entries k = A2 - 1, A2 - 2, ..., so the
+    output, padded to D whole modes per row of a (modes / D, D) view, takes
+    two strided slices of each batch at once.  Each is times the
+    deconvolution exp(tau m^2) sqrt(pi/tau)/L, which is taken once per |m|.
+    D = 1 is the one FFT of the whole grid, folded mod L.  The cost is
+    O(J terms + 2H J cells + L log A2): J real multiply-adds per term and
+    real column for the moments, 2H J per cell for C @ mu, and per column
+    the FFT and two products per cell for the twiddles; the memory is
+    O(A2 + P) per column, no array has L cells unless D = 1.
 
     Error account, per mode m and in units of sum |c_n|: an absolute error
     E in the grid reaches mode m as E sqrt(pi/tau)/L exp(tau m^2), and the
@@ -408,17 +497,82 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray,
     rounding per term and sum as in `_phase_dot`: each mu_j sums terms of
     size |c_n T_j| <= |c_n|, and offset o weighs mu_j by |C[o, j]|, so the
     spread values carry eps sum_{o,j} |C[o, j]| <= eps _NU_MOM sqrt(pi/a)
-    per unit |c_n| (_NU_MOM = 1.28); deconvolved, eps _NU_MOM _NU_AMP.
+    per unit |c_n| (_NU_MOM = 1.28); deconvolved, eps _NU_MOM _NU_AMP.  The
+    same sum bounds the cells' moduli, sum_i |g[i]| <= _NU_MOM sqrt(pi/a)
+    sum |c_n|, so a relative error d per cell in the rows g w^{r c} costs d
+    _NU_MOM _NU_AMP: with u = eps/2, an angle -2 pi e / L in [-pi, pi] is
+    good to 3 pi u (three roundings) and its cos and sin to an ulp each,
+    2u, so a table value to (3 pi + 2) u; a twiddle, one complex product
+    of two (Brent-Percival-Zimmermann 2007: sqrt 5 u), and its product with
+    g add 2 sqrt 5 u, so d = (6 pi + 4 + 2 sqrt 5) u = _NU_TW eps, 13.7 eps,
+    for D > 1.  The FFTs' own rounding is left out on both paths, as the
+    split only moves log2 D of the log2 L levels of a length-L transform
+    into the twiddles.
     """
     npts, ncol = len(ts), W.shape[1]
     groups = _groups(W, widths)
     mid = npts // 2
-    L = _fft_len(math.ceil(_NU_OVERSAMPLE * npts))
+    L, A2, D, c_lo = plan or _nu_plan(npts, h, ln)
     tau = math.pi * _NU_HALF / (L * (L - npts / 2.0))
-    C = _nu_cheb(npts, L)
+    grid = _nu_spread(ts[mid], h * L / (2.0 * math.pi), ln, W, groups,
+                      _nu_cheb(npts, L), A2)
+    # mode m = r + D k sits at place D Qn + m of a column of `modes`, in row
+    # r, at k < Qp for m >= 0 and at k >= A2 - Qn below; the deconvolution
+    # exp(tau m^2) sqrt(pi/tau)/L, one array over |m| (m^2 is exact), is read
+    # through (modes / D, D) views
+    Qn, Qp = -(-mid // D), -(-(npts - mid) // D)
+    deconv = np.arange(max(D * Qn + 1, D * Qp), dtype=np.float64)
+    np.square(deconv, out=deconv)
+    deconv *= tau
+    np.exp(deconv, out=deconv)
+    deconv *= math.sqrt(math.pi / tau) / L
+    dpos = deconv[:D * Qp].reshape(Qp, D).T  # dpos[r, k]: mode r + D k
+    dneg = deconv[D * Qn::-1][:D * Qn].reshape(Qn, D).T  # dneg[r, k]: r - D (Qn - k)
+    modes = np.empty((ncol, Qn + Qp, D), dtype=np.complex128)
+    by_row = modes.transpose(0, 2, 1)  # by_row[c, r, k]: mode r + D (k - Qn)
+
+    def put(g, c0, c1, r0, r1):
+        # rows r0..r1 of columns c0..c1, deconvolved; shaped (rows, modes) so
+        # that the inner loop runs over a row's modes, not over a batch's rows
+        np.multiply(g[:, :, :Qp], dpos[r0:r1], out=by_row[c0:c1, r0:r1, Qn:])
+        np.multiply(g[:, :, A2 - Qn:], dneg[r0:r1], out=by_row[c0:c1, r0:r1, :Qn])
+
+    if D == 1:
+        np.fft.fft(grid, out=grid)
+        put(grid[:, None, :], 0, ncol, 0, 1)
+    else:
+        B, T_hi, T_lo, x, T_x = _nu_twiddles(L, A2, D, c_lo)
+        s = c_lo % A2
+        rows = max(1, _NU_BATCH // A2)
+        y = np.empty((max(c1 - c0 for c0, c1 in groups), min(rows, D), A2),
+                     dtype=np.complex128)
+        # a batch's twiddles, shared by the groups; a lone column takes them in place
+        tw = y[0] if ncol == 1 else np.empty_like(y[0])
+        for r0 in range(0, D, rows):
+            r1 = min(D, r0 + rows)
+            t = tw[: r1 - r0]
+            np.multiply(T_hi[r0:r1, :, None], T_lo[r0:r1, None, :],
+                        out=t.reshape(r1 - r0, A2 // B, B))
+            np.multiply(T_x[r0:r1, None], T_lo[r0:r1, : s - x], out=t[:, x:s])
+            for c0, c1 in groups:
+                g = y[: c1 - c0, : r1 - r0]
+                # (in place when g holds the twiddles, which numpy would copy)
+                np.multiply(g if ncol == 1 else t, grid[c0:c1, None, :], out=g)
+                np.fft.fft(g, out=g)
+                put(g, c0, c1, r0, r1)
+    first = D * Qn - mid
+    return modes.reshape(ncol, -1)[:, first: first + npts].T
+
+
+def _nu_spread(t_mid: float, f: float, ln: np.ndarray, W: np.ndarray, groups: list,
+               C: np.ndarray, A2: int) -> np.ndarray:
+    """The spread grid of `_nufft`, (columns, A2) and complex: the terms
+    c_n = W_n exp(-i t_mid ln n) at u_n = f ln n cells, each put on its 2H
+    cells by C @ mu and added mod A2 (see `_nufft`)."""
+    ncol = W.shape[1]
     # the terms of cell c land on the cells c + o, o = 1-H..H, of a grid padded
-    # by H - 1 cells on the left and H on the right, folded back mod L at the end
-    M = L + 2 * _NU_HALF - 1
+    # by H - 1 cells on the left and H on the right, folded back mod A2 at the end
+    M = A2 + 2 * _NU_HALF - 1
     pad = np.zeros((ncol, M), dtype=np.complex128)
     flat = pad.view(np.float64).reshape(-1)
     R = 2 * ncol  # real rows Re c[:, 0], Im c[:, 0], Re c[:, 1], ...
@@ -430,35 +584,26 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray,
               for i in range(0, 2 * _NU_HALF, _NU_PART)] for c0, c1 in groups]
     for j0 in range(0, len(ln), _NU_TILE):
         lnt = ln[j0: j0 + _NU_TILE]
-        u = lnt * (h * L / (2.0 * math.pi))  # x_n in cells
+        u = lnt * f  # x_n in cells
         cell = np.floor(u)
         starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
         cells = cell[starts].astype(np.int64)
-        cells %= L
+        cells %= A2
         cells *= 2  # where cell c of row 0 sits in flat, less the left padding
         u -= cell
         u *= 2.0
         u -= 1.0  # 2 f - 1
-        mus = _cell_moments(u, lnt * -ts[mid], W[j0: j0 + _NU_TILE], starts, groups)
+        mus = _cell_moments(u, lnt * -t_mid, W[j0: j0 + _NU_TILE], starts, groups)
         for mu, group_parts in zip(mus, parts):
             muT = mu.reshape(_NU_TERMS, -1).T  # muT[r K + k, j] = mu[j, r, k]
             vals = np.empty((_NU_PART, len(muT), 1))
             for Ch, at in group_parts:  # vals[o, r K + k] = sum_j C[o, j] mu[j, r, k]
                 np.matmul(muT, Ch, out=vals)
                 np.add.at(flat, (at + cells).ravel(), vals.ravel())
-    grid = pad[:, _NU_HALF - 1: _NU_HALF - 1 + L]
-    edge = np.r_[0: _NU_HALF - 1, L + _NU_HALF - 1: M]
-    np.add.at(grid, (slice(None), (edge - (_NU_HALF - 1)) % L), pad[:, edge])
-    np.fft.fft(grid, out=grid)
-    # mode m = j - mid sits in cell m mod L: the modes m < 0 are the grid's last
-    # mid cells, the rest its first npts - mid; each is divided by the
-    # Gaussian's transform, taken once per |m| <= mid
-    m = np.arange(mid + 1)
-    deconv = np.exp(tau * m * m) * (math.sqrt(math.pi / tau) / L)
-    out = np.empty((ncol, npts), dtype=np.complex128)
-    np.multiply(grid[:, L - mid:], deconv[mid:0:-1], out=out[:, :mid])
-    np.multiply(grid[:, :npts - mid], deconv[:npts - mid], out=out[:, mid:])
-    return out.T
+    grid = pad[:, _NU_HALF - 1: _NU_HALF - 1 + A2]
+    edge = np.r_[0: _NU_HALF - 1, A2 + _NU_HALF - 1: M]
+    np.add.at(grid, (slice(None), (edge - (_NU_HALF - 1)) % A2), pad[:, edge])
+    return grid
 
 
 def _zeta_em(sigmas, ts: np.ndarray, M: int) -> tuple[np.ndarray, list]:
@@ -518,11 +663,11 @@ def _zeta_em(sigmas, ts: np.ndarray, M: int) -> tuple[np.ndarray, list]:
     W = np.empty((M - 1, len(sigmas)))
     for i, sigma in enumerate(sigmas):
         W[:, i] = n ** (-sigma)
-    out, rnd = _phase_dot(ts, np.log(n), W, (1,) * len(sigmas))
+    h = _grid_step(ts)
+    out, rnd = _phase_dot(ts, h, np.log(n), W, (1,) * len(sigmas))
     del W
     c = [_BERN2R[r - 1] / math.factorial(2 * r) * M ** (1.0 - 2 * r)
          for r in range(1, _EM_TERMS + 1)]
-    h = _grid_step(ts)
     ests = [max(_zeta_em_tail(sigma, ts[b: b + _EM_BLOCK], M, c, out[b: b + _EM_BLOCK, i],
                               float(rnd[i]), h)
                 for b in range(0, len(ts), _EM_BLOCK))
@@ -815,7 +960,7 @@ def _smoothed_grids(tables: list, ts: np.ndarray, Y: float):
         np.multiply(npw, e2, out=W[:, 2 * i + 1])
     ln = np.log(n)
     del n, e1, e2, powers, npw  # this frame outlives the phase sum
-    acc = _phase_dot(ts, ln, W, (2,) * len(tables))[0]
+    acc = _phase_dot(ts, _grid_step(ts), ln, W, (2,) * len(tables))[0]
     del ln, W
     for i, (_, sigma, residue) in enumerate(tables):
         v1 = acc[:, 2 * i]

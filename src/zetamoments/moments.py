@@ -240,6 +240,9 @@ THEORY = TheoryConstants()
 # Main-term constants
 # ---------------------------------------------------------------------------
 
+_PRIME_BLOCK = 1 << 13  # primes per block of main_term_zeta's Euler product
+
+
 def main_term_zeta(k: int, sigma: float, prime_cut: int = 10**6) -> MainTermConstant:
     """C(k, sigma) = sum d_k(n)^2 n^{-2 sigma} by Euler product.
 
@@ -249,21 +252,24 @@ def main_term_zeta(k: int, sigma: float, prime_cut: int = 10**6) -> MainTermCons
     times a power:
         g_p = (1-x)^{(k-1)^2} N_k(x),  N_k(x) = sum_{i<k} C(k-1, i)^2 x^i,
     so log g_p = (k-1)^2 log1p(-x) + log1p(x N'(x)), N' = (N_k - 1)/x, in one
-    pass over the primes p <= prime_cut.  As g_p = 1 - (k(k-1)/2)^2 x^2 + ...,
-    the tail over p > P is bounded by the x^2 term:
-    sum_{p>P} |log g_p| <= 2 (k(k-1)/2)^2 sum_{n>P} n^{-4 sigma}.
+    pass over the primes p <= prime_cut, _PRIME_BLOCK at a time.  As
+    g_p = 1 - (k(k-1)/2)^2 x^2 + ..., the tail over p > P is bounded by the
+    x^2 term: sum_{p>P} |log g_p| <= 2 (k(k-1)/2)^2 sum_{n>P} n^{-4 sigma}.
 
     tail_bound is that tail plus the rounding, relative to the value: each
     log term is good to (k + 2) eps of itself (x, the degree k - 2
-    polynomial N', log1p); numpy sums pairwise, in blocks of 128 over 8
-    lanes, so no term passes more than log2 m + 32 additions and a sum of m
-    terms is good to (log2 m + 32) eps/2 of the sum of their moduli; exp,
-    the power and the product cost 3 eps; and zeta(2s) is good to its own
-    zeta_em estimate, which enters k^2 times.  k = 1 is zeta(2s) itself,
-    returned with that estimate as its tail_bound.  k = 2 is Ramanujan's
-    zeta(2s)^4/zeta(4s), with no prime pass (prime_cut is unused): its
-    tail_bound is the two zeta_em estimates, zeta(2s)'s entering 4 times,
-    plus 3 eps of the value for the power and the division.
+    polynomial N', log1p); numpy sums a block pairwise, in blocks of 128
+    over 8 lanes, so no term passes more than log2 m + 32 additions in a
+    block of m terms, and `math.fsum` adds the blocks' sums with one
+    rounding, so each of the two sums, all of whose terms share a sign, is
+    good to (log2 m + 33) eps/2 of the sum of their moduli, m the largest
+    block; exp, the power and the product cost 3 eps; and zeta(2s) is good
+    to its own zeta_em estimate, which enters k^2 times.  k = 1 is zeta(2s)
+    itself, returned with that estimate as its tail_bound.  k = 2 is
+    Ramanujan's zeta(2s)^4/zeta(4s), with no prime pass (prime_cut is
+    unused): its tail_bound is the two zeta_em estimates, zeta(2s)'s
+    entering 4 times, plus 3 eps of the value for the power and the
+    division.
     """
     if sigma <= 0.5:
         raise ValueError("the series diverges for sigma <= 1/2")
@@ -279,21 +285,31 @@ def main_term_zeta(k: int, sigma: float, prime_cut: int = 10**6) -> MainTermCons
         value = zs**4 / z4.value.real
         rel = 4.0 * z.abs_error_estimate / zs + z4.abs_error_estimate / z4.value.real + 3.0 * _EPS
         return MainTermConstant("zeta", 2, sigma, value, rel * value)
-    x = prime_sieve(prime_cut).astype(np.float64) ** (-s2)
+    primes = prime_sieve(prime_cut)
     coef = [math.comb(k - 1, i) ** 2 for i in range(1, k)]  # N' = sum coef[i] x^i
-    y = np.full_like(x, coef[-1])
-    for c in reversed(coef[:-1]):
+    downs, ups = [], []  # per block: sum log1p(-x) <= 0 and sum log1p(x N') >= 0
+    for b0 in range(0, len(primes), _PRIME_BLOCK):
+        x = primes[b0: b0 + _PRIME_BLOCK].astype(np.float64)
+        x **= -s2
+        y = np.full_like(x, coef[-1])
+        for c in reversed(coef[:-1]):
+            y *= x
+            y += c
         y *= x
-        y += c
-    y *= x
-    down = (k - 1) ** 2 * float(np.log1p(-x).sum())  # (k-1)^2 sum log1p(-x) <= 0
-    up = float(np.log1p(y).sum())  # sum log1p(x N') >= 0
+        np.log1p(y, out=y)
+        ups.append(float(y.sum()))
+        np.negative(x, out=x)
+        np.log1p(x, out=x)
+        downs.append(float(x.sum()))
+    down = (k - 1) ** 2 * math.fsum(downs)
+    up = math.fsum(ups)
     value = zs ** (k * k) * math.exp(down + up)
     # prime tail: |log g_p| <= 2 c2 p^{-4 sigma} with c2 = (k(k-1)/2)^2
     c2 = (k * (k - 1) / 2) ** 2
     tail_log = 2.0 * c2 * prime_cut ** (1.0 - 2.0 * s2) / (2.0 * s2 - 1.0)
     tail = value * math.expm1(tail_log) if tail_log < 1 else float("inf")
-    rel = (_EPS * ((k + 2 + 0.5 * (math.log2(max(len(x), 1)) + 32)) * (up - down) + 3)
+    m = max(min(len(primes), _PRIME_BLOCK), 1)
+    rel = (_EPS * ((k + 2 + 0.5 * (math.log2(m) + 33)) * (up - down) + 3)
            + k * k * z.abs_error_estimate / zs)
     return MainTermConstant("zeta", k, sigma, value, tail + rel * value)
 

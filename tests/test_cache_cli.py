@@ -644,8 +644,8 @@ def test_selfcheck_passes_fresh(tmp_path, capsys):
 def test_selfcheck_catches_a_wrong_phase_sum(tmp_path, capsys, monkeypatch):
     nufft = zm.evaluate._nufft
 
-    def off_by_a_part_in_1e10(ts, h, ln, W, widths=None):
-        return nufft(ts, h, ln, W, widths) * (1.0 + 1e-10)
+    def off_by_a_part_in_1e10(ts, h, ln, W, widths=None, plan=None):
+        return nufft(ts, h, ln, W, widths, plan) * (1.0 + 1e-10)
 
     monkeypatch.setattr(zm.evaluate, "_nufft", off_by_a_part_in_1e10)
     assert cmd_selfcheck(RunConfig(tmp_path)) == 1
@@ -677,8 +677,8 @@ def test_selfcheck_catches_a_column_that_depends_on_its_neighbours(tmp_path, cap
                                                                    monkeypatch):
     nufft = zm.evaluate._nufft
 
-    def last_column_off_when_shared(ts, h, ln, W, widths=None):
-        out = nufft(ts, h, ln, W, widths)
+    def last_column_off_when_shared(ts, h, ln, W, widths=None, plan=None):
+        out = nufft(ts, h, ln, W, widths, plan)
         if widths is not None and len(widths) > 1:
             out[:, -1] *= 1.0 + 1e-12
         return out

@@ -22,6 +22,7 @@ from zetamoments.evaluate import (
     _NU_HALF,
     _NU_MOM,
     _NU_TERMS,
+    _NU_TW,
     PoleError,
     _cell_moments,
     _cheb_bound,
@@ -30,6 +31,7 @@ from zetamoments.evaluate import (
     _fft_len,
     _grid_step,
     _nu_cheb,
+    _nu_plan,
     _nufft,
     _phase_dot,
     _pole_bound,
@@ -318,7 +320,7 @@ def test_phase_dot_matches_direct_sum(ts, nterms, ncol, rng):
     n = np.arange(1, nterms + 1, dtype=np.float64)
     ln = np.log(n)
     W = rng.standard_normal((nterms, ncol)) * n[:, None] ** -0.75
-    out = _phase_dot(ts, ln, W)[0]
+    out = _phase_dot(ts, _grid_step(ts), ln, W)[0]
     assert out.shape == (len(ts), ncol)
     if not len(ts):
         return
@@ -395,10 +397,11 @@ def test_phase_dot_columns_do_not_depend_on_the_other_columns(ts, width, groups,
     n = np.arange(1, (1600 if width == 1 else 12000), dtype=np.float64)
     ln = np.log(n)
     Ws = [rng.standard_normal((len(n), width)) * (n ** -0.75)[:, None] for _ in range(groups)]
-    out, bound = _phase_dot(ts, ln, np.concatenate(Ws, axis=1), (width,) * groups)
+    h = _grid_step(ts)
+    out, bound = _phase_dot(ts, h, ln, np.concatenate(Ws, axis=1), (width,) * groups)
     assert out.shape == (len(ts), width * groups)
     for g, W in enumerate(Ws):
-        alone, alone_bound = _phase_dot(ts, ln, W)
+        alone, alone_bound = _phase_dot(ts, h, ln, W)
         cols = slice(g * width, (g + 1) * width)
         assert np.array_equal(out[:, cols], alone) and np.array_equal(bound[cols], alone_bound)
 
@@ -427,26 +430,115 @@ def test_cell_moments_leave_x_and_match_chebvander(rng):
 
 @pytest.mark.parametrize("npts", [2, 3, 4900, 4901, 9589, 9590])
 def test_nufft_modes_are_the_ffts_cells_mod_l(npts, rng, monkeypatch):
-    # the two slices and the per-|m| deconvolution give, bit for bit, mode
-    # m = j - npts // 2 as FFT cell m mod L times exp(tau m^2) sqrt(pi/tau)/L
+    # the strided slices and the per-|m| deconvolution give, bit for bit,
+    # mode m = j - npts // 2 as entry (m // D) mod A2 of the FFT of row m mod D
+    # times exp(tau m^2) sqrt(pi/tau)/L: each of the two column groups' rows,
+    # batch by batch, or for D = 1 the one FFT of the whole grid
     fft = np.fft.fft
-    grids = []
+    calls = []
 
     def spy(a, *args, **kwargs):
         out = fft(a, *args, **kwargs)
-        grids.append(out.copy())
+        calls.append(out.copy())
         return out
 
     monkeypatch.setattr(np.fft, "fft", spy)
     ts = 1.0 + np.arange(npts) / 12.0
     n = np.arange(1, 2001, dtype=np.float64)
+    ln = np.log(n)
     W = rng.standard_normal((len(n), 2)) * (n ** -0.75)[:, None]
-    out = _nufft(ts, _grid_step(ts), np.log(n), W, (1, 1))
-    L = _fft_len(math.ceil(2.5 * npts))
+    out = _nufft(ts, _grid_step(ts), ln, W, (1, 1))
+    L, A2, D = _nu_plan(npts, _grid_step(ts), ln)[:3]
+    assert L == D * A2 >= 2.5 * npts and (D == 1) == (npts < 4)
+    if D == 1:
+        (rows,) = calls
+        rows = rows[:, None, :]
+    else:  # per batch of rows, one call per group
+        rows = np.concatenate([np.concatenate(calls[g::2], axis=1) for g in (0, 1)])
+    assert rows.shape == (2, D, A2)
     tau = math.pi * _NU_HALF / (L * (L - npts / 2.0))
     m = np.arange(npts) - npts // 2
-    ref = grids[0][:, m % L].T * (np.exp(tau * m * m) * (math.sqrt(math.pi / tau) / L))[:, None]
-    assert np.array_equal(out, ref) and out.flags.f_contiguous
+    deconv = np.exp(tau * (m * m)) * (math.sqrt(math.pi / tau) / L)
+    ref = rows[:, m % D, (m // D) % A2].T * deconv[:, None]
+    assert np.array_equal(out, ref)
+    assert all(out[:, c].flags.c_contiguous for c in (0, 1))
+
+
+@pytest.mark.parametrize("ts, nterms", [
+    (3.5 + 0.1 * np.arange(2), 50),
+    (3.5 + 0.1 * np.arange(3), 50),
+    (1.0 + np.arange(4900) / 12.0, 1599),
+    (1.0 + np.arange(4901) / 12.0, 1599),
+    (1.0 + np.arange(9589) / 12.0, 1599),  # the zeta k = 1, 2 and 3 top blocks
+    (1.0 + np.arange(9590) / 12.0, 1599),
+    (1.0 + np.arange(15981) / 20.0, 1599),
+    (1.0 + np.arange(25569) / 32.0, 1599),
+    (100.0 + 0.01 * np.arange(11001), 12000),  # the series top block
+    (7.0 + 3.1 * np.arange(500), 12000),  # phases wrap: h ln N = 29 > 2 pi
+    (7.0 + 3.1 * np.arange(501), 12000),
+    (-40.0 + 0.01 * np.arange(6001), 12000),  # negative t0
+    (-2.0 + 0.0045 * np.arange(1000), 1599),
+])
+def test_nufft_matches_a_full_length_fft_of_its_grid(ts, nterms, rng, monkeypatch):
+    # the spread grid's A2 cells put back at their own cells c(i) mod L of a
+    # grid of L cells, whose one FFT, deconvolved, is the phase sum of the
+    # whole grid: the row FFTs agree with it within the twiddles' rounding,
+    # _NU_TW eps, and both transforms', under eps per level, of sum |g|; with
+    # D = 1 they are the same transform, bit for bit
+    spread = zm.evaluate._nu_spread
+    grids = []
+
+    def spy(*args):
+        grid = spread(*args)
+        grids.append(grid.copy())  # D = 1 takes its FFT in place
+        return grid
+
+    monkeypatch.setattr(zm.evaluate, "_nu_spread", spy)
+    n = np.arange(1, nterms + 1, dtype=np.float64)
+    ln = np.log(n)
+    W = rng.standard_normal((nterms, 2)) * n[:, None] ** -0.75
+    h = _grid_step(ts)
+    out = _nufft(ts, h, ln, W, (1, 1))
+    (grid,) = grids
+    npts, mid = len(ts), len(ts) // 2
+    L, A2, D, c_lo = _nu_plan(npts, h, ln)
+    assert L == D * A2 >= 2.5 * npts
+    i = np.arange(A2)
+    full = np.zeros((2, L), dtype=np.complex128)
+    full[:, (c_lo + (i - c_lo) % A2) % L] = grid
+    tau = math.pi * _NU_HALF / (L * (L - npts / 2.0))
+    m = np.arange(npts) - mid
+    deconv = np.exp(tau * (m * m)) * (math.sqrt(math.pi / tau) / L)
+    ref = np.fft.fft(full)[:, m % L].T * deconv[:, None]
+    if D == 1:
+        assert np.array_equal(out, ref)
+        return
+    tol = _EPS * (_NU_TW + 2.0 * math.log2(L)) * np.abs(grid).sum(axis=1)
+    assert np.all(np.abs(out - ref) / deconv[:, None] <= tol)
+
+
+@pytest.mark.parametrize("npts, share", [(25569, 1), (1 << 19, 4)])
+def test_nufft_holds_no_grid_of_l_cells(npts, share):
+    # zeta-shaped grids of step 1/32 and their n^-0.9 columns: the zeta k = 3
+    # top block (1599 terms), whose spreading tile alone takes more than a
+    # quarter of a grid of L complex cells, and a 2^19-point chunk (32 767
+    # terms); beyond its returned modes, a call allocates less than 1/share
+    # of one such grid (transforming the whole grid would take more than one
+    # grid before the FFT's own scratch)
+    ts = 1.0 + np.arange(npts) / 32.0
+    n = np.arange(1, _em_cut(ts[-1]), dtype=np.float64)
+    ln, W = np.log(n), (n ** -0.9)[:, None]
+    h = _grid_step(ts)
+    L, A2, D = _nu_plan(npts, h, ln)[:3]
+    assert D > 8 and A2 < L / 8
+    _nufft(ts[:64], _grid_step(ts[:64]), ln, W)  # first-call set-up
+    tracemalloc.start()
+    try:
+        out = _nufft(ts, h, ln, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.base.nbytes < 16 * L / share
 
 
 def test_nufft_is_deterministic(rng):
@@ -521,16 +613,17 @@ def test_cheb_expansion_matches_the_gaussian():
 
 
 def test_phase_dot_with_thousands_of_terms_in_one_cell(rng):
-    # 500 points at h = 0.01 over 12 000 terms: L = 1250 cells, two per unit
-    # of ln n, so the top cell holds 3501 terms; against a long-double
+    # 500 points at h = 0.01 over 12 000 terms: L = 1296 cells, about two per
+    # unit of ln n, so the top cell holds 3846 terms; against a long-double
     # direct sum, within _phase_dot's own bound
     n = np.arange(1, 12001, dtype=np.float64)
     ln = np.log(n)
     ts = 100.0 + 0.01 * np.arange(500)
-    L = _fft_len(math.ceil(2.5 * len(ts)))
-    assert np.bincount(np.floor(ln * 0.01 * L / (2 * math.pi)).astype(int)).max() == 3501
+    L = _nu_plan(len(ts), _grid_step(ts), ln)[0]
+    assert L == 1296
+    assert np.bincount(np.floor(ln * 0.01 * L / (2 * math.pi)).astype(int)).max() == 3846
     W = rng.standard_normal((len(n), 2)) * n[:, None] ** -0.75
-    out, bound = _phase_dot(ts, ln, W)
+    out, bound = _phase_dot(ts, _grid_step(ts), ln, W)
     lnl = np.log(n.astype(np.longdouble))
     Wl = W.T.astype(np.longdouble)
     for i in np.r_[0:len(ts):7, len(ts) - 1]:
@@ -560,9 +653,9 @@ def test_phase_sum_kernel_by_grid(rng, monkeypatch):
     nufft = zm.evaluate._nufft
     calls = []
 
-    def spy(ts, h, ln, W, widths=None):
+    def spy(ts, h, ln, W, widths=None, plan=None):
         calls.append(len(ts))
-        return nufft(ts, h, ln, W, widths)
+        return nufft(ts, h, ln, W, widths, plan)
 
     monkeypatch.setattr(zm.evaluate, "_nufft", spy)
     values = rng.standard_normal(3000)
@@ -756,7 +849,7 @@ def _smoothed_columns(values, sigma, ts, Y):
     n = np.arange(1, min(len(values), int(math.ceil(74.0 * Y))) + 1, dtype=np.float64)
     npw = values[: len(n)] * n ** (-sigma)
     W = np.stack([npw * np.exp(-n / Y), npw * np.exp(-n / (2.0 * Y))], axis=1)
-    acc = _phase_dot(ts, np.log(n), W)[0]
+    acc = _phase_dot(ts, _grid_step(ts), np.log(n), W)[0]
     return acc[:, 0], acc[:, 1]
 
 
