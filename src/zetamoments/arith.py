@@ -10,15 +10,17 @@ polynomials P_{k-1} with
 and the cumulative mean square  int_1^X Delta_k(y)^2 dy  of the error term.
 
 All d_k tables are exact integers (int64, with an explicit capacity guard);
-convolutions of integer tables stay integer.  A Dirichlet convolution to N
-adds a(d) b(j) into out[dj] as one strided pass per d <= sqrt(N), then one
-fancy-indexed pass per block of the d > sqrt(N) with equal quotient q = N//d
-(j <= q): about 2 sqrt(N) passes, not N.  No index repeats within a block,
-since d2/d1 < (q+1)/q <= j1/j2 there, and the blocks run in ascending d, so
-every out[n] still adds its terms in ascending d and float results are
-bit-identical to a plain loop over d.  P_{k-1} is obtained as the
-residue at s=1 of zeta(s)^k x^s / s, expanded in powers of log x from the
-truncated Laurent series of zeta at 1.
+convolutions of integer tables stay integer.  `sieve_dk` holds 10 bytes a
+value: the table and a uint16 counter, on which the first powers of the
+primes >= 11 are sieved without touching the table (see its docstring).
+A Dirichlet convolution to N adds a(d) b(j) into out[dj] as one strided pass
+per d <= sqrt(N), then one fancy-indexed pass per block of the d > sqrt(N)
+with equal quotient q = N//d (j <= q): about 2 sqrt(N) passes, not N.  No
+index repeats within a block, since d2/d1 < (q+1)/q <= j1/j2 there, and the
+blocks run in ascending d, so every out[n] still adds its terms in ascending
+d and float results are bit-identical to a plain loop over d.  P_{k-1} is
+obtained as the residue at s=1 of zeta(s)^k x^s / s, expanded in powers of
+log x from the truncated Laurent series of zeta at 1.
 """
 
 from __future__ import annotations
@@ -89,9 +91,12 @@ class CoeffTable:
         return self.values.dtype.kind == "i"
 
     def prefix_sums(self) -> np.ndarray:
-        """Exact summatory function D(n) = sum_{m<=n} a(m) as float64."""
+        """Exact summatory function D(n) = sum_{m<=n} a(m) as float64.
+
+        An integer table raises CapacityError if any partial sum, not just
+        the last, leaves the exact float64 range |D| < 2^53."""
         c = np.cumsum(self.values, dtype=np.int64 if self.is_integer else np.float64)
-        if self.is_integer and abs(int(c[-1])) >= 2**53:
+        if self.is_integer and max(int(c.max()), -int(c.min())) >= 2**53:
             raise CapacityError("prefix sums exceed exact float64 range")
         return c.astype(np.float64)
 
@@ -144,19 +149,38 @@ def sieve_dk(k: int, N: int) -> CoeffTable:
     walks the prime powers p^a, p <= sqrt(N): each multiple of p^a has its
     value multiplied by k for a = 1, and by (a+k-1) then divided by a for
     a >= 2, exactly (C(a+k-2, a-1) * (a+k-1) = a * C(a+k-1, a)), so
-    valuation v gives C(v+k-1, v).  Each multiple of p^a also has its found
-    part (an int32 product of the prime powers found so far, at most n <
-    2^31) multiplied by p.  An n whose found part ends below n has one prime
-    factor > sqrt(N) left, worth d_k(p) = k; the found array turns into that
-    factor in place, so the sieve allocates no int64 temporaries.
+    valuation v gives C(v+k-1, v).
+
+    Beside the int64 table sits one uint16 counter per value, x(n) =
+    256 c(n) + 255 - L(n), 10 bytes a value in all.  L(n) sums l(p) =
+    floor(8 log2 p) over the prime powers p^a | n found so far, and c(n)
+    counts the primes p >= 11 with v_p(n) = 1, whose factor k is deferred:
+    the first-power pass of such a prime only adds 256 - l(p) to x, a
+    strided pass over 2 bytes a value that leaves the table alone.  Its
+    p^2 pass takes the count back (x -= 256 + l(p)) and multiplies the
+    table by d_k(p^2) = k(k+1)/2; the higher powers go on as above.
+    L(n) <= 8 log2(1e8) < 213 and c(n) <= 6 (11*13*...*31 > 1e8), so the
+    low byte never borrows and x + t never wraps.
+
+    One sequential pass at the end multiplies the table by k^e(n), with
+    e(n) = c(n) + [n has a prime factor q > sqrt(N)]: the primes left
+    unsieved, all > 7 too.  n <= N has at most one such q, as q^2 > N.
+    Since floor(y) > y - 1 and Omega(n) <= log2 n,
+      * if n has no such q, 2^L(n) > n^8 / 2^Omega(n) >= n^7 (n >= 2);
+      * if it has one, L(n) saw only n/q < sqrt(n): 2^L(n) <= (n/q)^8 < n^4.
+    So over a block of n in [lo, hi], the threshold t = floor(log2 lo^7)
+    decides exactly when hi^4 <= 2^t: the first kind has 2^L >= lo^7 >=
+    2^t, so L >= t, the second 2^L < n^4 <= 2^t, so L < t.  Then e(n) =
+    (x(n) + t) >> 8, as 255 - L + t < 512.  Every n < 11 is 7-smooth and
+    owes nothing.
 
     The small prime powers, whose strided passes would each touch every
     cache line of the table, are sieved once over one wheel period
     P = 2^5 3^3 5^2 7 (the whole table when N < P): the factor that
     p^a, a <= e_p, contributes to n depends only on min(v_p(n), e_p), a
     function of n mod p^e_p, so that period repeats exactly.  It is copied
-    over the table by doubling slices in place, and the higher powers of
-    the wheel primes continue from a = e_p + 1.
+    over the table and the counter by doubling slices in place, and the
+    higher powers of the wheel primes continue from a = e_p + 1.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -165,7 +189,8 @@ def sieve_dk(k: int, N: int) -> CoeffTable:
     if N > _SIEVE_BUDGET:
         raise CapacityError(f"N={N} exceeds sieve budget {_SIEVE_BUDGET}")
     if k >= 1 << 31:
-        raise CapacityError(f"k={k} exceeds the sieve's int32 factor")
+        # from here on d_k(4) = k(k+1)/2 passes the int64 budget
+        raise CapacityError(f"k={k} exceeds the sieve's bound k < 2^31")
     # largest d_k value is at most k^log2(N); demand headroom below 2^61
     if N > 2 and k ** min(60, int(math.log2(N)) + 1) >= _INT64_SAFE and k > 1:
         # loose a priori guard; the exact post-check below still runs
@@ -175,21 +200,30 @@ def sieve_dk(k: int, N: int) -> CoeffTable:
         return CoeffTable("d_k", N, np.ones(N, dtype=np.int64), {"k": 1})
     period = min(N, _WHEEL_PERIOD)
     vals = np.empty(N, dtype=np.int64)  # filled from the first period on
-    found = np.empty(N, dtype=np.int32)  # N <= _SIEVE_BUDGET < 2^31
+    x = np.empty(N, dtype=np.uint16)
     vals[:period] = 1
-    found[:period] = 1
+    x[:period] = 255
 
     def sieve_powers(p: int, a: int, top: int, stop: int) -> None:
-        # the passes of p^a, p^(a+1), ... up to p^top, over vals[:stop]
+        # the passes of p^a, p^(a+1), ... up to p^top, over [:stop]
+        lp = (p**8).bit_length() - 1  # floor(8 log2 p), exactly
+        deferred = p not in _WHEEL
         pa = p**a
         while a <= top and pa <= stop:
             sl = vals[pa - 1: stop: pa]
-            if a == 1:
-                sl *= k
+            xs = x[pa - 1: stop: pa]
+            if a == 1 and deferred:
+                xs += 256 - lp
+            elif a == 2 and deferred:
+                sl *= k * (k + 1) // 2
+                xs -= 256 + lp
             else:
-                sl *= a + k - 1
-                sl //= a
-            found[pa - 1: stop: pa] *= p
+                if a == 1:
+                    sl *= k
+                else:
+                    sl *= a + k - 1
+                    sl //= a
+                xs -= lp
             a += 1
             pa *= p
 
@@ -199,20 +233,25 @@ def sieve_dk(k: int, N: int) -> CoeffTable:
     while m < N:  # vals[:m] holds whole periods; double it
         c = min(m, N - m)
         vals[m: m + c] = vals[:c]
-        found[m: m + c] = found[:c]
+        x[m: m + c] = x[:c]
         m += c
     for p in map(int, prime_sieve(math.isqrt(N))):
         sieve_powers(p, _WHEEL.get(p, 0) + 1, N, N)
-    # found becomes the factor k where a prime > sqrt(N) is left, else 1,
-    # a block at a time so that no table-sized n array is made
-    n = np.arange(1, min(N, _BLOCK) + 1, dtype=np.int32)
-    for lo in range(0, N, _BLOCK):
-        f = found[lo: lo + _BLOCK]
-        np.less(f, n[: len(f)], out=f)
-        f *= k - 1
-        f += 1
-        vals[lo: lo + _BLOCK] *= f
-        n += _BLOCK
+    # the deferred factors k^e(n), a block at a time, from n = 11 on; the
+    # powers stop at the largest count plus one, so a large k at small N fits
+    kpow = np.array([k**e for e in range((int(x.max()) >> 8) + 2)], dtype=np.int64)
+    f = np.empty(min(N, _BLOCK), dtype=np.int64)
+    lo = 11
+    while lo <= N:
+        t = (lo**7).bit_length() - 1
+        hi = min(N, lo + _BLOCK - 1, math.isqrt(math.isqrt(1 << t)))  # hi^4 <= 2^t
+        xb = x[lo - 1: hi]
+        xb += t
+        xb >>= 8
+        fb = f[: len(xb)]
+        np.take(kpow, xb, out=fb, mode="clip")
+        vals[lo - 1: hi] *= fb
+        lo = hi + 1
     if int(vals.max()) >= _INT64_SAFE:
         raise CapacityError(f"d_{k} values at N={N} exceed the int64 budget")
     return CoeffTable("d_k", N, vals, {"k": k})

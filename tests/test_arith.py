@@ -107,6 +107,72 @@ def test_dk_wheel_against_trial_division_around_periods():
                 assert table[n - 1] == _dk_by_trial_division(k, n), (k, n)
 
 
+def _least_prime_above(m: int) -> int:
+    q = m + 1
+    while any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
+        q += 1
+    return q
+
+
+@pytest.mark.parametrize(
+    "N", [48, 49, 50, 63, 64, 65, 120, 121, 122, 168, 169, 170, 1447, 1448, 1449,
+          999_999, 10**6, 10**6 + 1, _P - 1, _P, _P + 1, 2 * _P + 1])
+def test_dk_tightest_non_smooth_entries(N):
+    # n = s q with q the least unsieved prime and s = N // q as large as it
+    # goes: the largest smooth part beside a prime > sqrt(N), the entries
+    # whose counter comes closest to the smoothness threshold.  n = 64 and
+    # 1448 end the first two threshold blocks, where the margin is least:
+    # L(1435 = 5 7 41) = 40 against t = 42
+    q = _least_prime_above(max(7, math.isqrt(N)))
+    ns = [q * s for s in range(max(1, N // q - 3), N // q + 1)]
+    for k in range(2, 7):
+        table = zm.sieve_dk(k, N).values
+        for n in ns:
+            assert table[n - 1] == _dk_by_trial_division(k, n), (k, N, n)
+    assert np.array_equal(zm.sieve_dk(3, N).values, _sieve_dk_strided(3, N)), N
+
+
+@pytest.mark.parametrize("N", [2**20 - 1, 2**20, 3 * 2**18, _P, 2 * _P + 1, 10**6])
+def test_dk_smooth_entries_with_largest_omega(N):
+    # 2^a, 3 2^a and 2^a 3^b just below N: the smooth n with the most prime
+    # factors, whose counter falls furthest below 8 log2 n
+    ns = {1 << (N.bit_length() - 1), 3 << ((N // 3).bit_length() - 1)}
+    ns |= {2**a * 3**b for a in range(21) for b in range(14) if N // 2 < 2**a * 3**b <= N}
+    for k in range(2, 9):
+        table = zm.sieve_dk(k, N).values
+        for n in sorted(ns):
+            assert table[n - 1] == _dk_by_trial_division(k, n), (k, N, n)
+
+
+def test_sieve_counter_capacity_at_the_budget():
+    # the uint16 counter x = 256 c + 255 - L, read as (x + t) >> 8, holds for
+    # every N up to the budget; a larger budget must revisit its layout
+    budget = zm.arith._SIEVE_BUDGET
+    low = (budget**8).bit_length() - 1  # floor(8 log2 N) bounds every L(n)
+    assert low == 212 and low <= 255  # the low byte never borrows
+    big = [int(p) for p in prime_sieve(100) if p >= 11]
+    c = next(j for j in range(len(big)) if math.prod(big[: j + 1]) > budget)
+    assert c == 6  # at most 6 distinct primes >= 11 divide any n <= budget
+    t = (budget**7).bit_length() - 1  # the largest block threshold
+    assert 255 + t < 512  # (255 - L + t) >> 8 is [L < t]
+    assert 256 * c + 255 + t < 2**16  # x + t never wraps
+
+
+def test_sieve_holds_ten_bytes_a_value():
+    # the int64 table and the uint16 counter, beside buffers of one block
+    # (2^16 entries); no third table-sized array
+    import tracemalloc
+
+    N = 2 * 10**6
+    tracemalloc.start()
+    try:
+        zm.sieve_dk(3, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 10 * N <= peak < 10 * N + 2**21
+
+
 def test_dk_random_sample_against_trial_division(rng):
     N = 10**5
     ns = rng.integers(1, N + 1, size=500)
@@ -139,6 +205,15 @@ def test_dk_prefix_sums_nondecreasing(d2_1e6):
     assert np.all(np.diff(pref) > 0)
     # jump at n equals d(n)
     assert pref[99] - pref[98] == d2_1e6.values[99]
+
+
+def test_prefix_sums_reject_a_partial_sum_past_float_range():
+    # the last partial sum, 1, is exact; the first, 2^53 + 1, is not
+    t = zm.CoeffTable("r", 2, np.array([2**53 + 1, -(2**53)], dtype=np.int64))
+    with pytest.raises(CapacityError):
+        t.prefix_sums()
+    t = zm.CoeffTable("r", 2, np.array([2**53 - 1, -(2**53)], dtype=np.int64))
+    assert t.prefix_sums().tolist() == [2**53 - 1, -1]
 
 
 def test_sieve_rejects_bad_args():
