@@ -20,18 +20,18 @@ quadrature's relative tolerance, in [1e-5, 1e-2], default 1e-4), slack (the
 slope's allowance over the theory exponent, default 0.25) and N.  Tables, k
 and default N come from moments.FAMILIES; an omitted k is the family's (1 for
 zeta).  An unknown key or family, a contradicting k, a sigma outside (1/2, 1),
-a T above the desk cap, a rel_tol out of range and a table missing from the
-cache are errors before any cell runs.  Each moments.MomentRecord appends as
-one ledger.csv row, its fields the columns (family,k,sigma,T,integral,main,
-residual,quad_err); a JSON summary per run records slope / theory_exponent /
-pass, the cell's moments.QuadraturePass (start step `h`, halving `level`,
-integrand `points`, Euler-Maclaurin cut `em_cut`, null for series, Y-doubling
-`spread`, and the final level's `blocks`, each with its first and last t,
-points, em_cut or Y, and zeta's `estimate`), its wall seconds per stage
-(`stage_s`: table_load, main_term,
-integrand with a pole's residue, simpson_fit) and the sha256 of the cached
-table it read (`table_sha256`, null for zeta), none of which reach ledger.csv.
-A command loads each table once, for every cell that reads it, and splits its
+a T above the desk cap or repeated, a key repeated in one block, a rel_tol out
+of range and a table missing from the cache are errors before any cell runs.
+Each moments.MomentRecord appends as one ledger.csv row, its fields the columns
+(family,k,sigma,T,integral,main,residual,quad_err); a JSON summary per run
+records slope / theory_exponent / pass, the cell's moments.QuadraturePass
+(start step `h`, halving `level`, integrand `points`, Euler-Maclaurin cut
+`em_cut`, null for series, Y-doubling `spread`, and the final level's `blocks`,
+each with its first and last t, points, em_cut or Y, and zeta's `estimate`),
+its wall seconds per stage (`stage_s`: table_load, main_term, integrand with a
+pole's residue, simpson_fit) and the sha256 of the cached table it read
+(`table_sha256`, null for zeta), none of which reach ledger.csv.  A command
+loads each table once, for every cell that reads it, and splits its
 `stage_s.table_load` evenly among them.
 The cells of a manifest run as one call: cells that share a grid share its
 integrand passes (see moments), every first grid is held to --budget before
@@ -39,7 +39,7 @@ any cell runs, and the rows are appended in manifest order once every cell
 has run.  A shared pass's integrand time is split evenly among the cells
 it evaluated, so `stage_s.integrand` is each cell's share.  Identical
 manifests re-run against the same cache append identical value rows,
-independent of --workers and of which cells share a manifest.
+independent of the BLAS thread count and of which cells share a manifest.
 """
 
 from __future__ import annotations
@@ -62,13 +62,7 @@ _TABLE_LABELS = ("d_1", "d_2", "d_3", "d_4", "d_5", "d_6",
 @dataclass
 class RunConfig:
     cache_dir: Path
-    workers: int = 1
     budget: int = 5_000_000
-
-    def __post_init__(self):
-        self.cache_dir = Path(self.cache_dir)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -188,6 +182,8 @@ def parse_manifest(path) -> list[dict]:
         if "=" not in ln:
             raise ValueError(f"manifest line not key=value: {ln!r}")
         key, val = (p.strip() for p in ln.split("=", 1))
+        if key in block:
+            raise ValueError(f"manifest key {key!r} repeated in one cell")
         block[key] = val
     out = []
     for blk in cells:
@@ -241,7 +237,7 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
                           **{key: cell[key] for key in ("rel_tol", "slack") if key in cell}))
     # one call for every cell: cells that share a grid share its passes, and
     # every first grid is held to the budget before any cell runs
-    results = moments._experiments(specs, cfg.workers, cfg.budget)
+    results = moments._experiments(specs, cfg.budget)
     all_pass = True
     summaries = []
     for res, (table_load_s, table_sha256) in zip(results, loads):
@@ -345,7 +341,7 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
     # the quadrature estimate against the same cell from a 4x finer start
     cell = dict(family="zeta", k=1, sigma=0.75, T_grid=[200.0])
     rule = moments.integrate_moment_grid(**cell, budget=cfg.budget)[0]
-    finer = moments._integrate_cells([cell], 1, cfg.budget, refine=4)[0][0]
+    finer = moments._integrate_cells([cell], cfg.budget, refine=4)[0][0]
     ratio = abs(rule.integral - finer.integral) / rule.quad_err
     check("zeta k=1 moment to T=200 within its quad_err of a 4x finer start", ratio < 1,
           f"|dI| = {ratio:.3f} quad_err")
@@ -353,8 +349,8 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
     # a shared pass against its cells' solo passes: the column bits must not
     # depend on the other columns of a call, which rests on the local BLAS
     cells = [dict(cell, sigma=sg) for sg in (0.75, 0.9)]
-    shared = moments._integrate_cells(cells, 1, cfg.budget)
-    solo = [moments._integrate_cells([c], 1, cfg.budget)[0] for c in cells]
+    shared = moments._integrate_cells(cells, cfg.budget)
+    solo = [moments._integrate_cells([c], cfg.budget)[0] for c in cells]
     same = all((a.integral, a.quad_err) == (b.integral, b.quad_err)
                for x, y in zip(shared, solo) for a, b in zip(x, y))
     check("zeta k=1, sigma 0.75 and 0.9 to T=200: one shared pass equals two solo passes "
@@ -411,9 +407,8 @@ def main(argv=None) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--cache-dir", default="zml_cache")
     ap.add_argument("--workers", type=int, default=1,
-                    help="threads that evaluate a pass's blocks (a series' runs of "
-                         "one smoothing Y, and chunks of at most 2^20 points): the "
-                         "calling one and a pool, one per command, of the rest")
+                    help="accepted and ignored (an int >= 1): every command runs in "
+                         "the calling thread")
     ap.add_argument("--budget", type=int, default=5_000_000)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -433,7 +428,9 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        cfg = RunConfig(Path(args.cache_dir), args.workers, args.budget)
+        if args.workers < 1:
+            raise ValueError("--workers must be >= 1")
+        cfg = RunConfig(Path(args.cache_dir), args.budget)
         if args.cmd == "build-tables":
             built: dict = {}
             for spec_item in args.tables:

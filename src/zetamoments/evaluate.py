@@ -463,7 +463,7 @@ def _nufft(ts: np.ndarray, h: float, ln: np.ndarray, W: np.ndarray,
     cosines, the twiddles and the deconvolution are shared.  Each value is
     then one dot product over j, and every other sum has a fixed order per
     row, so a group's columns depend only on its own weights and the grid,
-    not on the other groups, workers or BLAS threads.
+    not on the other groups or the BLAS thread count.
 
     The transform covers only the cells the terms reach (`_nu_plan`): they
     fill S = s L + O(2H) of the L cells, s the span |h| (max ln - min ln) /

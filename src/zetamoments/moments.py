@@ -55,8 +55,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -546,43 +544,13 @@ def _batches(cells: list, column_points: int) -> list:
     return [cells[i: i + size] for i in range(0, len(cells), size)]
 
 
-@contextmanager
-def _block_pool(workers: int):
-    """run(fn, args): fn(*a) for each a in args, in order.  With more than
-    one worker and more than one a, the calling thread evaluates every
-    workers-th a, from the first, and a pool of workers - 1 threads the
-    others: the same pool for every pass of one `with`, started by the
-    first such call.  The caller works rather than waits, which also spares
-    a thread and the heap it would hold."""
-    pool = []
-
-    def run(fn, args):
-        if workers <= 1 or len(args) == 1:
-            return [fn(*a) for a in args]
-        if not pool:
-            pool.append(ThreadPoolExecutor(max_workers=workers - 1))
-        futures = [None if i % workers == 0 else pool[0].submit(fn, *a)
-                   for i, a in enumerate(args)]
-        own = [fn(*a) for a in args[::workers]]
-        return [own[i // workers] if f is None else f.result() for i, f in enumerate(futures)]
-
-    try:
-        yield run
-    finally:
-        for ex in pool:
-            ex.shutdown()
-
-
-def _integrand_grid(ts: np.ndarray, param, block, cells: list, run) -> list:
-    """block(tt, p, cells) on each block of _blocks(ts, param), joined per
-    cell: its values, its max spread and its PassBlocks.  The blocks and
-    their parameters depend on the grid alone, so values are independent of
-    the worker count; blocks are joined in fixed order."""
+def _integrand_grid(ts: np.ndarray, param, block, cells: list) -> list:
+    """block(tt, p, cells) on each block of _blocks(ts, param), in order,
+    joined per cell: its values, its max spread and its PassBlocks."""
     args = [(ts[i0:i1], p, cells) for i0, i1, p in _blocks(ts, param)]
-    results = run(block, args)  # results[block][cell]
+    results = [block(*a) for a in args]  # results[block][cell]
     out = []
-    for c in range(len(cells)):
-        mine = [r[c] for r in results]
+    for mine in zip(*results):
         values = mine[0][0] if len(mine) == 1 else np.concatenate([r[0] for r in mine])
         info = tuple(PassBlock(float(tt[0]), float(tt[-1]), len(tt), **r[2])
                      for (tt, _, _), r in zip(args, mine))
@@ -626,7 +594,6 @@ def integrate_moment_grid(
     T_grid,
     rel_tol: float = 1e-4,
     coeffs: CoeffTable | None = None,
-    workers: int = 1,
     budget: int = 5_000_000,
 ) -> MomentRecords:
     """One shared quadrature pass producing a MomentRecord per T in T_grid.
@@ -639,16 +606,16 @@ def integrate_moment_grid(
     `quadrature` holds the pass's diagnostics.  A one-cell `_integrate_cells`.
     """
     cell = dict(family=family, k=k, sigma=sigma, T_grid=T_grid, rel_tol=rel_tol, coeffs=coeffs)
-    return _integrate_cells([cell], workers, budget)[0]
+    return _integrate_cells([cell], budget)[0]
 
 
-def _integrate_cells(cells: list, workers: int, budget: int, refine: int = 1) -> list:
+def _integrate_cells(cells: list, budget: int, refine: int = 1) -> list:
     """integrate_moment_grid of each cell, given as a dict of its arguments,
     by one pass per group of cells that share a grid, from the start step
     moment_step(...)/refine; a refine > 1 gives the finer values a quad_err
     is checked against."""
     passes, groups = _plan(cells, budget, refine)
-    _run_groups(groups, workers, budget)
+    _run_groups(groups, budget)
     return [p.records for p in passes]
 
 
@@ -678,41 +645,37 @@ def _grid_points(h2: float, Tmax: float, budget: int) -> int:
     return npts
 
 
-def _run_groups(groups: dict, workers: int, budget: int) -> None:
-    """One pass per group, every pass's blocks on one thread pool.
-
-    Each level evaluates the group's grid at h/2 once, for the cells whose
-    Simpson check has not passed yet, so every cell gets the grids, blocks,
-    cuts, Y and values of its own pass.  A level's evaluation time is split
-    evenly among the cells it evaluated; each cell's Simpson time is its
-    own."""
-    with _block_pool(workers) as run:
-        for (_, _, h0, Tmax), cells in groups.items():
-            param, block = _group_evaluator(cells)
-            h, level = h0, 1  # the current grid is at h/2
-            while cells:
-                t0 = time.perf_counter()
-                npts = _grid_points(h / 2.0, Tmax, budget)
-                ts = 1.0 + h / 2.0 * np.arange(npts)
-                results = _integrand_grid(ts, param, block, cells, run)
-                share = (time.perf_counter() - t0) / len(cells)
-                failed = []
-                for c, (y, spread, blocks) in zip(cells, results):
-                    t1 = time.perf_counter()
-                    c.integrand_s += share
-                    out = c.simpson(y, h)
-                    c.simpson_s += time.perf_counter() - t1
-                    if out is None:
-                        failed.append(c)
-                        continue
-                    c.records = MomentRecords(c.done + out)
-                    c.records.quadrature = QuadraturePass(h0, level, npts, blocks[-1].em_cut,
-                                                          spread, blocks, c.integrand_s,
-                                                          c.simpson_s)
-                cells, h = failed, h / 2.0
-                level += 1
-                if cells and level > 4:
-                    raise BudgetError("step halving did not converge within 4 levels")
+def _run_groups(groups: dict, budget: int) -> None:
+    """One pass per group: each level evaluates the group's grid at h/2
+    once, for the cells whose Simpson check has not passed yet, so every cell
+    gets the grids, blocks, cuts, Y and values of its own pass.  A level's
+    evaluation time is split evenly among the cells it evaluated; each cell's
+    Simpson time is its own."""
+    for (_, _, h0, Tmax), cells in groups.items():
+        param, block = _group_evaluator(cells)
+        h, level = h0, 1  # the current grid is at h/2
+        while cells:
+            t0 = time.perf_counter()
+            npts = _grid_points(h / 2.0, Tmax, budget)
+            ts = 1.0 + h / 2.0 * np.arange(npts)
+            results = _integrand_grid(ts, param, block, cells)
+            share = (time.perf_counter() - t0) / len(cells)
+            failed = []
+            for c, (y, spread, blocks) in zip(cells, results):
+                t1 = time.perf_counter()
+                c.integrand_s += share
+                out = c.simpson(y, h)
+                c.simpson_s += time.perf_counter() - t1
+                if out is None:
+                    failed.append(c)
+                    continue
+                c.records = MomentRecords(c.done + out)
+                c.records.quadrature = QuadraturePass(h0, level, npts, blocks[-1].em_cut, spread,
+                                                      blocks, c.integrand_s, c.simpson_s)
+            cells, h = failed, h / 2.0
+            level += 1
+            if cells and level > 4:
+                raise BudgetError("step halving did not converge within 4 levels")
 
 
 # ---------------------------------------------------------------------------
@@ -939,12 +902,16 @@ def _check_sigma(sigma: float) -> None:
 def _check_ranges(sigma: float, T_grid, rel_tol: float | None) -> None:
     """The ranges a moment cell must lie in, checked before it evaluates
     anything: sigma in (1/2, 1), rel_tol in [1e-5, 1e-2] (None, a caller's
-    default, is not checked) and T <= 5000."""
+    default, is not checked) and T <= 5000, no T twice."""
     _check_sigma(sigma)
     if rel_tol is not None and not 1e-5 <= rel_tol <= 1e-2:
         raise ValueError(f"rel_tol must lie in [1e-5, 1e-2], not {rel_tol}")
     if max(T_grid, default=0.0) > 5000:
         raise ValueError("T > 5000 is outside the desk range")
+    Ts = sorted(T_grid)
+    for a, b in zip(Ts, Ts[1:]):
+        if a == b:
+            raise ValueError(f"T = {a:g} is repeated in T_grid")
 
 
 def exponent_beta_envelope(k: int, sigma: float) -> float:
@@ -1098,7 +1065,6 @@ def exponent_experiment(
     coeffs: CoeffTable | None = None,
     rel_tol: float = 1e-4,
     slack: float = 0.25,
-    workers: int = 1,
     budget: int = 5_000_000,
 ) -> ExperimentResult:
     """Integrate the moment over T_grid, extract residuals, fit |R| vs T and
@@ -1111,10 +1077,10 @@ def exponent_experiment(
     """
     cell = dict(family=family, k=k, sigma=sigma, T_grid=T_grid, coeffs=coeffs,
                 rel_tol=rel_tol, slack=slack)
-    return _experiments([cell], workers, budget)[0]
+    return _experiments([cell], budget)[0]
 
 
-def _experiments(cells: list, workers: int, budget: int) -> list:
+def _experiments(cells: list, budget: int) -> list:
     """exponent_experiment of each cell, given as a dict of its arguments
     (slack 0.25 where it names none), with one integrand pass per group of
     cells that share a grid (see `_plan`).  Every cell and every first grid
@@ -1126,7 +1092,7 @@ def _experiments(cells: list, workers: int, budget: int) -> list:
         constants.append(main_term_zeta(p.k, p.sigma) if p.fam.table is None
                          else main_term_series(p.coeffs, p.sigma))
         main_s.append(time.perf_counter() - t0)
-    _run_groups(groups, workers, budget)
+    _run_groups(groups, budget)
     out = []
     for p, constant, t_main in zip(passes, constants, main_s):
         t2 = time.perf_counter()

@@ -9,14 +9,18 @@ their full predicted main term C*T + S_k, where S_k is the one-swap
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 import zetamoments as zm
-from zetamoments.cli import RunConfig, build_table, main
+from zetamoments.cli import RunConfig, build_table
 from zetamoments.moments import (
     exponent_experiment,
     fit_power_law,
@@ -27,8 +31,6 @@ from zetamoments.moments import (
     secondary_term,
     theory_exponent,
 )
-
-WORKERS = 4
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -180,7 +182,7 @@ def test_criterion_4_divisor_error_terms():
 def test_criterion_5_k1_moment():
     t0 = time.time()
     res = exponent_experiment("zeta", 1, 0.75, [250, 500, 1000, 2000],
-                              workers=WORKERS, slack=0.25)
+                              slack=0.25)
     # criterion bound: fitted slope <= 2(1-sigma)/3 + 0.25, the sharp (k=1)
     # exponent, tighter than the table envelope used by the generic runner
     fit = fit_power_law([(r.T, r.residual) for r in res.records], strict=False)
@@ -209,7 +211,7 @@ def test_criterion_6_higher_moments():
     details = []
     for k, sigma in ((2, 0.75), (3, 0.9)):
         res = exponent_experiment("zeta", k, sigma, [250, 500, 1000, 2000],
-                                  workers=WORKERS, slack=0.3)
+                                  slack=0.3)
         C = res.constant.value
         theo = res.fit.theory_exponent
         S = secondary_term(sigma, [r.T for r in res.records], k)
@@ -249,7 +251,7 @@ def test_criterion_7_rankin_selberg(rankin_2e5):
     ms = zm.delta_phi_mean_square(c, A, np.geomspace(1e3, 1e5, 41))
     ms_fit = fit_power_law(ms)
     res = exponent_experiment("Z2", 1, 0.8, [125, 250, 500, 1000],
-                              coeffs=c, workers=WORKERS, slack=0.3)
+                              coeffs=c, slack=0.3)
     r_top = res.records[-1]
     dev = (r_top.integral / r_top.T - res.constant.value) / res.constant.value
     ok = (nonneg and spread_ok and ms_fit.slope <= 2.2
@@ -270,12 +272,12 @@ def test_criterion_7_rankin_selberg(rankin_2e5):
 def test_criterion_8_cusp_form_moments(atilde_2e5):
     t0 = time.time()
     res2 = exponent_experiment("F2", 1, 0.8, [125, 250, 500, 1000],
-                               coeffs=atilde_2e5, workers=WORKERS, slack=0.3)
+                               coeffs=atilde_2e5, slack=0.3)
     r_top = res2.records[-1]
     dev = (r_top.integral / r_top.T - res2.constant.value) / res2.constant.value
     conv = zm.self_convolve(atilde_2e5)
     res4 = exponent_experiment("F4", 2, 0.8, [125, 250, 500, 1000],
-                               coeffs=conv, workers=WORKERS, slack=0.3)
+                               coeffs=conv, slack=0.3)
     ok = abs(dev) <= 0.05 and res2.fit.pass_ and res4.fit.pass_
     report(8, ok, f"F2 I(1000)/1000 = {r_top.integral / 1000:.4f} vs C = "
                   f"{res2.constant.value:.4f} ({dev:+.1%}, cap 5%); F2 slope "
@@ -290,7 +292,8 @@ def test_criterion_8_cusp_form_moments(atilde_2e5):
 # ---------------------------------------------------------------------------
 
 def test_criterion_9_determinism(tmp_path):
-    # one manifest exercising every integrand family at reduced height
+    # one manifest exercising every integrand family at reduced height, run
+    # by two fresh processes, one with 1 BLAS thread and one with 2
     manifest = tmp_path / "manifest.txt"
     manifest.write_text(
         "family = zeta\nk = 1\nsigma = 0.75\nT_grid = 100 200\n\n"
@@ -301,13 +304,17 @@ def test_criterion_9_determinism(tmp_path):
     cache_dir = tmp_path / "cache"
     for label in ("a_tilde", "a_tilde_sq_conv", "rankin_c"):
         build_table(RunConfig(cache_dir), label, 16000, verbose=False)
-    rows = {}
-    for workers in ("1", "8"):
-        out = tmp_path / f"res{workers}"
-        rc = main(["--cache-dir", str(cache_dir), "--workers", workers,
-                   "experiment", str(manifest), "--out-dir", str(out)])
-        assert rc == 0
-        rows[workers] = (out / "ledger.csv").read_text().splitlines()[1:]
-    ok = rows["1"] == rows["8"]
-    report(9, ok, f"1 vs 8 workers: {len(rows['1'])} ledger rows byte-identical: {ok}")
+    src = str(Path(zm.__file__).resolve().parent.parent)
+    ledgers = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"res{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "zetamoments.cli", "--cache-dir", str(cache_dir),
+                        "experiment", str(manifest), "--out-dir", str(out)],
+                       env=env, capture_output=True, check=True)
+        ledgers[threads] = (out / "ledger.csv").read_bytes()
+    rows = len(ledgers["1"].splitlines()) - 1
+    ok = ledgers["1"] == ledgers["2"] and rows == 8
+    report(9, ok, f"1 vs 2 BLAS threads, two processes: {rows} ledger rows byte-identical: {ok}")
     assert ok

@@ -1,9 +1,12 @@
+import ast
 import hashlib
 import importlib
 import json
 import pkgutil
 import struct
+import threading
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,6 +495,32 @@ def test_manifest_unknown_key_raises(tmp_path, capsys):
     assert "error: unknown manifest key" in capsys.readouterr().err
 
 
+def test_manifest_repeated_key_exits_2(tmp_path, capsys):
+    # the last value would win: this block would run sigma = 0.9 alone
+    m = tmp_path / "m.txt"
+    m.write_text("family = zeta\nsigma = 0.75\nT_grid = 50 100\nsigma = 0.9\n")
+    with pytest.raises(ValueError, match="manifest key 'sigma' repeated in one cell"):
+        parse_manifest(m)
+    out = tmp_path / "r"
+    assert main(["experiment", str(m), "--out-dir", str(out)]) == 2
+    assert "error: manifest key 'sigma' repeated" in capsys.readouterr().err
+    assert not (out / "ledger.csv").exists()
+
+
+def test_manifest_repeated_T_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch):
+    def evaluated(*a):
+        raise AssertionError("a grid was evaluated")
+
+    monkeypatch.setattr(zm.moments, "_zeta_em_grids", evaluated)
+    m = tmp_path / "m.txt"
+    m.write_text("family = zeta\nsigma = 0.75\nT_grid = 100 200 200 400\n")
+    out = tmp_path / "r"
+    assert main(["--cache-dir", str(tmp_path / "c"), "experiment", str(m),
+                 "--out-dir", str(out)]) == 2
+    assert "error: T = 200 is repeated in T_grid" in capsys.readouterr().err
+    assert not (out / "ledger.csv").exists()
+
+
 def test_manifest_k_defaults_to_the_family(tmp_path):
     m = tmp_path / "m.txt"
     m.write_text("family = zeta\n\nfamily = F2\n\nfamily = F4\n\nfamily = Z2\n"
@@ -554,7 +583,7 @@ def test_shared_passes_write_the_ledger_of_one_command_per_cell(tmp_path):
     # F2, F4 and Z2 at different sigma on one N; and a group where the cell
     # with the tighter rel_tol needs a second halving level and the others
     # do not.  One command writes the rows and diagnostics that one command
-    # per cell writes, byte for byte, at 1 and 2 workers
+    # per cell writes, byte for byte
     cache_dir = str(tmp_path / "c")
     assert main(["--cache-dir", cache_dir, "build-tables", "a_tilde=8000",
                  "a_tilde_sq_conv=8000", "rankin_c=8000"]) == 0
@@ -565,11 +594,11 @@ def test_shared_passes_write_the_ledger_of_one_command_per_cell(tmp_path):
              "family = zeta\nk = 1\nsigma = 0.6 0.75\nT_grid = 6 12\n",
              "family = zeta\nk = 1\nsigma = 0.75\nT_grid = 6 12\nrel_tol = 5e-5\n"]
 
-    def run(manifests, out, workers="1"):
+    def run(manifests, out):
         for i, text in enumerate(manifests):
             m = tmp_path / f"m{i}.txt"
             m.write_text(text)
-            assert main(["--cache-dir", cache_dir, "--workers", workers, "experiment", str(m),
+            assert main(["--cache-dir", cache_dir, "experiment", str(m),
                          "--out-dir", str(out)]) in (0, 1)
         return (out / "ledger.csv").read_bytes()
 
@@ -582,10 +611,9 @@ def test_shared_passes_write_the_ledger_of_one_command_per_cell(tmp_path):
     for i, text in enumerate(cells):  # the summary of each one-cell command
         run([text], tmp_path / f"solo{i}")
         solo_diag += diagnostics(tmp_path / f"solo{i}")
-    for workers in ("1", "2"):
-        out = tmp_path / f"shared{workers}"
-        assert run(["\n".join(cells)], out, workers) == solo
-        assert diagnostics(out) == solo_diag
+    out = tmp_path / "shared"
+    assert run(["\n".join(cells)], out) == solo
+    assert diagnostics(out) == solo_diag
     assert [c["level"] for c in solo_diag] == [1, 1, 1, 1, 1, 1, 1, 2]
     assert len(solo.splitlines()) == 1 + 2 * 3 + 3 * 2 + 3 * 2
 
@@ -624,9 +652,9 @@ def test_experiment_rerun_appends_identical_rows(tmp_path):
     m = tmp_path / "m.txt"
     m.write_text("family = zeta\nk = 1\nsigma = 0.75\nT_grid = 50 100\n")
     out = tmp_path / "res"
-    for workers in ("1", "3"):
-        assert main(["--cache-dir", str(tmp_path / "c"), "--workers", workers,
-                     "experiment", str(m), "--out-dir", str(out)]) == 0
+    for _ in range(2):
+        assert main(["--cache-dir", str(tmp_path / "c"), "experiment", str(m),
+                     "--out-dir", str(out)]) == 0
     rows = (out / "ledger.csv").read_text().splitlines()
     assert rows[1:3] == rows[3:5]
 
@@ -702,9 +730,50 @@ def test_selfcheck_catches_corrupt_tau_cache(tmp_path, capsys):
     assert "FAIL" in out and str(path) in out
 
 
-def test_runconfig_validation(tmp_path):
-    with pytest.raises(ValueError):
-        RunConfig(tmp_path, workers=0)
+def test_workers_below_one_exits_2(tmp_path, capsys):
+    # --workers is accepted and ignored, but still held to >= 1
+    m = tmp_path / "m.txt"
+    m.write_text("family = zeta\nsigma = 0.75\nT_grid = 50 100\n")
+    out = tmp_path / "r"
+    assert main(["--cache-dir", str(tmp_path / "c"), "--workers", "0", "experiment", str(m),
+                 "--out-dir", str(out)]) == 2
+    assert "error: --workers must be >= 1" in capsys.readouterr().err
+    assert not (out / "ledger.csv").exists()
+
+
+def test_a_multi_block_series_command_starts_no_thread(tmp_path, monkeypatch):
+    # F2 on a_tilde = 12000 to T = 80 is a pass of two runs of one Y; with
+    # --workers 2 it still runs in the calling thread
+    cache_dir = str(tmp_path / "c")
+    assert main(["--cache-dir", cache_dir, "build-tables", "a_tilde=12000"]) == 0
+
+    def start(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    m = tmp_path / "m.txt"
+    m.write_text("family = F2\nsigma = 0.8\nT_grid = 40 80\nN = 12000\n")
+    out = tmp_path / "r"
+    assert main(["--cache-dir", cache_dir, "--workers", "2", "experiment", str(m),
+                 "--out-dir", str(out)]) in (0, 1)
+    cell = json.loads((out / "summary.json").read_text())["cells"][0]
+    assert len(cell["blocks"]) == 2
+
+
+def test_the_package_imports_no_concurrency_module():
+    # every command runs in the calling thread; a thread or process pool
+    # would be a second path to the same values
+    banned = {"threading", "concurrent", "multiprocessing"}
+    for path in Path(zm.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            hits = [n for n in names if n.split(".")[0] in banned]
+            assert not hits, f"{path.name} imports {hits}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -208,7 +207,7 @@ def _series_blocks(ts, N):
         seen.append((len(tt), p))
         return [(np.zeros(len(tt)), 0.0, {})]
 
-    ((y, _, _),) = _integrand_grid(ts, param, block, [cell], lambda fn, args: [fn(*a) for a in args])
+    ((y, _, _),) = _integrand_grid(ts, param, block, [cell])
     assert len(y) == len(ts)
     return seen
 
@@ -230,8 +229,7 @@ def test_series_blocks_split_where_y_changes():
 
 def test_series_run_splits_into_equal_chunks_that_keep_y(atilde_12e3, monkeypatch):
     # past the chunk limit a run is the fewest equal chunks, each at the
-    # run's Y; the pass's blocks are the calls; the rows do not depend on the
-    # worker count
+    # run's Y; the pass's blocks are the calls
     calls = []
 
     def spy(tables, ts, Y):
@@ -240,44 +238,32 @@ def test_series_run_splits_into_equal_chunks_that_keep_y(atilde_12e3, monkeypatc
 
     monkeypatch.setattr(zm.moments, "_ZETA_CHUNK", 1000)
     monkeypatch.setattr(zm.moments, "_smoothed_grids", spy)
-    rows = {}
-    for workers in (1, 2):
-        calls.clear()
-        recs = integrate_moment_grid("F2", 1, 0.8, [40.0, 80.0], coeffs=atilde_12e3,
-                                     workers=workers)
-        rows[workers] = [repr(r) for r in recs]
-        q = recs.quadrature
-        assert sorted(calls) == [(b.t_first, b.t_last, b.points, b.Y) for b in q.blocks]
-        assert all(b.em_cut is None for b in q.blocks)
-        runs = {}
-        for b in q.blocks:
-            runs.setdefault(b.Y, []).append(b.points)
-        assert list(runs) == [100.0, 12_000 / 74.0]
-        for Y, sizes in runs.items():
-            assert len(sizes) == -(-sum(sizes) // 1000) > 1 and max(sizes) - min(sizes) <= 1
-        assert sum(b.points for b in q.blocks) == q.points
-    assert rows[1] == rows[2]
+    q = integrate_moment_grid("F2", 1, 0.8, [40.0, 80.0], coeffs=atilde_12e3).quadrature
+    assert calls == [(b.t_first, b.t_last, b.points, b.Y) for b in q.blocks]
+    assert all(b.em_cut is None for b in q.blocks)
+    runs = {}
+    for b in q.blocks:
+        runs.setdefault(b.Y, []).append(b.points)
+    assert list(runs) == [100.0, 12_000 / 74.0]
+    for Y, sizes in runs.items():
+        assert len(sizes) == -(-sum(sizes) // 1000) > 1 and max(sizes) - min(sizes) <= 1
+    assert sum(b.points for b in q.blocks) == q.points
 
 
 def test_zeta_pass_is_one_call_at_the_top_cut(monkeypatch):
     # the benchmark's seed-0 zeta cells: each pass is one zeta call over all
-    # its points, at the cut of the grid's last t, with no one-point block,
-    # and with two workers it starts no pool
+    # its points, at the cut of the grid's last t, with no one-point block
     calls = []
 
     def spy(sigmas, ts):
         calls.append((len(ts), float(ts[-1])))
         return _zeta_em_grids(sigmas, ts)
 
-    def no_pool(*a, **kw):
-        raise AssertionError("a pass of one block started a pool")
-
     monkeypatch.setattr(zm.moments, "_zeta_em_grids", spy)
-    monkeypatch.setattr(zm.moments, "ThreadPoolExecutor", no_pool)
     points = 0
     for k, sigma in ((1, 0.75), (1, 0.9), (2, 0.75), (3, 0.9)):
         calls.clear()
-        recs = integrate_moment_grid("zeta", k, sigma, [100.0, 200.0, 400.0, 800.0], workers=2)
+        recs = integrate_moment_grid("zeta", k, sigma, [100.0, 200.0, 400.0, 800.0])
         assert calls == [(recs.quadrature.points, 800.0)] and recs.quadrature.em_cut == 1600
         points += calls[0][0]
     assert points == 60_728
@@ -293,7 +279,7 @@ def test_pass_em_cut_is_its_top_blocks_cut():
 
 def test_zeta_pass_splits_into_equal_chunks(monkeypatch):
     # past the chunk limit a pass is the fewest equal chunks, each at the cut
-    # of its own last t; the rows do not depend on the worker count
+    # of its own last t
     cuts = []
 
     def spy(sigmas, ts, M):
@@ -302,45 +288,10 @@ def test_zeta_pass_splits_into_equal_chunks(monkeypatch):
 
     monkeypatch.setattr(zm.moments, "_ZETA_CHUNK", 1000)
     monkeypatch.setattr(zm.evaluate, "_zeta_em", spy)
-    rows = {}
-    for workers in (1, 2):
-        cuts.clear()
-        recs = integrate_moment_grid("zeta", 1, 0.75, [100.0, 300.0], workers=workers)
-        rows[workers] = [repr(r) for r in recs]
-        n = recs.quadrature.points
-        assert len(cuts) == -(-n // 1000) == 4 and sum(m for m, _, _ in cuts) == n
-        assert max(m for m, _, _ in cuts) - min(m for m, _, _ in cuts) <= 1
-        assert [M for _, _, M in cuts] == [int(max(2.0 * t, 50.0)) for _, t, _ in cuts]
-    assert rows[1] == rows[2]
-
-
-def test_a_multi_cell_call_starts_one_pool(atilde_12e3, monkeypatch):
-    # passes of more than one block share one pool per call, of workers - 1
-    # threads beside the calling one, and a call whose passes are all one
-    # block starts none; rows do not depend on the worker count
-    started = []
-
-    class Pool(ThreadPoolExecutor):
-        def __init__(self, *a, **kw):
-            started.append(kw["max_workers"])
-            super().__init__(*a, **kw)
-
-    monkeypatch.setattr(zm.moments, "ThreadPoolExecutor", Pool)
-    # two groups (top T 80 and 120), each pass two runs of one Y
-    cells = [dict(family="F2", k=1, sigma=sigma, T_grid=T_grid, coeffs=atilde_12e3)
-             for sigma, T_grid in ((0.7, [40.0, 80.0]), (0.8, [40.0, 80.0]), (0.8, [60.0, 120.0]))]
-    rows = {}
-    for workers in (1, 2, 3):
-        started.clear()
-        recs = _integrate_cells(cells, workers, 5_000_000)
-        assert all(len(r.quadrature.blocks) == 2 for r in recs)
-        assert started == ([] if workers == 1 else [workers - 1])
-        rows[workers] = [repr(r) for cell in recs for r in cell]
-    assert rows[1] == rows[2] == rows[3]
-    started.clear()
-    zeta = [dict(family="zeta", k=1, sigma=sigma, T_grid=[100.0]) for sigma in (0.7, 0.8)]
-    assert all(len(r.quadrature.blocks) == 1 for r in _integrate_cells(zeta, 2, 5_000_000))
-    assert started == []
+    n = integrate_moment_grid("zeta", 1, 0.75, [100.0, 300.0]).quadrature.points
+    assert len(cuts) == -(-n // 1000) == 4 and sum(m for m, _, _ in cuts) == n
+    assert max(m for m, _, _ in cuts) - min(m for m, _, _ in cuts) <= 1
+    assert [M for _, _, M in cuts] == [int(max(2.0 * t, 50.0)) for _, t, _ in cuts]
 
 
 def test_a_shared_block_splits_its_cells_not_its_points(monkeypatch):
@@ -354,11 +305,11 @@ def test_a_shared_block_splits_its_cells_not_its_points(monkeypatch):
 
     cells = [dict(family="zeta", k=1, sigma=sigma, T_grid=[50.0, 100.0])
              for sigma in (0.6, 0.7, 0.8, 0.9, 0.95)]
-    solo = [_integrate_cells([c], 1, 5_000_000)[0] for c in cells]
+    solo = [_integrate_cells([c], 5_000_000)[0] for c in cells]
     npts = solo[0].quadrature.points
     monkeypatch.setattr(zm.moments, "_SHARED_POINTS", 2 * npts)
     monkeypatch.setattr(zm.moments, "_zeta_em_grids", spy)
-    shared = _integrate_cells(cells, 1, 5_000_000)
+    shared = _integrate_cells(cells, 5_000_000)
     assert calls == [(2, npts), (2, npts), (1, npts)]
     assert [repr(r) for c in shared for r in c] == [repr(r) for c in solo for r in c]
     assert [c.quadrature.blocks for c in shared] == [c.quadrature.blocks for c in solo]
@@ -391,11 +342,15 @@ def test_integrate_rejects_bad_args():
             integrate_moment_grid("zeta", 1, 0.75, [100.0], rel_tol=rel_tol)
 
 
-def test_integrate_workers_deterministic():
-    a = integrate_moment_grid("zeta", 1, 0.75, [50.0, 150.0], workers=1)
-    b = integrate_moment_grid("zeta", 1, 0.75, [50.0, 150.0], workers=4)
-    for x, y in zip(a, b):
-        assert x.integral == y.integral and x.quad_err == y.quad_err
+def test_a_repeated_T_is_rejected_before_any_evaluation(monkeypatch):
+    # two equal T would fail only in the slope fit, after the whole pass
+    def evaluated(*a):
+        raise AssertionError("a grid was evaluated")
+
+    monkeypatch.setattr(zm.moments, "_zeta_em_grids", evaluated)
+    for run in (integrate_moment_grid, exponent_experiment):
+        with pytest.raises(ValueError, match="T = 200 is repeated in T_grid"):
+            run("zeta", 1, 0.75, [100.0, 200.0, 200.0, 400.0])
 
 
 @pytest.mark.parametrize("k, sigma, T_grid", [
@@ -409,7 +364,7 @@ def test_integrate_workers_deterministic():
 ])
 def test_zeta_quad_err_bounds_a_4x_finer_start(k, sigma, T_grid):
     recs = integrate_moment_grid("zeta", k, sigma, T_grid)
-    refs = _integrate_cells([dict(family="zeta", k=k, sigma=sigma, T_grid=T_grid)], 1,
+    refs = _integrate_cells([dict(family="zeta", k=k, sigma=sigma, T_grid=T_grid)],
                             5_000_000, refine=4)[0]
     assert refs.quadrature.h == recs.quadrature.h / 4
     for rec, ref, T in zip(recs, refs, T_grid):
