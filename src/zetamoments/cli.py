@@ -20,8 +20,8 @@ quadrature's relative tolerance, in [1e-5, 1e-2], default 1e-4), slack (the
 slope's allowance over the theory exponent, default 0.25) and N.  Tables, k
 and default N come from moments.FAMILIES; an omitted k is the family's (1 for
 zeta).  An unknown key or family, a contradicting k, a sigma outside (1/2, 1),
-a T above the desk cap or repeated, a key repeated in one block, a rel_tol out
-of range and a table missing from the cache are errors before any cell runs.
+a T above the desk cap, two T on one grid point, a key twice in one block, a
+rel_tol out of range and a missing table are errors before any cell runs.
 Each moments.MomentRecord appends as one ledger.csv row, its fields the columns
 (family,k,sigma,T,integral,main,residual,quad_err); a JSON summary per run
 records slope / theory_exponent / pass, the cell's moments.QuadraturePass

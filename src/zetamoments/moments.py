@@ -472,21 +472,26 @@ class _CellPass:
         self.records = None if self.todo else MomentRecords(self.done)
         self.integrand_s = self.simpson_s = 0.0
 
+    def points(self, h: float) -> list:
+        """Each T's count of steps h/2 from 1, snapped down to a multiple of 4 so
+        that both Simpson counts are even; two T on one point are an error."""
+        m2 = [m - m % 4 for m in (round((T - 1.0) / (h / 2.0)) for T in self.todo)]
+        if len(set(m2)) < len(m2):
+            raise ValueError(f"T_grid {self.todo} puts two T on one grid point at step {h:g}")
+        return m2
+
     def simpson(self, y: np.ndarray, h: float) -> list | None:
         """A record per T from the integrand y at step h/2, or None as soon as
         one T's step-halving difference misses rel_tol."""
         h2 = h / 2.0
         out = []
-        for T in self.todo:
-            m2 = int(round((T - 1.0) / h2))
-            m2 -= m2 % 4  # snap so both h and h/2 Simpson counts are even
-            Ts = 1.0 + h2 * m2
+        for m2 in self.points(h):
             I_h = _simpson_prefix(y[::2], h, m2 // 2)
             I_h2 = _simpson_prefix(y, h2, m2)
             qerr = abs(I_h - I_h2)
             if qerr > self.rel_tol * max(abs(I_h2), 1e-300):
                 return None
-            out.append(MomentRecord(self.family, self.k, self.sigma, Ts, I_h2, quad_err=qerr))
+            out.append(MomentRecord(self.family, self.k, self.sigma, 1 + h2 * m2, I_h2, quad_err=qerr))
         return out
 
 
@@ -548,9 +553,8 @@ def _integrand_grid(ts: np.ndarray, param, block, cells: list) -> list:
     """block(tt, p, cells) on each block of _blocks(ts, param), in order,
     joined per cell: its values, its max spread and its PassBlocks."""
     args = [(ts[i0:i1], p, cells) for i0, i1, p in _blocks(ts, param)]
-    results = [block(*a) for a in args]  # results[block][cell]
     out = []
-    for mine in zip(*results):
+    for mine in zip(*(block(*a) for a in args)):  # per cell, its result of each block
         values = mine[0][0] if len(mine) == 1 else np.concatenate([r[0] for r in mine])
         info = tuple(PassBlock(float(tt[0]), float(tt[-1]), len(tt), **r[2])
                      for (tt, _, _), r in zip(args, mine))
@@ -631,6 +635,8 @@ def _plan(cells: list, budget: int, refine: int) -> tuple:
         if p.todo:
             N = None if p.coeffs is None else p.coeffs.N
             h0 = moment_step(p.family, p.k, p.todo[-1]) / refine
+            for level in range(4):  # distinct T points on every level _run_groups may reach
+                p.points(h0 / 2 ** level)
             groups.setdefault((p.fam.table is None, N, h0, p.todo[-1]), []).append(p)
     for _, _, h0, Tmax in groups:
         _grid_points(h0 / 2.0, Tmax, budget)
@@ -657,8 +663,7 @@ def _run_groups(groups: dict, budget: int) -> None:
         while cells:
             t0 = time.perf_counter()
             npts = _grid_points(h / 2.0, Tmax, budget)
-            ts = 1.0 + h / 2.0 * np.arange(npts)
-            results = _integrand_grid(ts, param, block, cells)
+            results = _integrand_grid(1.0 + h / 2.0 * np.arange(npts), param, block, cells)
             share = (time.perf_counter() - t0) / len(cells)
             failed = []
             for c, (y, spread, blocks) in zip(cells, results):
@@ -902,16 +907,12 @@ def _check_sigma(sigma: float) -> None:
 def _check_ranges(sigma: float, T_grid, rel_tol: float | None) -> None:
     """The ranges a moment cell must lie in, checked before it evaluates
     anything: sigma in (1/2, 1), rel_tol in [1e-5, 1e-2] (None, a caller's
-    default, is not checked) and T <= 5000, no T twice."""
+    default, is not checked) and T <= 5000."""
     _check_sigma(sigma)
     if rel_tol is not None and not 1e-5 <= rel_tol <= 1e-2:
         raise ValueError(f"rel_tol must lie in [1e-5, 1e-2], not {rel_tol}")
     if max(T_grid, default=0.0) > 5000:
         raise ValueError("T > 5000 is outside the desk range")
-    Ts = sorted(T_grid)
-    for a, b in zip(Ts, Ts[1:]):
-        if a == b:
-            raise ValueError(f"T = {a:g} is repeated in T_grid")
 
 
 def exponent_beta_envelope(k: int, sigma: float) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -342,15 +343,21 @@ def test_integrate_rejects_bad_args():
             integrate_moment_grid("zeta", 1, 0.75, [100.0], rel_tol=rel_tol)
 
 
-def test_a_repeated_T_is_rejected_before_any_evaluation(monkeypatch):
-    # two equal T would fail only in the slope fit, after the whole pass
+@pytest.mark.parametrize("T_grid, step", [
+    ([100.0, 200.0, 200.0, 400.0], 1 / 6),
+    ([100.0, 100.3, 200.0], 0.25),  # both snap to T = 100 at h = 1/4
+    ([100.925, 100.95, 200.0], 0.125),  # apart at h = 1/4, together at 1/8 and 1/16
+])
+def test_a_repeated_T_is_rejected_before_any_evaluation(monkeypatch, T_grid, step):
+    # two T on one grid point would fail only in the slope fit, after the whole pass
     def evaluated(*a):
         raise AssertionError("a grid was evaluated")
 
     monkeypatch.setattr(zm.moments, "_zeta_em_grids", evaluated)
     for run in (integrate_moment_grid, exponent_experiment):
-        with pytest.raises(ValueError, match="T = 200 is repeated in T_grid"):
-            run("zeta", 1, 0.75, [100.0, 200.0, 200.0, 400.0])
+        with pytest.raises(ValueError, match=re.escape(
+                f"T_grid {T_grid} puts two T on one grid point at step {step:g}")):
+            run("zeta", 1, 0.75, T_grid)
 
 
 @pytest.mark.parametrize("k, sigma, T_grid", [
