@@ -338,17 +338,18 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
     check("zeta at t ~ 1e4 (sigma = 0.75, two tail blocks) vs mpmath within its estimate",
           worst < 1, f"worst {worst:.3f} of the estimate")
 
-    # the quadrature estimate against the same cell from a 4x finer start
-    cell = dict(family="zeta", k=1, sigma=0.75, T_grid=[200.0])
+    # the quadrature estimate against the same cell from a 4x finer start, on
+    # a cell whose start step the band limit sets (h = 1/6), not the 1/4 cap
+    cell = dict(family="zeta", k=2, sigma=0.75, T_grid=[800.0])
     rule = moments.integrate_moment_grid(**cell, budget=cfg.budget)[0]
     finer = moments._integrate_cells([cell], cfg.budget, refine=4)[0][0]
     ratio = abs(rule.integral - finer.integral) / rule.quad_err
-    check("zeta k=1 moment to T=200 within its quad_err of a 4x finer start", ratio < 1,
+    check("zeta k=2 moment to T=800 within its quad_err of a 4x finer start", ratio < 1,
           f"|dI| = {ratio:.3f} quad_err")
 
     # a shared pass against its cells' solo passes: the column bits must not
     # depend on the other columns of a call, which rests on the local BLAS
-    cells = [dict(cell, sigma=sg) for sg in (0.75, 0.9)]
+    cells = [dict(family="zeta", k=1, sigma=sg, T_grid=[200.0]) for sg in (0.75, 0.9)]
     shared = moments._integrate_cells(cells, cfg.budget)
     solo = [moments._integrate_cells([c], cfg.budget)[0] for c in cells]
     same = all((a.integral, a.quad_err) == (b.integral, b.quad_err)

@@ -28,8 +28,8 @@ sieve sum with a density-completed tail.  The local factor is
 form with the polynomial N_k(x) = sum_{i<k} C(k-1, i)^2 x^i.
 Moments are composite-Simpson integrals of |.|^{2k} from the start step of
 moment_step, validated by step halving: for zeta the coarsest h = 1/(2q)
-that samples the integrand's top frequency k log M at least 4 times per
-period (M the grid's top Euler-Maclaurin cut), for the series families
+<= 1/4 that samples the integrand's top frequency k log M at least twice
+per period (M the grid's top Euler-Maclaurin cut), for the series families
 min(0.02, 0.4/log T), as their integrand jumps where the smoothing Y changes
 between blocks.  Every family splits a pass by one rule: the grid splits
 where the family's evaluation parameter changes between dyadic t-blocks,
@@ -573,13 +573,16 @@ def _simpson_prefix(y: np.ndarray, h: float, m: int) -> float:
 def moment_step(family: str, k: int, T_max: float) -> float:
     """Simpson's start step h for the 2k-th moment of `family` over [1, T_max].
 
-    zeta: the coarsest h = 1/(2q), q a positive integer, with
-    h k log M <= pi/2, where M = _em_cut(T_max) is the grid's top
+    zeta: the coarsest h = 1/(2q), q an integer of at least 2, with
+    h k log M <= pi, where M = _em_cut(T_max) is the grid's top
     Euler-Maclaurin cut.  |sum_{n<M} n^{-s}|^{2k} has frequencies of at most
-    k log M, so the nodes take at least 4 samples per period of the top one
-    at h and 8 at h/2; chunks with different cuts agree to rounding.  As
-    1/h is an even integer, (T - 1)/(2h) is an integer for integer T, which
-    stays on the grid at every halving level.
+    k log M, so the nodes take at least 2 samples per period of the top one
+    at h (its Nyquist limit) and 4 at h/2; chunks with different cuts agree
+    to rounding.  The cap h <= 1/4 binds only for k = 1 and T_max <= 267:
+    from h = 1/2 a grid that holds a small T (T_grid = 25 50 100 200) fails
+    the first level and refines to the grid h = 1/4 starts from.  As 1/h is
+    an even integer, (T - 1)/(2h) is an integer for integer T, which stays
+    on the grid at every halving level.
 
     F2, F4, Z2: min(0.02, 0.4/log T_max).  Their integrand jumps at the block
     edges, where the smoothing Y changes, and at a coarser start the
@@ -587,7 +590,7 @@ def moment_step(family: str, k: int, T_max: float) -> float:
     """
     if family_of(family, k).table is not None:
         return min(0.02, 0.4 / math.log(T_max)) if T_max > 1 else 0.02
-    q = math.ceil(k * math.log(_em_cut(T_max)) / math.pi)
+    q = max(2, math.ceil(k * math.log(_em_cut(T_max)) / (2.0 * math.pi)))
     return 1.0 / (2 * q)
 
 

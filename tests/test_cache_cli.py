@@ -517,7 +517,7 @@ def test_manifest_repeated_T_exits_2_before_any_evaluation(tmp_path, capsys, mon
     out = tmp_path / "r"
     assert main(["--cache-dir", str(tmp_path / "c"), "experiment", str(m),
                  "--out-dir", str(out)]) == 2
-    assert ("error: T_grid [100.0, 200.0, 200.0, 400.0] puts two T on one grid point at step 0.166667"
+    assert ("error: T_grid [100.0, 200.0, 200.0, 400.0] puts two T on one grid point at step 0.25"
             in capsys.readouterr().err)
     assert not (out / "ledger.csv").exists()
 

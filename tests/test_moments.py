@@ -8,7 +8,7 @@ import pytest
 
 import zetamoments as zm
 from zetamoments.arith import prime_sieve
-from zetamoments.evaluate import _smoothed_grids, _zeta_em, _zeta_em_grids, gamma_fn
+from zetamoments.evaluate import _em_cut, _smoothed_grids, _zeta_em, _zeta_em_grids, gamma_fn
 from zetamoments.moments import (
     _CellPass,
     _euler_arith_factor,
@@ -253,7 +253,8 @@ def test_series_run_splits_into_equal_chunks_that_keep_y(atilde_12e3, monkeypatc
 
 def test_zeta_pass_is_one_call_at_the_top_cut(monkeypatch):
     # the benchmark's seed-0 zeta cells: each pass is one zeta call over all
-    # its points, at the cut of the grid's last t, with no one-point block
+    # its points, at the cut of the grid's last t, with no one-point block,
+    # and its first level converges
     calls = []
 
     def spy(sigmas, ts):
@@ -266,8 +267,9 @@ def test_zeta_pass_is_one_call_at_the_top_cut(monkeypatch):
         calls.clear()
         recs = integrate_moment_grid("zeta", k, sigma, [100.0, 200.0, 400.0, 800.0])
         assert calls == [(recs.quadrature.points, 800.0)] and recs.quadrature.em_cut == 1600
+        assert recs.quadrature.level == 1
         points += calls[0][0]
-    assert points == 60_728
+    assert points == 35_160
 
 
 def test_pass_em_cut_is_its_top_blocks_cut():
@@ -290,7 +292,7 @@ def test_zeta_pass_splits_into_equal_chunks(monkeypatch):
     monkeypatch.setattr(zm.moments, "_ZETA_CHUNK", 1000)
     monkeypatch.setattr(zm.evaluate, "_zeta_em", spy)
     n = integrate_moment_grid("zeta", 1, 0.75, [100.0, 300.0]).quadrature.points
-    assert len(cuts) == -(-n // 1000) == 4 and sum(m for m, _, _ in cuts) == n
+    assert len(cuts) == -(-n // 1000) == 3 and sum(m for m, _, _ in cuts) == n
     assert max(m for m, _, _ in cuts) - min(m for m, _, _ in cuts) <= 1
     assert [M for _, _, M in cuts] == [int(max(2.0 * t, 50.0)) for _, t, _ in cuts]
 
@@ -344,7 +346,7 @@ def test_integrate_rejects_bad_args():
 
 
 @pytest.mark.parametrize("T_grid, step", [
-    ([100.0, 200.0, 200.0, 400.0], 1 / 6),
+    ([100.0, 200.0, 200.0, 400.0], 0.25),
     ([100.0, 100.3, 200.0], 0.25),  # both snap to T = 100 at h = 1/4
     ([100.925, 100.95, 200.0], 0.125),  # apart at h = 1/4, together at 1/8 and 1/16
 ])
@@ -368,6 +370,11 @@ def test_a_repeated_T_is_rejected_before_any_evaluation(monkeypatch, T_grid, ste
     (3, 0.9, [100.0, 200.0, 400.0, 800.0]),
     (2, 0.55, [2000.0]),
     (3, 0.55, [2000.0]),
+] + [
+    # every k of the acceptance criteria near both ends of the sigma range,
+    # up to the top T of the desk runs
+    (k, sigma, [T_max / 4, T_max / 2, T_max])
+    for k in (1, 2, 3) for sigma in (0.55, 0.95) for T_max in (800.0, 2000.0, 5000.0)
 ])
 def test_zeta_quad_err_bounds_a_4x_finer_start(k, sigma, T_grid):
     recs = integrate_moment_grid("zeta", k, sigma, T_grid)
@@ -383,6 +390,27 @@ def test_zeta_quad_err_bounds_a_4x_finer_start(k, sigma, T_grid):
 def test_series_keep_the_fixed_start_step(family, k):
     for T in (2.0, 20.0, 50.0, 160.0, 1000.0, 5000.0):
         assert moment_step(family, k, T) == min(0.02, 0.4 / math.log(T))
+
+
+def test_zeta_start_step_is_the_coarsest_at_the_nyquist_limit():
+    # h samples the top frequency k log M at least twice per period, holds
+    # h <= 1/4 and is 1/(2q); the next coarser q breaks one of the bounds
+    def within(q, k, log_M):
+        return q >= 2 and k * log_M / (2 * q) <= math.pi
+
+    for k in range(1, 7):
+        for T_max in range(2, 5001):
+            h = moment_step("zeta", k, float(T_max))
+            q = round(1.0 / (2.0 * h))
+            log_M = math.log(_em_cut(float(T_max)))
+            assert h == 1.0 / (2 * q)
+            assert within(q, k, log_M) and not within(q - 1, k, log_M)
+
+
+def test_criterion_6_cells_converge_at_level_1():
+    cells = [dict(family="zeta", k=k, sigma=sigma, T_grid=[250.0, 500.0, 1000.0, 2000.0])
+             for k, sigma in ((2, 0.75), (3, 0.9))]
+    assert [r.quadrature.level for r in _integrate_cells(cells, 5_000_000)] == [1, 1]
 
 
 def test_integer_T_stays_on_the_zeta_grid():
