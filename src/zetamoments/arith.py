@@ -2,8 +2,8 @@
 
 Builds coefficient tables for the generalized divisor functions d_k(n)
 (the number of ordered factorizations of n into k factors), performs exact
-Dirichlet convolution, computes Stieltjes constants, the summatory main-term
-polynomials P_{k-1} with
+Dirichlet convolution, takes the Stieltjes constants from mpmath.stieltjes,
+and builds the summatory main-term polynomials P_{k-1} with
 
     D_k(x) = sum_{n<=x} d_k(n) = x P_{k-1}(log x) + Delta_k(x),
 
@@ -20,7 +20,8 @@ index repeats within a block, since d2/d1 < (q+1)/q <= j1/j2 there, and the
 blocks run in ascending d, so every out[n] still adds its terms in ascending
 d and float results are bit-identical to a plain loop over d.  P_{k-1} is
 obtained as the residue at s=1 of zeta(s)^k x^s / s, expanded in powers of
-log x from the truncated Laurent series of zeta at 1.
+log x from the Laurent series of zeta at 1 to order k-1, which takes the
+Stieltjes constants gamma_0..gamma_{k-2}.
 """
 
 from __future__ import annotations
@@ -300,22 +301,11 @@ def dirichlet_convolve(a: CoeffTable, b: CoeffTable) -> CoeffTable:
 # Stieltjes constants and the main-term polynomial
 # ---------------------------------------------------------------------------
 
-# Euler-Maclaurin cut and most correction terms of stieltjes_constants
-_STIELTJES_M = 80
-_STIELTJES_TERMS = 60
-
-
 def stieltjes_constants(J: int) -> list:
-    """gamma_0..gamma_J via Euler-Maclaurin on f_j(x) = (log x)^j / x.
+    """gamma_0..gamma_J as floats: zeta(1+u) = 1/u + sum_j (-1)^j gamma_j u^j / j!.
 
-    gamma_j = lim_M [ sum_{m<=M} (log m)^j/m - (log M)^{j+1}/(j+1) ].  The
-    limit is accelerated with at most _STIELTJES_TERMS Euler-Maclaurin
-    correction terms at the cut M = _STIELTJES_M;
-    the derivative polynomials of f_j are generated by the exact recurrence
-    c_{r+1,i} = -(r+1) c_{r,i} + (i+1) c_{r,i+1} on (log x)^i / x^{r+1}
-    coefficients.  Computed in extended precision (mpmath) because the two
-    leading terms cancel catastrophically for large j; returned as floats
-    good to at least 12 significant digits.
+    From mpmath.stieltjes at 30 digits, which leaves every float correctly
+    rounded for j <= 20 (the same floats as at 60 digits).
     """
     if J < 0:
         raise ValueError("J must be >= 0")
@@ -323,49 +313,8 @@ def stieltjes_constants(J: int) -> list:
         raise PrecisionError("J > 20 is outside the configured desk range")
     import mpmath as mp
 
-    M, terms = _STIELTJES_M, _STIELTJES_TERMS
-    with mp.workdps(50):
-        out = []
-        lnM = mp.log(M)
-        # partial sums of (log m)^j / m for all j at once
-        logs = [mp.log(m) for m in range(1, M + 1)]
-        for j in range(J + 1):
-            s = mp.fsum(lg**j / m for m, lg in zip(range(1, M + 1), logs))
-            s -= lnM ** (j + 1) / (j + 1)
-            # Euler-Maclaurin corrections at x=M for f(x) = (log x)^j / x:
-            # -f(M)/2 - sum_r B_2r/(2r)! f^{(2r-1)}(M)
-            s -= lnM**j / (2 * M)
-            # derivative polynomial coefficients: f^{(r)} = x^{-r-1} sum_i c_i (log x)^i
-            c = [mp.mpf(0)] * (j + 1)
-            c[j] = mp.mpf(1)
-            r = 0
-            prev_mag = mp.inf
-            for rr in range(1, 2 * terms):
-                nc = [mp.mpf(0)] * (j + 1)
-                for i in range(j + 1):
-                    nc[i] += -(rr) * c[i]
-                    if i + 1 <= j:
-                        nc[i] += (i + 1) * c[i + 1]
-                c = nc
-                r = rr
-                if r % 2 == 1:
-                    rt = (r + 1) // 2  # correction index: f^{(2rt-1)}
-                    b = mp.bernoulli(2 * rt)
-                    fder = mp.fsum(ci * lnM**i for i, ci in enumerate(c)) / M ** (r + 1)
-                    term = b / mp.factorial(2 * rt) * fder
-                    s -= term
-                    mag = abs(term)
-                    if mag < mp.mpf(10) ** (-45):
-                        break
-                    if mag > prev_mag:
-                        # asymptotic series started diverging before target
-                        raise PrecisionError(
-                            f"Euler-Maclaurin for gamma_{j} stalls at M={M}; raise _STIELTJES_M"
-                        )
-                    prev_mag = mag
-            out.append(s)
-        floats = [float(v) for v in out]
-    return floats
+    with mp.workdps(30):
+        return [float(mp.stieltjes(j)) for j in range(J + 1)]
 
 
 def _laurent_zeta_pow_k(k: int, order: int, gammas: Sequence) -> list:
@@ -398,9 +347,11 @@ def main_poly(k: int) -> SummatoryPolynomial:
 
     Writing s = 1+u, the residue is x * [u^{k-1}] (u zeta(1+u))^k e^{u log x}
     / (1+u), i.e. P_{k-1}(L) = sum_m b_{k-1-m} L^m / m! with b_i the Taylor
-    coefficients of (u zeta(1+u))^k/(1+u).  The Laurent series is truncated
-    at order k+5 and the truncation is certified by recomputing at order
-    k+7 (coefficients must move by < 1e-10).
+    coefficients of (u zeta(1+u))^k/(1+u).  Only b_0..b_{k-1} enter, and the
+    u^i coefficient of a product of power series depends only on its
+    factors' coefficients up to u^i, so the expansion at order k-1, from
+    gamma_0..gamma_{k-2}, is exact: a longer one adds the same terms in the
+    same order and gives the same floats.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -408,17 +359,8 @@ def main_poly(k: int) -> SummatoryPolynomial:
         raise PrecisionError("k > 10 is outside the configured desk range")
     import mpmath as mp
 
-    order = k + 5
-    gammas = stieltjes_constants(order + 2)
-    b1 = _laurent_zeta_pow_k(k, order, gammas)
-    b2 = _laurent_zeta_pow_k(k, order + 2, gammas)
-    coeffs = []
-    for m in range(k):
-        c1 = b1[k - 1 - m] / mp.factorial(m)
-        c2 = b2[k - 1 - m] / mp.factorial(m)
-        if abs(c1 - c2) > 1e-10:
-            raise PrecisionError(f"Laurent truncation unstable for k={k}")
-        coeffs.append(float(c2))
+    b = _laurent_zeta_pow_k(k, k - 1, stieltjes_constants(k - 2) if k > 1 else [])
+    coeffs = [float(b[k - 1 - m] / mp.factorial(m)) for m in range(k)]
     return SummatoryPolynomial(k, np.array(coeffs))
 
 
@@ -446,8 +388,11 @@ def delta_mean_square(
     sampling error otherwise); partial end intervals are rescaled.
     """
     Xs = sorted(float(X) for X in Xs)
-    if Xs[0] < 1:
-        raise ValueError("X grid must start at >= 1")
+    if not Xs or Xs[0] < 1:
+        raise ValueError("X grid must be non-empty and start at >= 1")
+    if k != poly.k or k != table.generator_params.get("k", k):
+        raise ValueError(f"k={k}, but the polynomial has k={poly.k} and the table "
+                         f"{table.label} has {table.generator_params}")
     if Xs[-1] > table.N:
         raise ValueError(f"max X {Xs[-1]} exceeds table length {table.N}")
     pref = table.prefix_sums()

@@ -115,12 +115,15 @@ FAMILIES = {
 
 
 def family_of(name: str, k: int | None = None) -> Family:
-    """The FAMILIES entry of `name`; a k that is given must be the family's."""
+    """The FAMILIES entry of `name`; a k that is given must be the family's,
+    or for zeta (any k) an integer >= 1."""
     fam = FAMILIES.get(name)
     if fam is None:
         raise ValueError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
     if k is not None and fam.k not in (None, k):
         raise ValueError(f"family {name} has k={fam.k}, not k={k}")
+    if k is not None and fam.k is None and not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ValueError(f"family {name} takes an integer k >= 1, not k={k!r}")
     return fam
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import zetamoments as zm
 from conftest import brute_dk
-from zetamoments.arith import CapacityError, PrecisionError, prime_sieve
+from zetamoments.arith import CapacityError, PrecisionError, prime_sieve, stieltjes_constants
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +337,82 @@ def test_stieltjes_rejects_large_j():
         zm.stieltjes_constants(21)
 
 
+# float.hex of stieltjes_constants(20) and main_poly(k).coeffs, k = 1..10, from an
+# independent Euler-Maclaurin sum for gamma_j (50 digits, cut M = 80)
+_GAMMA_HEX = [
+    "0x1.2788cfc6fb619p-1", "-0x1.2a40f2afba4a2p-4", "-0x1.3d88a87ff7c46p-7",
+    "0x1.0d333f554cdb2p-9", "0x1.30ca78c3ba214p-9", "0x1.9fee1ecdb69a5p-11",
+    "-0x1.f4bc50f505e37p-13", "-0x1.14739b917ad1ap-11", "-0x1.713a649eafd17p-12",
+    "-0x1.2086373426595p-15", "0x1.ae9d3731cecc7p-13", "0x1.1b4f154ec33afp-12",
+    "0x1.5ecbf5fbe3c63p-13", "-0x1.ccc426b42de9fp-16", "-0x1.b6be5e08b9708p-13",
+    "-0x1.293d09aa27747p-12", "-0x1.a2cb6f37b6ab8p-13", "0x1.b8db03d88a101p-16",
+    "0x1.424c942c56700p-12", "0x1.0808c79b7ee91p-11", "0x1.e8ff2586ba16dp-12",
+]
+_MAIN_POLY_HEX = {
+    1: ["0x1.0000000000000p+0"],
+    2: ["0x1.3c467e37db0c8p-3", "0x1.0000000000000p+0"],
+    3: ["0x1.f2019f47f1aa0p-2", "0x1.769a6f54f224cp-1", "0x1.0000000000000p-1"],
+    4: [
+        "0x1.17533af1dda5cp-2", "0x1.f6830229f9dacp-1", "0x1.4f119f8df6c32p-1",
+        "0x1.5555555555555p-3",
+    ],
+    5: [
+        "0x1.64d66c4dd5758p-2", "0x1.dc093f59ee100p-1", "0x1.cf4dc0567e4aap-1",
+        "0x1.41e404f64da29p-2", "0x1.5555555555555p-5",
+    ],
+    6: [
+        "0x1.26fa2ff14a060p-2", "0x1.01e7ebf7608ccp+0", "0x1.0dae551fde527p+0",
+        "0x1.fb18c3b9ab017p-2", "0x1.a466f4e34c187p-4", "0x1.1111111111111p-7",
+    ],
+    7: [
+        "0x1.340a3320d1c04p-2", "0x1.02025e7654f1ep+0", "0x1.36bd332185760p+0",
+        "0x1.55082c7958f70p-1", "0x1.7d17e59c5686bp-3", "0x1.9f2183d9d53ebp-6",
+        "0x1.6c16c16c16c17p-10",
+    ],
+    8: [
+        "0x1.1f17dd17d8098p-2", "0x1.09ea6a71584c8p+0", "0x1.56b9f2695f2e2p+0",
+        "0x1.ae78be5981fe1p-1", "0x1.21bdf6b186122p-2", "0x1.ada7d5e2acaacp-5",
+        "0x1.494b1c20af79bp-8", "0x1.a01a01a01a01ap-13",
+    ],
+    9: [
+        "0x1.1d9401765bbc4p-2", "0x1.0c79378a54c0ep+0", "0x1.755bfb129fb1cp+0",
+        "0x1.023a453a6c5d5p+0", "0x1.9145441e0796dp-2", "0x1.6c9f34751b2f1p-4",
+        "0x1.80c9a3c98506fp-7", "0x1.b46161ede26c8p-11", "0x1.a01a01a01a01ap-16",
+    ],
+    10: [
+        "0x1.1422a9efaa9c4p-2", "0x1.10a76098e16f4p+0", "0x1.8ff48f09d7f74p+0",
+        "0x1.2c69052ef45f5p+0", "0x1.049d7470984ebp-1", "0x1.13e52d86b5d9ap-3",
+        "0x1.68f980048330ep-6", "0x1.1cbe65701bd35p-9", "0x1.f06cecdafc4dfp-14",
+        "0x1.71de3a556c734p-19",
+    ],
+}
+
+
+def test_stieltjes_constants_are_pinned_bit_for_bit():
+    assert [g.hex() for g in zm.stieltjes_constants(20)] == _GAMMA_HEX
+    assert zm.stieltjes_constants(5) == [float.fromhex(h) for h in _GAMMA_HEX[:6]]
+
+
+def test_main_poly_is_pinned_bit_for_bit():
+    for k, coeffs in _MAIN_POLY_HEX.items():
+        assert [float(c).hex() for c in zm.main_poly(k).coeffs] == coeffs
+
+
+def test_main_poly_asks_for_gamma_0_to_k_minus_2(monkeypatch):
+    # the u^(k-1) coefficient it reads takes no Laurent term past u^(k-1)
+    asked = []
+
+    def spy(J):
+        asked.append(J)
+        return stieltjes_constants(J)
+
+    monkeypatch.setattr(zm.arith, "stieltjes_constants", spy)
+    for k in range(1, 11):
+        asked.clear()
+        zm.main_poly(k)
+        assert asked == ([] if k == 1 else [k - 2])
+
+
 def test_main_poly_k1():
     p = zm.main_poly(1)
     assert p.coeffs == pytest.approx([1.0])
@@ -422,3 +498,22 @@ def test_mean_square_partial_interval():
     # int_1^2 {y-1}^2 style sawtooth + partial: int_2^2.5 (2-y)^2 dy
     expect = 1 / 3 + ((0.5) ** 3) / 3
     assert curve.cumulative_ms[0][1] == pytest.approx(expect, rel=1e-12)
+
+
+def test_mean_square_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="non-empty"):
+        zm.delta_mean_square(1, [], zm.sieve_dk(1, 10), zm.main_poly(1))
+
+
+def test_mean_square_rejects_a_k_that_is_not_the_inputs():
+    d2, p2 = zm.sieve_dk(2, 1000), zm.main_poly(2)
+    with pytest.raises(ValueError, match="k=3, but the polynomial has k=2"):
+        zm.delta_mean_square(3, [100.0], d2, p2)
+    with pytest.raises(ValueError, match="the table d_k has {'k': 2}"):
+        zm.delta_mean_square(3, [100.0], d2, zm.main_poly(3))
+    # a table without a k (rankin_c, a convolution) is checked against the polynomial only
+    c = zm.CoeffTable("rankin_c", 1000, d2.values.astype(np.float64))
+    assert zm.delta_mean_square(1, [100.0], c, zm.SummatoryPolynomial(1, np.array([2.0])))
+    conv = zm.dirichlet_convolve(zm.sieve_dk(1, 1000), zm.sieve_dk(1, 1000))
+    assert (zm.delta_mean_square(2, [100.0], conv, p2).cumulative_ms
+            == zm.delta_mean_square(2, [100.0], d2, p2).cumulative_ms)

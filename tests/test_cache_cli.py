@@ -522,6 +522,19 @@ def test_manifest_repeated_T_exits_2_before_any_evaluation(tmp_path, capsys, mon
     assert not (out / "ledger.csv").exists()
 
 
+def test_manifest_zeta_k_0_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch):
+    def evaluated(*a):
+        raise AssertionError("a grid was evaluated")
+
+    monkeypatch.setattr(zm.moments, "_zeta_em_grids", evaluated)
+    m = tmp_path / "m.txt"
+    m.write_text("family = zeta\nk = 0\nsigma = 0.75\nT_grid = 10 20\n")
+    out = tmp_path / "r"
+    assert main(["--cache-dir", str(tmp_path / "c"), "experiment", str(m),
+                 "--out-dir", str(out)]) == 2
+    assert "error: family zeta takes an integer k >= 1, not k=0" in capsys.readouterr().err
+    assert not (out / "ledger.csv").exists()
+
 def test_manifest_k_defaults_to_the_family(tmp_path):
     m = tmp_path / "m.txt"
     m.write_text("family = zeta\n\nfamily = F2\n\nfamily = F4\n\nfamily = Z2\n"

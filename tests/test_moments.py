@@ -362,6 +362,19 @@ def test_a_repeated_T_is_rejected_before_any_evaluation(monkeypatch, T_grid, ste
             run("zeta", 1, 0.75, T_grid)
 
 
+@pytest.mark.parametrize("k", [0, -1, 1.5])
+def test_a_zeta_k_below_1_is_rejected_before_any_evaluation(monkeypatch, k):
+    # k = 0 would integrate |zeta|^0 = 1, and k = -1 the reciprocal |zeta|^-2
+    def evaluated(*a):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(zm.moments, "_zeta_em_grids", evaluated)
+    monkeypatch.setattr(zm.moments, "main_term_zeta", evaluated)
+    for run in (integrate_moment_grid, exponent_experiment):
+        with pytest.raises(ValueError, match=re.escape(
+                f"family zeta takes an integer k >= 1, not k={k}")):
+            run("zeta", k, 0.75, [10.0, 20.0])
+
 @pytest.mark.parametrize("k, sigma, T_grid", [
     # the benchmark's seed-0 zeta cells, then the 4th and 6th moments near 1/2
     (1, 0.75, [100.0, 200.0, 400.0, 800.0]),
