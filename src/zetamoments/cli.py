@@ -19,9 +19,10 @@ sigma may list several values (one cell each).  Other keys: rel_tol (the
 quadrature's relative tolerance, in [1e-5, 1e-2], default 1e-4), slack (the
 slope's allowance over the theory exponent, default 0.25) and N.  Tables, k
 and default N come from moments.FAMILIES; an omitted k is the family's (1 for
-zeta).  An unknown key or family, a contradicting k, a sigma outside (1/2, 1),
-a T above the desk cap, two T on one grid point, a key twice in one block, a
-rel_tol out of range and a missing table are errors before any cell runs.
+zeta).  An unknown key or family, a key with no value or given twice in one
+block, a contradicting k, a zeta k outside 1..6, a sigma outside (1/2, 1), a
+T not finite or outside [1, 5000], two T on one grid point, a rel_tol out of
+range, a slack not finite and a missing table are errors before any cell runs.
 Each moments.MomentRecord appends as one ledger.csv row, its fields the columns
 (family,k,sigma,T,integral,main,residual,quad_err); a JSON summary per run
 records slope / theory_exponent / pass, the cell's moments.QuadraturePass
@@ -34,12 +35,12 @@ pole's residue, simpson_fit) and the sha256 of the cached table it read
 loads each table once, for every cell that reads it, and splits its
 `stage_s.table_load` evenly among them.
 The cells of a manifest run as one call: cells that share a grid share its
-integrand passes (see moments), every first grid is held to --budget before
-any cell runs, and the rows are appended in manifest order once every cell
-has run.  A shared pass's integrand time is split evenly among the cells
-it evaluated, so `stage_s.integrand` is each cell's share.  Identical
-manifests re-run against the same cache append identical value rows,
-independent of the BLAS thread count and of which cells share a manifest.
+integrand passes (see moments), and the rows are appended in manifest order
+once every cell has run.  A shared pass's integrand time is split evenly
+among the cells it evaluated, so `stage_s.integrand` is each cell's share.
+Identical manifests re-run against the same cache append identical value
+rows, independent of the BLAS thread count and of which cells share a
+manifest.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ _TABLE_LABELS = ("d_1", "d_2", "d_3", "d_4", "d_5", "d_6",
 @dataclass
 class RunConfig:
     cache_dir: Path
-    budget: int = 5_000_000
 
 
 @dataclass
@@ -182,6 +182,8 @@ def parse_manifest(path) -> list[dict]:
         if "=" not in ln:
             raise ValueError(f"manifest line not key=value: {ln!r}")
         key, val = (p.strip() for p in ln.split("=", 1))
+        if not val:
+            raise ValueError(f"manifest key {key!r} has no value")
         if key in block:
             raise ValueError(f"manifest key {key!r} repeated in one cell")
         block[key] = val
@@ -235,9 +237,8 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
         specs.append(dict(family=cell["family"], k=cell["k"], sigma=cell["sigma"],
                           T_grid=cell["T_grid"], coeffs=coeffs,
                           **{key: cell[key] for key in ("rel_tol", "slack") if key in cell}))
-    # one call for every cell: cells that share a grid share its passes, and
-    # every first grid is held to the budget before any cell runs
-    results = moments._experiments(specs, cfg.budget)
+    # one call for every cell: cells that share a grid share its passes
+    results = moments._experiments(specs)
     all_pass = True
     summaries = []
     for res, (table_load_s, table_sha256) in zip(results, loads):
@@ -341,8 +342,8 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
     # the quadrature estimate against the same cell from a 4x finer start, on
     # a cell whose start step the band limit sets (h = 1/6), not the 1/4 cap
     cell = dict(family="zeta", k=2, sigma=0.75, T_grid=[800.0])
-    rule = moments.integrate_moment_grid(**cell, budget=cfg.budget)[0]
-    finer = moments._integrate_cells([cell], cfg.budget, refine=4)[0][0]
+    rule = moments.integrate_moment_grid(**cell)[0]
+    finer = moments._integrate_cells([cell], refine=4)[0][0]
     ratio = abs(rule.integral - finer.integral) / rule.quad_err
     check("zeta k=2 moment to T=800 within its quad_err of a 4x finer start", ratio < 1,
           f"|dI| = {ratio:.3f} quad_err")
@@ -350,8 +351,8 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
     # a shared pass against its cells' solo passes: the column bits must not
     # depend on the other columns of a call, which rests on the local BLAS
     cells = [dict(family="zeta", k=1, sigma=sg, T_grid=[200.0]) for sg in (0.75, 0.9)]
-    shared = moments._integrate_cells(cells, cfg.budget)
-    solo = [moments._integrate_cells([c], cfg.budget)[0] for c in cells]
+    shared = moments._integrate_cells(cells)
+    solo = [moments._integrate_cells([c])[0] for c in cells]
     same = all((a.integral, a.quad_err) == (b.integral, b.quad_err)
                for x, y in zip(shared, solo) for a, b in zip(x, y))
     check("zeta k=1, sigma 0.75 and 0.9 to T=200: one shared pass equals two solo passes "
@@ -410,7 +411,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workers", type=int, default=1,
                     help="accepted and ignored (an int >= 1): every command runs in "
                          "the calling thread")
-    ap.add_argument("--budget", type=int, default=5_000_000)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     b = sub.add_parser("build-tables", help="build and cache coefficient tables")
@@ -431,7 +431,7 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ValueError("--workers must be >= 1")
-        cfg = RunConfig(Path(args.cache_dir), args.budget)
+        cfg = RunConfig(Path(args.cache_dir))
         if args.cmd == "build-tables":
             built: dict = {}
             for spec_item in args.tables:

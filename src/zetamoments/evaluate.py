@@ -122,13 +122,13 @@ def _em_cut(t: float) -> int:
 
 def _zeta_domain(sigmas, ts: np.ndarray) -> float:
     """max |t| of a grid, after the checks every zeta entry point makes: the
-    pole at s = 1 (PoleError) and the desk range |t| <= 1e5 (PrecisionError)."""
+    pole at s = 1 (PoleError) and the desk range |t| <= 1e5, s finite (PrecisionError)."""
     absts = np.abs(ts)
     if any(abs(sigma - 1.0) < 1e-12 and math.hypot(sigma - 1.0, float(absts.min())) < 1e-12
            for sigma in sigmas):
         raise PoleError("zeta has its pole at s=1")
-    if absts.max() > 1e5:
-        raise PrecisionError("|t| > 1e5 is outside the configured desk range")
+    if not (absts.max() <= 1e5 and np.isfinite(sigmas).all()):
+        raise PrecisionError("|t| > 1e5 or an s not finite is outside the configured desk range")
     return float(absts.max())
 
 
@@ -144,10 +144,10 @@ def zeta_em(s: complex, target_abs_err: float = 1e-9) -> EvalResult:
     s = complex(s)
     ts = np.array([s.imag])
     M = _em_cut(_zeta_domain((s.real,), ts))
-    if target_abs_err < 1e-12:
-        raise PrecisionError("target_abs_err below the 1e-12 floor")
+    if not target_abs_err >= 1e-12:
+        raise PrecisionError(f"target_abs_err must be at least 1e-12, not {target_abs_err:g}")
     value, (est,) = _zeta_em((s.real,), ts, M)
-    if est > target_abs_err:
+    if not est <= target_abs_err:
         raise PrecisionError(
             f"zeta_em cannot reach {target_abs_err:g} at s={s} (estimate {est:g})"
         )

@@ -16,9 +16,9 @@ of the CFKRS recipe with every shift at sigma - 1/2, integrated over the
 moment's range [1, T] (secondary_term); residual() keeps main = C * T there,
 and C * T + S_k is the prediction the moments are compared with.
 
-Each family is defined once, in FAMILIES, and every entry point checks
-family, k and table against it before any evaluation; a series pole's
-residue is estimated from the table being integrated.
+Each family is defined once, in FAMILIES; every entry point checks family,
+k (zeta: 1..6), table and T (finite, in [1, 5000]) before any evaluation;
+a series pole's residue is estimated from the table being integrated.
 
 C(k, sigma) is computed two independent ways: an Euler product zeta(2s)^{k^2}
 prod_p (1-x)^{(k-1)^2} N_k(x), x = p^{-2s}, with a rigorous prime tail and
@@ -100,7 +100,7 @@ class Family(NamedTuple):
     """A moment family, the one definition the library and the CLI read."""
 
     table: str | None  # coefficient table label; None: zeta, by Euler-Maclaurin
-    k: int | None  # None: any k (zeta)
+    k: int | None  # None: zeta, any k in 1.._ZETA_K_MAX
     tail: int | None  # main-term tail's log degree: a~^2 flat, (a~*a~)^2 log^3, c_n^2 log^1+eps
     pole: bool  # at s = 1; a series takes the residue from its table
     default_N: int | None  # table length of a manifest cell that names none
@@ -112,18 +112,20 @@ FAMILIES = {
     "F4": Family("a_tilde_sq_conv", 2, 3, False, 160_000),
     "Z2": Family("rankin_c", 1, 1, True, 100_000),
 }
+_ZETA_K_MAX = 6  # the top zeta k of THEORY's beta_k and sigma*_k and of main_term_zeta
 
 
 def family_of(name: str, k: int | None = None) -> Family:
     """The FAMILIES entry of `name`; a k that is given must be the family's,
-    or for zeta (any k) an integer >= 1."""
+    or for zeta an integer in 1.._ZETA_K_MAX."""
     fam = FAMILIES.get(name)
     if fam is None:
         raise ValueError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
     if k is not None and fam.k not in (None, k):
         raise ValueError(f"family {name} has k={fam.k}, not k={k}")
-    if k is not None and fam.k is None and not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError(f"family {name} takes an integer k >= 1, not k={k!r}")
+    if k is not None and fam.k is None and not (isinstance(k, (int, np.integer))
+                                                and 1 <= k <= _ZETA_K_MAX):
+        raise ValueError(f"family {name} takes an integer k in 1..{_ZETA_K_MAX}, not k={k!r}")
     return fam
 
 
@@ -272,10 +274,10 @@ def main_term_zeta(k: int, sigma: float, prime_cut: int = 10**6) -> MainTermCons
     entering 4 times, plus 3 eps of the value for the power and the
     division.
     """
-    if sigma <= 0.5:
-        raise ValueError("the series diverges for sigma <= 1/2")
-    if not 1 <= k <= 6:
-        raise ValueError("euler_product path supports 1 <= k <= 6")
+    if not sigma > 0.5:
+        raise ValueError(f"the series diverges for sigma <= 1/2, not sigma={sigma}")
+    if not 1 <= k <= _ZETA_K_MAX:
+        raise ValueError(f"euler_product path supports 1 <= k <= {_ZETA_K_MAX}")
     s2 = 2.0 * sigma
     z = zeta_em(complex(s2, 0.0), 1e-10)
     zs = z.value.real
@@ -396,8 +398,8 @@ def main_term_zeta_direct(k: int, sigma: float, table: CoeffTable) -> MainTermCo
     The tail beyond N is completed with the empirical log-power density of
     d_k^2 (degree k^2 - 1); the completion uncertainty is the tail bound.
     """
-    if sigma <= 0.5:
-        raise ValueError("the series diverges for sigma <= 1/2")
+    if not sigma > 0.5:
+        raise ValueError(f"the series diverges for sigma <= 1/2, not sigma={sigma}")
     if table.generator_params.get("k") != k:
         raise ValueError("table is not a d_k table for this k")
     value, uncert = _completed_sum(table, sigma, k * k - 1)
@@ -410,8 +412,8 @@ def main_term_series(coeffs: CoeffTable, sigma: float) -> MainTermConstant:
     The family is the one whose table coeffs is, by label; the completion
     degree is its `tail`.
     """
-    if sigma <= 0.5:
-        raise ValueError("the series diverges for sigma <= 1/2")
+    if not sigma > 0.5:
+        raise ValueError(f"the series diverges for sigma <= 1/2, not sigma={sigma}")
     name = next((n for n, f in FAMILIES.items() if f.table == coeffs.label), None)
     if name is None:
         raise ValueError(f"no moment family has the table {coeffs.label!r}")
@@ -468,6 +470,8 @@ class _CellPass:
         self.fam = _checked_family(family, k, coeffs)
         T_grid = sorted(float(T) for T in T_grid)
         _check_ranges(sigma, T_grid, rel_tol)
+        if not math.isfinite(slack):
+            raise ValueError(f"slack must be finite, not {slack}")
         self.family, self.k, self.sigma, self.rel_tol, self.coeffs = family, k, sigma, rel_tol, coeffs
         self.slack = slack
         self.done = [MomentRecord(family, k, sigma, T, 0.0, quad_err=0.0) for T in T_grid if T <= 1.0]
@@ -604,37 +608,36 @@ def integrate_moment_grid(
     T_grid,
     rel_tol: float = 1e-4,
     coeffs: CoeffTable | None = None,
-    budget: int = 5_000_000,
 ) -> MomentRecords:
     """One shared quadrature pass producing a MomentRecord per T in T_grid.
 
     The integrand is evaluated once on the half-step grid, from the start
     step h = moment_step(family, k, max T); each requested T gets the
     Simpson value at step h plus the step-halved value, and their difference
-    is the recorded quadrature error (must clear rel_tol, else a further
-    halving is attempted within the evaluation budget).  The list's
-    `quadrature` holds the pass's diagnostics.  A one-cell `_integrate_cells`.
+    is the recorded quadrature error (must clear rel_tol, else the step is
+    halved, at most 4 levels in all).  The list's `quadrature` holds the
+    pass's diagnostics.  A one-cell `_integrate_cells`.
     """
     cell = dict(family=family, k=k, sigma=sigma, T_grid=T_grid, rel_tol=rel_tol, coeffs=coeffs)
-    return _integrate_cells([cell], budget)[0]
+    return _integrate_cells([cell])[0]
 
 
-def _integrate_cells(cells: list, budget: int, refine: int = 1) -> list:
+def _integrate_cells(cells: list, *, refine: int = 1) -> list:
     """integrate_moment_grid of each cell, given as a dict of its arguments,
     by one pass per group of cells that share a grid, from the start step
     moment_step(...)/refine; a refine > 1 gives the finer values a quad_err
-    is checked against."""
-    passes, groups = _plan(cells, budget, refine)
-    _run_groups(groups, budget)
+    is checked against, on grids refine times as large."""
+    passes, groups = _plan(cells, refine)
+    _run_groups(groups)
     return [p.records for p in passes]
 
 
-def _plan(cells: list, budget: int, refine: int) -> tuple:
+def _plan(cells: list, refine: int) -> tuple:
     """The _CellPass of each cell, and its groups: (h0, Tmax) -> the cells
     that share that start step and top T and one kind of evaluation (zeta,
     or a series at one table length), whose grids at every level are the
-    same.  Every cell's family, table and ranges, and every group's first
-    grid against the budget, are checked here, before any evaluation."""
+    same.  Every cell's family, table and ranges are checked here, before
+    any evaluation; at refine 1 they hold every grid to 4e6 points."""
     passes = [_CellPass(**c) for c in cells]
     groups: dict = {}
     for p in passes:
@@ -644,20 +647,10 @@ def _plan(cells: list, budget: int, refine: int) -> tuple:
             for level in range(4):  # distinct T points on every level _run_groups may reach
                 p.points(h0 / 2 ** level)
             groups.setdefault((p.fam.table is None, N, h0, p.todo[-1]), []).append(p)
-    for _, _, h0, Tmax in groups:
-        _grid_points(h0 / 2.0, Tmax, budget)
     return passes, groups
 
 
-def _grid_points(h2: float, Tmax: float, budget: int) -> int:
-    """Points of the grid [1, Tmax] at step h2, held to the budget."""
-    npts = int(round((Tmax - 1.0) / h2)) + 1
-    if npts > budget:
-        raise BudgetError(f"refinement needs {npts} evaluations > budget {budget}")
-    return npts
-
-
-def _run_groups(groups: dict, budget: int) -> None:
+def _run_groups(groups: dict) -> None:
     """One pass per group: each level evaluates the group's grid at h/2
     once, for the cells whose Simpson check has not passed yet, so every cell
     gets the grids, blocks, cuts, Y and values of its own pass.  A level's
@@ -668,7 +661,7 @@ def _run_groups(groups: dict, budget: int) -> None:
         h, level = h0, 1  # the current grid is at h/2
         while cells:
             t0 = time.perf_counter()
-            npts = _grid_points(h / 2.0, Tmax, budget)
+            npts = round((Tmax - 1.0) / (h / 2.0)) + 1
             results = _integrand_grid(1.0 + h / 2.0 * np.arange(npts), param, block, cells)
             share = (time.perf_counter() - t0) / len(cells)
             failed = []
@@ -880,8 +873,8 @@ def fit_power_law(points, strict: bool = True) -> FitResult:
     >= 1.5 decades); envelope fits on short moment grids pass strict=False.
     """
     pts = [(float(x), float(v)) for x, v in points if v != 0.0]
-    if any(x <= 0 for x, _ in pts):
-        raise DegenerateInputError("X values must be positive")
+    if not all(0 < x < math.inf and abs(v) < math.inf for x, v in pts):
+        raise DegenerateInputError("X values must be positive and finite, V values finite")
     xs = [x for x, _ in pts]
     if sorted(xs) != xs or len(set(xs)) != len(xs):
         raise DegenerateInputError("X values must be strictly increasing")
@@ -913,12 +906,12 @@ def _check_sigma(sigma: float) -> None:
 def _check_ranges(sigma: float, T_grid, rel_tol: float | None) -> None:
     """The ranges a moment cell must lie in, checked before it evaluates
     anything: sigma in (1/2, 1), rel_tol in [1e-5, 1e-2] (None, a caller's
-    default, is not checked) and T <= 5000."""
+    default, is not checked) and every T finite and in [1, 5000]."""
     _check_sigma(sigma)
     if rel_tol is not None and not 1e-5 <= rel_tol <= 1e-2:
         raise ValueError(f"rel_tol must lie in [1e-5, 1e-2], not {rel_tol}")
-    if max(T_grid, default=0.0) > 5000:
-        raise ValueError("T > 5000 is outside the desk range")
+    if not all(1.0 <= T <= 5000.0 for T in T_grid):
+        raise ValueError(f"T_grid {list(T_grid)} has a T outside the desk range [1, 5000]")
 
 
 def exponent_beta_envelope(k: int, sigma: float) -> float:
@@ -1072,7 +1065,6 @@ def exponent_experiment(
     coeffs: CoeffTable | None = None,
     rel_tol: float = 1e-4,
     slack: float = 0.25,
-    budget: int = 5_000_000,
 ) -> ExperimentResult:
     """Integrate the moment over T_grid, extract residuals, fit |R| vs T and
     compare the slope against the theory exponent plus slack.
@@ -1084,22 +1076,22 @@ def exponent_experiment(
     """
     cell = dict(family=family, k=k, sigma=sigma, T_grid=T_grid, coeffs=coeffs,
                 rel_tol=rel_tol, slack=slack)
-    return _experiments([cell], budget)[0]
+    return _experiments([cell])[0]
 
 
-def _experiments(cells: list, budget: int) -> list:
+def _experiments(cells: list) -> list:
     """exponent_experiment of each cell, given as a dict of its arguments
     (slack 0.25 where it names none), with one integrand pass per group of
-    cells that share a grid (see `_plan`).  Every cell and every first grid
-    is checked before any main term or integrand is evaluated."""
-    passes, groups = _plan(cells, budget, 1)
+    cells that share a grid (see `_plan`).  Every cell is checked before any
+    main term or integrand is evaluated."""
+    passes, groups = _plan(cells, 1)
     constants, main_s = [], []
     for p in passes:
         t0 = time.perf_counter()
         constants.append(main_term_zeta(p.k, p.sigma) if p.fam.table is None
                          else main_term_series(p.coeffs, p.sigma))
         main_s.append(time.perf_counter() - t0)
-    _run_groups(groups, budget)
+    _run_groups(groups)
     out = []
     for p, constant, t_main in zip(passes, constants, main_s):
         t2 = time.perf_counter()

@@ -532,8 +532,34 @@ def test_manifest_zeta_k_0_exits_2_before_any_evaluation(tmp_path, capsys, monke
     out = tmp_path / "r"
     assert main(["--cache-dir", str(tmp_path / "c"), "experiment", str(m),
                  "--out-dir", str(out)]) == 2
-    assert "error: family zeta takes an integer k >= 1, not k=0" in capsys.readouterr().err
+    assert "error: family zeta takes an integer k in 1..6, not k=0" in capsys.readouterr().err
     assert not (out / "ledger.csv").exists()
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ("k = 1\nT_grid = nan 100 200 400\n",
+     "T_grid [nan, 100.0, 200.0, 400.0] has a T outside the desk range [1, 5000]"),
+    ("k = 1\nT_grid = 0.5 100\n", "T_grid [0.5, 100.0] has a T outside the desk range"),
+    ("k = 1\nT_grid = -3 100\n", "T_grid [-3.0, 100.0] has a T outside the desk range"),
+    ("k = 7\nT_grid = 10 20\n", "family zeta takes an integer k in 1..6, not k=7"),
+    ("k = 1\nT_grid = 10 20\nslack = nan\n", "slack must be finite, not nan"),
+])
+def test_a_bad_T_k_or_slack_exits_2_before_any_evaluation(tmp_path, capsys, monkeypatch,
+                                                          manifest, message):
+    # a NaN T was dropped (exit 0, 3 rows), a T below 1 gave integral 0, and a
+    # NaN slack failed the slope check (exit 1)
+    def evaluated(*a):
+        raise AssertionError("a grid was evaluated")
+
+    monkeypatch.setattr(zm.moments, "_zeta_em_grids", evaluated)
+    m = tmp_path / "m.txt"
+    m.write_text("family = zeta\nsigma = 0.75\n" + manifest)
+    out = tmp_path / "r"
+    assert main(["--cache-dir", str(tmp_path / "c"), "experiment", str(m),
+                 "--out-dir", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "ledger.csv").exists()
+
 
 def test_manifest_k_defaults_to_the_family(tmp_path):
     m = tmp_path / "m.txt"
@@ -568,18 +594,20 @@ def test_experiment_f4_cell_without_k_writes_k2_rows(tmp_path):
 
 @pytest.mark.parametrize("argv, manifest, message", [
     ([], "T_grid = 50\n", "fewer than 2 usable points"),
-    (["--budget", "100"], "T_grid = 50 100\n", "budget 100"),
+    # an empty sigma line used to drop its block: exit 0, no row, no summary entry
+    ([], "T_grid = 50 100\n\nfamily = zeta\nsigma =\n", "manifest key 'sigma' has no value"),
     ([], "T_grid = 50 100\nN = 5\n", "family zeta reads no table; it takes no N"),
     ([], "T_grid = 50 100\nrel_tol = 0.5\n", "rel_tol must lie in [1e-5, 1e-2]"),
     # a bad later cell: the checks of every cell precede the first cell
     ([], "T_grid = 50 100\n\nfamily = zeta\nsigma = 0.4\n", "sigma=0.4 outside (1/2, 1)"),
-    ([], "T_grid = 50 100\n\nfamily = zeta\nT_grid = 50 6000\n", "T > 5000"),
+    ([], "T_grid = 50 100\n\nfamily = zeta\nT_grid = 50 6000\n",
+     "T_grid [50.0, 6000.0] has a T outside the desk range [1, 5000]"),
     ([], "T_grid = 50 100\n\nfamily = zeta\nrel_tol = 1e-7\n", "rel_tol must lie in"),
     ([], "T_grid = 50 100\n\nfamily = F2\nsigma = 0.8\nN = 8000\n",
      "build-tables a_tilde=8000"),
-    # a later cell's first grid over the budget: no cell runs, no row is written
-    (["--budget", "1000"], "T_grid = 10 20\n\nfamily = zeta\nk = 1\nsigma = 0.75\n"
-     "T_grid = 100 200\n", "refinement needs 1593 evaluations > budget 1000"),
+    # a later cell with a zeta k above 6: no cell runs, no row is written
+    ([], "T_grid = 10 20\n\nfamily = zeta\nk = 7\nsigma = 0.75\nT_grid = 100 200\n",
+     "family zeta takes an integer k in 1..6, not k=7"),
 ])
 def test_experiment_run_errors_exit_2(tmp_path, capsys, argv, manifest, message):
     m = tmp_path / "m.txt"

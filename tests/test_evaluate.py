@@ -106,6 +106,20 @@ def test_zeta_target_held_against_the_full_estimate():
         zeta_em(1 + 1e-6, 1e-10)
 
 
+@pytest.mark.parametrize("s", [complex(math.nan, 0.0), complex(math.inf, 1.0),
+                               complex(-math.inf, 1.0), complex(0.75, math.nan)])
+def test_zeta_rejects_a_point_that_is_not_finite(s):
+    # a NaN or infinite sigma used to return NaN with a NaN estimate
+    with pytest.raises(PrecisionError, match="not finite"):
+        zeta_em(s)
+
+
+def test_zeta_rejects_a_nan_target():
+    # a NaN target used to skip the target check
+    with pytest.raises(PrecisionError, match="at least 1e-12, not nan"):
+        zeta_em(0.75 + 10j, math.nan)
+
+
 def test_zeta_conjugate_symmetry():
     for s in (0.7 + 13.3j, 0.51 + 99.2j, 0.9 + 4.4j):
         a = zeta_em(s).value

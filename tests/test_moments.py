@@ -10,14 +10,15 @@ import zetamoments as zm
 from zetamoments.arith import prime_sieve
 from zetamoments.evaluate import _em_cut, _smoothed_grids, _zeta_em, _zeta_em_grids, gamma_fn
 from zetamoments.moments import (
+    _ZETA_K_MAX,
     _CellPass,
+    _check_ranges,
     _euler_arith_factor,
     _group_evaluator,
     _integrand_grid,
     _integrate_cells,
     _one_swap_recipe,
     exponent_classical,
-    BudgetError,
     DegenerateInputError,
     THEORY,
     exponent_sigma_star_weak,
@@ -308,11 +309,11 @@ def test_a_shared_block_splits_its_cells_not_its_points(monkeypatch):
 
     cells = [dict(family="zeta", k=1, sigma=sigma, T_grid=[50.0, 100.0])
              for sigma in (0.6, 0.7, 0.8, 0.9, 0.95)]
-    solo = [_integrate_cells([c], 5_000_000)[0] for c in cells]
+    solo = [_integrate_cells([c])[0] for c in cells]
     npts = solo[0].quadrature.points
     monkeypatch.setattr(zm.moments, "_SHARED_POINTS", 2 * npts)
     monkeypatch.setattr(zm.moments, "_zeta_em_grids", spy)
-    shared = _integrate_cells(cells, 5_000_000)
+    shared = _integrate_cells(cells)
     assert calls == [(2, npts), (2, npts), (1, npts)]
     assert [repr(r) for c in shared for r in c] == [repr(r) for c in solo for r in c]
     assert [c.quadrature.blocks for c in shared] == [c.quadrature.blocks for c in solo]
@@ -338,8 +339,6 @@ def test_integrate_rejects_bad_args():
         integrate_moment_grid("zeta", 1, 0.75, [10**4])
     with pytest.raises(ValueError):
         integrate_moment_grid("nope", 1, 0.75, [100.0])
-    with pytest.raises(BudgetError):
-        integrate_moment_grid("zeta", 1, 0.75, [1000.0], budget=100)
     for rel_tol in (1e-6, 0.05):
         with pytest.raises(ValueError, match="rel_tol must lie in"):
             integrate_moment_grid("zeta", 1, 0.75, [100.0], rel_tol=rel_tol)
@@ -372,8 +371,49 @@ def test_a_zeta_k_below_1_is_rejected_before_any_evaluation(monkeypatch, k):
     monkeypatch.setattr(zm.moments, "main_term_zeta", evaluated)
     for run in (integrate_moment_grid, exponent_experiment):
         with pytest.raises(ValueError, match=re.escape(
-                f"family zeta takes an integer k >= 1, not k={k}")):
+                f"family zeta takes an integer k in 1..6, not k={k}")):
             run("zeta", k, 0.75, [10.0, 20.0])
+
+
+@pytest.mark.parametrize("k, T_grid, message", [
+    (1, [math.nan, 100.0, 200.0, 400.0], "has a T outside the desk range [1, 5000]"),
+    (1, [0.5, -3.0, 100.0], "T_grid [-3.0, 0.5, 100.0] has a T outside the desk range"),
+    (1, [100.0, math.inf], "T_grid [100.0, inf] has a T outside the desk range"),
+    (7, [10.0, 20.0], "family zeta takes an integer k in 1..6, not k=7"),
+])
+def test_a_bad_T_or_a_zeta_k_above_6_is_rejected_before_any_evaluation(
+        monkeypatch, k, T_grid, message):
+    # a NaN T used to be dropped, a T below 1 gave a row with integral 0, and
+    # k = 7 ran a pass that no main term or exponent can use
+    def evaluated(*a):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(zm.moments, "_zeta_em_grids", evaluated)
+    monkeypatch.setattr(zm.moments, "main_term_zeta", evaluated)
+    for run in (integrate_moment_grid, exponent_experiment):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run("zeta", k, 0.75, T_grid)
+
+
+def test_admission_bounds_every_grid():
+    # the admitted cells (zeta k <= 6 or a series family, every T in [1, 5000])
+    # reach at most 4e6 points, on the fourth-level grid at step h/16; a cap
+    # widened without a new bound fails here first
+    with pytest.raises(ValueError):
+        _check_ranges(0.75, [5000.5], None)
+    with pytest.raises(ValueError):
+        zm.moments.family_of("zeta", _ZETA_K_MAX + 1)
+    top = {}
+    for family, ks in [("zeta", range(1, _ZETA_K_MAX + 1)), ("F2", [1]), ("F4", [2]),
+                       ("Z2", [1])]:
+        for k in ks:
+            for T_max in range(2, 5001):
+                h = moment_step(family, k, float(T_max))
+                npts = round((T_max - 1.0) / (h / 16.0)) + 1
+                assert npts <= 4_000_000
+                top[family] = max(top.get(family, 0), npts)
+    assert top == {"zeta": 1_439_713, "F2": 3_999_201, "F4": 3_999_201, "Z2": 3_999_201}
+
 
 @pytest.mark.parametrize("k, sigma, T_grid", [
     # the benchmark's seed-0 zeta cells, then the 4th and 6th moments near 1/2
@@ -392,7 +432,7 @@ def test_a_zeta_k_below_1_is_rejected_before_any_evaluation(monkeypatch, k):
 def test_zeta_quad_err_bounds_a_4x_finer_start(k, sigma, T_grid):
     recs = integrate_moment_grid("zeta", k, sigma, T_grid)
     refs = _integrate_cells([dict(family="zeta", k=k, sigma=sigma, T_grid=T_grid)],
-                            5_000_000, refine=4)[0]
+                            refine=4)[0]
     assert refs.quadrature.h == recs.quadrature.h / 4
     for rec, ref, T in zip(recs, refs, T_grid):
         assert rec.T == ref.T == T
@@ -423,7 +463,7 @@ def test_zeta_start_step_is_the_coarsest_at_the_nyquist_limit():
 def test_criterion_6_cells_converge_at_level_1():
     cells = [dict(family="zeta", k=k, sigma=sigma, T_grid=[250.0, 500.0, 1000.0, 2000.0])
              for k, sigma in ((2, 0.75), (3, 0.9))]
-    assert [r.quadrature.level for r in _integrate_cells(cells, 5_000_000)] == [1, 1]
+    assert [r.quadrature.level for r in _integrate_cells(cells)] == [1, 1]
 
 
 def test_integer_T_stays_on_the_zeta_grid():
@@ -501,6 +541,25 @@ def test_main_term_series_unknown_label_raises():
     t = zm.CoeffTable("d_2", 1000, np.ones(1000))
     with pytest.raises(ValueError, match="d_2"):
         main_term_series(t, 0.75)
+
+
+def test_main_term_zeta_rejects_a_nan_sigma():
+    # it used to return a NaN constant
+    with pytest.raises(ValueError, match="not sigma=nan"):
+        main_term_zeta(3, math.nan)
+
+
+def test_main_term_series_rejects_a_nan_sigma():
+    # it used to raise mpmath's TypeError from the tail completion
+    t = zm.CoeffTable("a_tilde", 1000, np.ones(1000))
+    with pytest.raises(ValueError, match="not sigma=nan"):
+        main_term_series(t, math.nan)
+
+
+def test_main_term_zeta_direct_rejects_a_nan_sigma():
+    t = zm.sieve_dk(2, 1000)
+    with pytest.raises(ValueError, match="not sigma=nan"):
+        main_term_zeta_direct(2, math.nan, t)
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +729,18 @@ def test_fit_degenerate_inputs():
     X = np.linspace(10, 20, 10)
     with pytest.raises(DegenerateInputError):
         fit_power_law(list(zip(X, X)))  # strict: span < 1.5 decades
+
+
+@pytest.mark.parametrize("points", [
+    [(10.0, 1.0), (100.0, math.nan), (1000.0, 3.0)],
+    [(10.0, 1.0), (100.0, math.inf), (1000.0, 3.0)],
+    [(10.0, 1.0), (math.nan, 2.0), (1000.0, 3.0)],
+    [(10.0, 1.0), (100.0, 2.0), (math.inf, 3.0)],
+])
+def test_fit_rejects_a_value_that_is_not_finite(points):
+    # a NaN value used to give slope NaN with r2 = 1.0
+    with pytest.raises(DegenerateInputError, match="finite"):
+        fit_power_law(points, strict=False)
 
 
 def test_fit_delta2_mean_square_slope(d2_1e6):
