@@ -15,14 +15,13 @@ lines, one experiment cell per block:
     sigma = 0.75
     T_grid = 250 500 1000 2000
 
-sigma may list several values (one cell each).  Other keys: rel_tol (the
-quadrature's relative tolerance, in [1e-5, 1e-2], default 1e-4), slack (the
+sigma may list several values (one cell each).  Other keys: slack (the
 slope's allowance over the theory exponent, default 0.25) and N.  Tables, k
 and default N come from moments.FAMILIES; an omitted k is the family's (1 for
 zeta).  An unknown key or family, a key with no value or given twice in one
 block, a contradicting k, a zeta k outside 1..6, a sigma outside (1/2, 1), a
-T not finite or outside [1, 5000], two T on one grid point, a rel_tol out of
-range, a slack not finite and a missing table are errors before any cell runs.
+T not finite or outside [1, 5000], two T on one grid point, an N below 1, a
+slack not finite and a missing table are errors before any cell runs.
 Each moments.MomentRecord appends as one ledger.csv row, its fields the columns
 (family,k,sigma,T,integral,main,residual,quad_err); a JSON summary per run
 records slope / theory_exponent / pass, the cell's moments.QuadraturePass
@@ -61,11 +60,6 @@ _TABLE_LABELS = ("d_1", "d_2", "d_3", "d_4", "d_5", "d_6",
 
 
 @dataclass
-class RunConfig:
-    cache_dir: Path
-
-
-@dataclass
 class ResultLedger:
     csv_path: Path
     summary_path: Path
@@ -97,20 +91,20 @@ def _params(label: str) -> dict:
     return {"k": int(label.split("_")[1])} if label.startswith("d_") else {}
 
 
-def _cache_path(cfg: RunConfig, label: str, N: int) -> Path:
-    return cfg.cache_dir / cache.cache_key(label, _params(label), N)
+def _cache_path(cache_dir: Path, label: str, N: int) -> Path:
+    return cache_dir / cache.cache_key(label, _params(label), N)
 
 
-def build_table(cfg: RunConfig, label: str, N: int, verbose: bool = True):
+def build_table(cache_dir: Path, label: str, N: int, verbose: bool = True):
     """Build (or fetch from cache) one table; returns the values."""
-    return _build_table(cfg, label, N, verbose, built={}, need_values=True)
+    return _build_table(cache_dir, label, N, verbose, built={}, need_values=True)
 
 
 # the table each derived table is computed from
 _SOURCE = {"a_tilde": "tau", "a_tilde_sq_conv": "a_tilde", "rankin_c": "a_tilde"}
 
 
-def _build_table(cfg: RunConfig, label: str, N: int, verbose: bool, built: dict,
+def _build_table(cache_dir: Path, label: str, N: int, verbose: bool, built: dict,
                  need_values: bool):
     """build_table within one command.  A source table this command built is
     kept in `built` ((label, N) -> values) and handed to the tables derived
@@ -120,7 +114,7 @@ def _build_table(cfg: RunConfig, label: str, N: int, verbose: bool, built: dict,
         raise ValueError(f"unknown table label {label!r}; expected one of {_TABLE_LABELS}")
     if (label, N) in built:
         return built[label, N]
-    path = _cache_path(cfg, label, N)
+    path = _cache_path(cache_dir, label, N)
     if path.exists():
         try:
             if need_values:
@@ -141,7 +135,7 @@ def _build_table(cfg: RunConfig, label: str, N: int, verbose: bool, built: dict,
     elif label == "tau":
         values = modularforms.tau_table(N).tau
     else:
-        src = _build_table(cfg, _SOURCE[label], N, verbose, built, need_values=True)
+        src = _build_table(cache_dir, _SOURCE[label], N, verbose, built, need_values=True)
         if label == "a_tilde":
             values = modularforms.normalize(modularforms.TauTable(N, src)).values
         else:
@@ -157,10 +151,11 @@ def _build_table(cfg: RunConfig, label: str, N: int, verbose: bool, built: dict,
     return values
 
 
-def load_coeff_table(cfg: RunConfig, label: str, N: int) -> arith.CoeffTable:
+def load_coeff_table(cache_dir: Path, label: str, N: int) -> arith.CoeffTable:
     if label == "tau":
         raise ValueError("tau is big-integer valued; use a_tilde for CoeffTable work")
-    return arith.CoeffTable(label, N, build_table(cfg, label, N, verbose=False), _params(label))
+    return arith.CoeffTable(label, N, build_table(cache_dir, label, N, verbose=False),
+                            _params(label))
 
 
 # ---------------------------------------------------------------------------
@@ -191,34 +186,33 @@ def parse_manifest(path) -> list[dict]:
     for blk in cells:
         if "family" not in blk:
             raise ValueError(f"manifest cell missing 'family': {blk}")
-        unknown = set(blk) - {"family", "k", "sigma", "T_grid", "rel_tol", "slack", "N"}
+        unknown = set(blk) - {"family", "k", "sigma", "T_grid", "slack", "N"}
         if unknown:
             raise ValueError(f"unknown manifest key(s) {sorted(unknown)}")
         family = blk["family"]
         fam = moments.family_of(family, int(blk["k"]) if "k" in blk else None)
         if "N" in blk and fam.table is None:
             raise ValueError(f"family {family} reads no table; it takes no N")
+        extra = {key: kind(blk[key]) for key, kind in (("slack", float), ("N", int)) if key in blk}
+        if extra.get("N", 1) < 1:
+            raise ValueError(f"manifest key 'N' must be at least 1, not {extra['N']}")
         k = int(blk.get("k", fam.k or 1))
         sigmas = [float(s) for s in blk.get("sigma", "0.75").split()]
         T_grid = [float(t) for t in blk.get("T_grid", "250 500 1000 2000").split()]
-        for sg in sigmas:
-            cell = {"family": family, "k": k, "sigma": sg, "T_grid": T_grid}
-            for key, kind in (("rel_tol", float), ("slack", float), ("N", int)):
-                if key in blk:
-                    cell[key] = kind(blk[key])
-            out.append(cell)
+        out += [{"family": family, "k": k, "sigma": sg, "T_grid": T_grid, **extra}
+                for sg in sigmas]
     return out
 
 
-def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
+def run_cells(cache_dir: Path, cells: list[dict], ledger: ResultLedger) -> bool:
     # every cell's ranges (the checks integrate_moment_grid runs) and cached
     # table are checked before the first cell runs, so a bad cell leaves no rows
     tables = []
     for cell in cells:
-        moments._check_ranges(cell["sigma"], cell["T_grid"], cell.get("rel_tol"))
+        moments._check_ranges(cell["sigma"], cell["T_grid"])
         fam = moments.FAMILIES[cell["family"]]
         N = cell.get("N", fam.default_N)
-        if fam.table is not None and not _cache_path(cfg, fam.table, N).exists():
+        if fam.table is not None and not _cache_path(cache_dir, fam.table, N).exists():
             raise FileNotFoundError(
                 f"required table missing: run `zetamoments build-tables {fam.table}={N}` first"
             )
@@ -226,8 +220,8 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
     loaded = {}  # (label, N) -> its CoeffTable, sha256 and each cell's share of the load
     for label, N in dict.fromkeys(t for t in tables if t[0] is not None):
         t0 = time.perf_counter()
-        coeffs = load_coeff_table(cfg, label, N)
-        table_sha256 = cache.table_header(_cache_path(cfg, label, N))["sha256"]
+        coeffs = load_coeff_table(cache_dir, label, N)
+        table_sha256 = cache.table_header(_cache_path(cache_dir, label, N))["sha256"]
         loaded[label, N] = (coeffs, table_sha256,
                             (time.perf_counter() - t0) / tables.count((label, N)))
     specs, loads = [], []
@@ -236,7 +230,7 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
         loads.append((table_load_s, table_sha256))
         specs.append(dict(family=cell["family"], k=cell["k"], sigma=cell["sigma"],
                           T_grid=cell["T_grid"], coeffs=coeffs,
-                          **{key: cell[key] for key in ("rel_tol", "slack") if key in cell}))
+                          **({"slack": cell["slack"]} if "slack" in cell else {})))
     # one call for every cell: cells that share a grid share its passes
     results = moments._experiments(specs)
     all_pass = True
@@ -268,7 +262,7 @@ def run_cells(cfg: RunConfig, cells: list[dict], ledger: ResultLedger) -> bool:
 # Selfcheck
 # ---------------------------------------------------------------------------
 
-def cmd_selfcheck(cfg: RunConfig) -> int:
+def cmd_selfcheck(cache_dir: Path) -> int:
     import mpmath
 
     from .evaluate import (_EM_BLOCK, _em_cut, _grid_step, _nu_plan, _phase_dot, _zeta_em,
@@ -360,8 +354,8 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
 
     # Hecke relations on tau up to 1e4 (cache-aware so corruption is caught)
     N = 10**4
-    path = _cache_path(cfg, "tau", N)
-    tau = list(build_table(cfg, "tau", N, verbose=False))
+    path = _cache_path(cache_dir, "tau", N)
+    tau = list(build_table(cache_dir, "tau", N, verbose=False))
     ok = tau[0] == 1 and tau[1] == -24
     for p in (2, 3, 5, 7, 11, 13):
         pk = p * p
@@ -431,26 +425,26 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ValueError("--workers must be >= 1")
-        cfg = RunConfig(Path(args.cache_dir))
+        cache_dir = Path(args.cache_dir)
         if args.cmd == "build-tables":
             built: dict = {}
             for spec_item in args.tables:
                 if "=" not in spec_item:
                     raise ValueError(f"expected LABEL=N, got {spec_item!r}")
                 label, n = spec_item.split("=", 1)
-                _build_table(cfg, label.strip(), int(n), True, built, need_values=False)
+                _build_table(cache_dir, label.strip(), int(n), True, built, need_values=False)
             return 0
         if args.cmd == "experiment":
             cells = parse_manifest(args.manifest)
             out = Path(args.out_dir)
             run_id = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
             ledger = ResultLedger(out / "ledger.csv", out / "summary.json", run_id)
-            ok = run_cells(cfg, cells, ledger)
+            ok = run_cells(cache_dir, cells, ledger)
             return 0 if ok else 1
         if args.cmd == "selfcheck":
-            return cmd_selfcheck(cfg)
+            return cmd_selfcheck(cache_dir)
         if args.cmd == "export":
-            path = _cache_path(cfg, args.label, args.N)
+            path = _cache_path(cache_dir, args.label, args.N)
             if not path.exists():
                 raise FileNotFoundError(
                     f"no cached table at {path}; run `zetamoments build-tables "
@@ -460,7 +454,7 @@ def main(argv=None) -> int:
             cache.export_csv(args.out, values)
             print(f"wrote {args.out}")
             return 0
-    except (ValueError, FileNotFoundError, arith.CapacityError, arith.PrecisionError,
+    except (ValueError, OSError, arith.CapacityError, arith.PrecisionError,
             cache.CacheError, moments.BudgetError, moments.DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

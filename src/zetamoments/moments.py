@@ -30,25 +30,25 @@ Moments are composite-Simpson integrals of |.|^{2k} from the start step of
 moment_step, validated by step halving: for zeta the coarsest h = 1/(2q)
 <= 1/4 that samples the integrand's top frequency k log M at least twice
 per period (M the grid's top Euler-Maclaurin cut), for the series families
-min(0.02, 0.4/log T), as their integrand jumps where the smoothing Y changes
-between blocks.  Every family splits a pass by one rule: the grid splits
-where the family's evaluation parameter changes between dyadic t-blocks,
-and each run of one parameter into the fewest equal chunks of at most 2^20
-points.  zeta has no parameter, so a pass is one run, each chunk summed at
-its own top cut; a series' parameter is its smoothing Y, so dyadic blocks
-that share a Y are one run.  One pass serves a T grid: a MomentRecord, one
-ledger.csv row, per T and one QuadraturePass of diagnostics, with its
-blocks, for summary.json.  Cells that share a grid share its pass: the
-cells of one call (`_integrate_cells`, `_experiments`, of which
-integrate_moment_grid and exponent_experiment are the one-cell calls) are
-grouped by kind (zeta, or a series at one table length), start step and
-top T; each block of a group's grid is evaluated once, with every cell's
-weight columns in one phase sum, and each halving level re-evaluates only
-the cells whose Simpson check failed, so every cell gets the values,
-records and diagnostics of its own pass.  Residual magnitudes are
-fitted log-log against T and compared with the tabulated error-term
-exponents (the beta-envelope and sigma*-energy routes plus older comparison
-bounds).
+0.02, as their integrand jumps where the smoothing Y changes between
+blocks.  A level passes when every T's step-halving difference is within
+_REL_TOL = 1e-4 of its integral.  Every family splits a pass by one rule:
+the grid splits where the family's evaluation parameter changes between
+dyadic t-blocks, and each run of one parameter into the fewest equal chunks
+of at most 2^20 points.  zeta has no parameter, so a pass is one run, each
+chunk summed at its own top cut; a series' parameter is its smoothing Y, so
+dyadic blocks that share a Y are one run.  One pass serves a T grid: a
+MomentRecord, one ledger.csv row, per T and one QuadraturePass of
+diagnostics, with its blocks, for summary.json.  Cells that share a grid
+share its pass: the cells of one call (`_integrate_cells`, `_experiments`,
+of which integrate_moment_grid and exponent_experiment are the one-cell
+calls) are grouped by kind (zeta, or a series at one table length), start
+step and top T; each block of a group's grid is evaluated once, with every
+cell's weight columns in one phase sum, and each halving level re-evaluates
+only the cells whose Simpson check failed, so every cell gets the values,
+records and diagnostics of its own pass.  Residual magnitudes are fitted
+log-log against T and compared with the tabulated error-term exponents (the
+beta-envelope and sigma*-energy routes plus older comparison bounds).
 """
 
 from __future__ import annotations
@@ -430,6 +430,7 @@ def main_term_series(coeffs: CoeffTable, sigma: float) -> MainTermConstant:
 # ---------------------------------------------------------------------------
 
 _ZETA_CHUNK = 1 << 20  # most points of one block, a zeta chunk or a piece of a series run
+_REL_TOL = 1e-4  # most step-halving difference of a moment, relative to its integral
 
 
 def _blocks(ts: np.ndarray, param) -> list:
@@ -465,15 +466,14 @@ class _CellPass:
     fit), its running stage times, and its records once its Simpson check
     passes."""
 
-    def __init__(self, family: str, k: int, sigma: float, T_grid, rel_tol: float = 1e-4,
+    def __init__(self, family: str, k: int, sigma: float, T_grid,
                  coeffs: CoeffTable | None = None, slack: float = 0.25):
         self.fam = _checked_family(family, k, coeffs)
         T_grid = sorted(float(T) for T in T_grid)
-        _check_ranges(sigma, T_grid, rel_tol)
+        _check_ranges(sigma, T_grid)
         if not math.isfinite(slack):
             raise ValueError(f"slack must be finite, not {slack}")
-        self.family, self.k, self.sigma, self.rel_tol, self.coeffs = family, k, sigma, rel_tol, coeffs
-        self.slack = slack
+        self.family, self.k, self.sigma, self.coeffs, self.slack = family, k, sigma, coeffs, slack
         self.done = [MomentRecord(family, k, sigma, T, 0.0, quad_err=0.0) for T in T_grid if T <= 1.0]
         self.todo = [T for T in T_grid if T > 1.0]
         self.records = None if self.todo else MomentRecords(self.done)
@@ -489,14 +489,14 @@ class _CellPass:
 
     def simpson(self, y: np.ndarray, h: float) -> list | None:
         """A record per T from the integrand y at step h/2, or None as soon as
-        one T's step-halving difference misses rel_tol."""
+        one T's step-halving difference misses _REL_TOL."""
         h2 = h / 2.0
         out = []
         for m2 in self.points(h):
             I_h = _simpson_prefix(y[::2], h, m2 // 2)
             I_h2 = _simpson_prefix(y, h2, m2)
             qerr = abs(I_h - I_h2)
-            if qerr > self.rel_tol * max(abs(I_h2), 1e-300):
+            if qerr > _REL_TOL * max(abs(I_h2), 1e-300):
                 return None
             out.append(MomentRecord(self.family, self.k, self.sigma, 1 + h2 * m2, I_h2, quad_err=qerr))
         return out
@@ -591,12 +591,12 @@ def moment_step(family: str, k: int, T_max: float) -> float:
     an even integer, (T - 1)/(2h) is an integer for integer T, which stays
     on the grid at every halving level.
 
-    F2, F4, Z2: min(0.02, 0.4/log T_max).  Their integrand jumps at the block
-    edges, where the smoothing Y changes, and at a coarser start the
-    step-halving difference no longer bounds the true error with a margin.
+    F2, F4, Z2: 0.02.  Their integrand jumps at the block edges, where the
+    smoothing Y changes, and at a coarser start the step-halving difference
+    no longer bounds the true error with a margin.
     """
     if family_of(family, k).table is not None:
-        return min(0.02, 0.4 / math.log(T_max)) if T_max > 1 else 0.02
+        return 0.02
     q = max(2, math.ceil(k * math.log(_em_cut(T_max)) / (2.0 * math.pi)))
     return 1.0 / (2 * q)
 
@@ -606,7 +606,6 @@ def integrate_moment_grid(
     k: int,
     sigma: float,
     T_grid,
-    rel_tol: float = 1e-4,
     coeffs: CoeffTable | None = None,
 ) -> MomentRecords:
     """One shared quadrature pass producing a MomentRecord per T in T_grid.
@@ -614,11 +613,11 @@ def integrate_moment_grid(
     The integrand is evaluated once on the half-step grid, from the start
     step h = moment_step(family, k, max T); each requested T gets the
     Simpson value at step h plus the step-halved value, and their difference
-    is the recorded quadrature error (must clear rel_tol, else the step is
+    is the recorded quadrature error (must clear _REL_TOL, else the step is
     halved, at most 4 levels in all).  The list's `quadrature` holds the
     pass's diagnostics.  A one-cell `_integrate_cells`.
     """
-    cell = dict(family=family, k=k, sigma=sigma, T_grid=T_grid, rel_tol=rel_tol, coeffs=coeffs)
+    cell = dict(family=family, k=k, sigma=sigma, T_grid=T_grid, coeffs=coeffs)
     return _integrate_cells([cell])[0]
 
 
@@ -903,13 +902,10 @@ def _check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma={sigma} outside (1/2, 1)")
 
 
-def _check_ranges(sigma: float, T_grid, rel_tol: float | None) -> None:
+def _check_ranges(sigma: float, T_grid) -> None:
     """The ranges a moment cell must lie in, checked before it evaluates
-    anything: sigma in (1/2, 1), rel_tol in [1e-5, 1e-2] (None, a caller's
-    default, is not checked) and every T finite and in [1, 5000]."""
+    anything: sigma in (1/2, 1) and every T finite and in [1, 5000]."""
     _check_sigma(sigma)
-    if rel_tol is not None and not 1e-5 <= rel_tol <= 1e-2:
-        raise ValueError(f"rel_tol must lie in [1e-5, 1e-2], not {rel_tol}")
     if not all(1.0 <= T <= 5000.0 for T in T_grid):
         raise ValueError(f"T_grid {list(T_grid)} has a T outside the desk range [1, 5000]")
 
@@ -1063,7 +1059,6 @@ def exponent_experiment(
     sigma: float,
     T_grid,
     coeffs: CoeffTable | None = None,
-    rel_tol: float = 1e-4,
     slack: float = 0.25,
 ) -> ExperimentResult:
     """Integrate the moment over T_grid, extract residuals, fit |R| vs T and
@@ -1074,8 +1069,7 @@ def exponent_experiment(
     (slow convergence makes the claim unverifiable there).  A one-cell
     `_experiments`.
     """
-    cell = dict(family=family, k=k, sigma=sigma, T_grid=T_grid, coeffs=coeffs,
-                rel_tol=rel_tol, slack=slack)
+    cell = dict(family=family, k=k, sigma=sigma, T_grid=T_grid, coeffs=coeffs, slack=slack)
     return _experiments([cell])[0]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import zetamoments as zm
-from zetamoments.cli import RunConfig, build_table
+from zetamoments.cli import build_table
 from zetamoments.moments import (
     exponent_experiment,
     fit_power_law,
@@ -303,7 +303,7 @@ def test_criterion_9_determinism(tmp_path):
     )
     cache_dir = tmp_path / "cache"
     for label in ("a_tilde", "a_tilde_sq_conv", "rankin_c"):
-        build_table(RunConfig(cache_dir), label, 16000, verbose=False)
+        build_table(cache_dir, label, 16000, verbose=False)
     src = str(Path(zm.__file__).resolve().parent.parent)
     ledgers = {}
     for threads in ("1", "2"):

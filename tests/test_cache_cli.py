@@ -15,7 +15,6 @@ import zetamoments as zm
 from zetamoments import cache
 from zetamoments.cli import (
     ResultLedger,
-    RunConfig,
     build_table,
     cmd_selfcheck,
     load_coeff_table,
@@ -153,19 +152,17 @@ def test_csv_export(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_build_tables_idempotent(tmp_path, capsys):
-    cfg = RunConfig(tmp_path)
-    build_table(cfg, "d_2", 10**4)
+    build_table(tmp_path, "d_2", 10**4)
     files = list(tmp_path.glob("*.zml"))
     assert len(files) == 1
     digest = files[0].read_bytes()
-    build_table(cfg, "d_2", 10**4)  # cache hit
+    build_table(tmp_path, "d_2", 10**4)  # cache hit
     assert files[0].read_bytes() == digest
     assert "cache hit" in capsys.readouterr().out
 
 
 def test_build_tables_tau_spot_value(tmp_path):
-    cfg = RunConfig(tmp_path)
-    build_table(cfg, "tau", 1000)
+    build_table(tmp_path, "tau", 1000)
     out = tmp_path / "export.csv"
     assert main(["--cache-dir", str(tmp_path), "export", "--label", "tau",
                  "--N", "1000", "--out", str(out)]) == 0
@@ -177,7 +174,7 @@ def _check_tau_pins(tmp_path, N: int, values_sha256: str, width: int, sha256: st
     # tau is exact integers, so its cache payload is the same on every
     # platform; the values are pinned through their ZML1 encoding, the bytes
     # by the payload's own sha256
-    build_table(RunConfig(tmp_path), "tau", N)
+    build_table(tmp_path, "tau", N)
     path = tmp_path / cache.cache_key("tau", {}, N)
     tau = cache.load_table(path)[2]
     assert hashlib.sha256(_payload_per_value(tau)).hexdigest() == values_sha256
@@ -211,7 +208,7 @@ def test_build_tables_dk_bytes_pinned(tmp_path, k, N, sha256):
     # d_k is exact integers, so its cache payload is the same everywhere;
     # `sha256` pins the values as little-endian int64 (their ZML1 payload),
     # _DK_PAYLOAD the width and the bytes that are stored
-    build_table(RunConfig(tmp_path), f"d_{k}", N)
+    build_table(tmp_path, f"d_{k}", N)
     path = tmp_path / cache.cache_key(f"d_{k}", {"k": k}, N)
     values = cache.load_table(path)[2]
     assert hashlib.sha256(values.astype("<i8").tobytes()).hexdigest() == sha256
@@ -231,8 +228,7 @@ _DK_PAYLOAD = {
 
 
 def test_build_tables_dependency_chain(tmp_path):
-    cfg = RunConfig(tmp_path)
-    build_table(cfg, "rankin_c", 2000)
+    build_table(tmp_path, "rankin_c", 2000)
     # builds tau and a_tilde on the way
     assert (tmp_path / cache.cache_key("tau", {}, 2000)).exists()
     assert (tmp_path / cache.cache_key("a_tilde", {}, 2000)).exists()
@@ -240,7 +236,7 @@ def test_build_tables_dependency_chain(tmp_path):
 
 def test_load_coeff_table_rejects_tau_before_building(tmp_path):
     with pytest.raises(ValueError, match="big-integer"):
-        load_coeff_table(RunConfig(tmp_path), "tau", 1000)
+        load_coeff_table(tmp_path, "tau", 1000)
     assert not (tmp_path / cache.cache_key("tau", {}, 1000)).exists()
 
 
@@ -249,13 +245,12 @@ def test_build_tables_unknown_label(tmp_path):
 
 
 def test_checksum_mismatch_forces_rebuild(tmp_path, capsys):
-    cfg = RunConfig(tmp_path)
-    build_table(cfg, "d_2", 1000)
+    build_table(tmp_path, "d_2", 1000)
     path = next(tmp_path.glob("*.zml"))
     raw = bytearray(path.read_bytes())
     raw[-1] ^= 0xFF
     path.write_bytes(bytes(raw))
-    vals = build_table(cfg, "d_2", 1000)
+    vals = build_table(tmp_path, "d_2", 1000)
     assert "rebuilding" in capsys.readouterr().out
     assert np.array_equal(vals, zm.sieve_dk(2, 1000).values)
     _, _, reloaded = cache.load_table(path)  # healthy again
@@ -303,8 +298,7 @@ def test_corrupt_cache_header_is_a_cache_error(tmp_path, old, new, message):
 def test_bigint_value_count_must_fill_the_payload(tmp_path, capsys, count):
     # a tau file's value count is outside its checksum: the payload must hold
     # exactly width * count bytes on both paths, else the file is rebuilt
-    cfg = RunConfig(tmp_path)
-    tau = build_table(cfg, "tau", 5)
+    tau = build_table(tmp_path, "tau", 5)
     path = tmp_path / cache.cache_key("tau", {}, 5)
     good = path.read_bytes()
     path.write_bytes(good[:4] + struct.pack("<Q", count) + good[12:])
@@ -313,7 +307,7 @@ def test_bigint_value_count_must_fill_the_payload(tmp_path, capsys, count):
     with pytest.raises(cache.CacheError, match="payload bytes"):
         cache.load_table(path)
     capsys.readouterr()
-    assert build_table(cfg, "tau", 5) == tau
+    assert build_table(tmp_path, "tau", 5) == tau
     assert f"[cache corrupt, rebuilding] {path}" in capsys.readouterr().out
     assert path.read_bytes() == good
 
@@ -337,6 +331,16 @@ def test_zml1_file_is_rebuilt_and_not_exported(tmp_path, capsys):
     assert main(argv) == 0
     assert f"[cache corrupt, rebuilding] {path}" in capsys.readouterr().out
     assert path.read_bytes() == good
+
+
+def test_export_to_a_directory_exits_2(tmp_path, capsys):
+    # an OSError other than FileNotFoundError is an input error too: exit 2,
+    # not the exit 1 of a failed verdict, and no traceback
+    assert main(["--cache-dir", str(tmp_path), "build-tables", "d_2=100"]) == 0
+    assert main(["--cache-dir", str(tmp_path), "export", "--label", "d_2", "--N", "100",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_build_tables_reads_back_nothing_and_decodes_no_hit(tmp_path, monkeypatch, capsys):
@@ -597,17 +601,23 @@ def test_experiment_f4_cell_without_k_writes_k2_rows(tmp_path):
     # an empty sigma line used to drop its block: exit 0, no row, no summary entry
     ([], "T_grid = 50 100\n\nfamily = zeta\nsigma =\n", "manifest key 'sigma' has no value"),
     ([], "T_grid = 50 100\nN = 5\n", "family zeta reads no table; it takes no N"),
-    ([], "T_grid = 50 100\nrel_tol = 0.5\n", "rel_tol must lie in [1e-5, 1e-2]"),
+    ([], "T_grid = 50 100\nrel_tol = 0.5\n", "unknown manifest key(s) ['rel_tol']"),
     # a bad later cell: the checks of every cell precede the first cell
     ([], "T_grid = 50 100\n\nfamily = zeta\nsigma = 0.4\n", "sigma=0.4 outside (1/2, 1)"),
     ([], "T_grid = 50 100\n\nfamily = zeta\nT_grid = 50 6000\n",
      "T_grid [50.0, 6000.0] has a T outside the desk range [1, 5000]"),
-    ([], "T_grid = 50 100\n\nfamily = zeta\nrel_tol = 1e-7\n", "rel_tol must lie in"),
+    ([], "T_grid = 50 100\n\nfamily = zeta\nrel_tol = 1e-7\n",
+     "unknown manifest key(s) ['rel_tol']"),
     ([], "T_grid = 50 100\n\nfamily = F2\nsigma = 0.8\nN = 8000\n",
      "build-tables a_tilde=8000"),
     # a later cell with a zeta k above 6: no cell runs, no row is written
     ([], "T_grid = 10 20\n\nfamily = zeta\nk = 7\nsigma = 0.75\nT_grid = 100 200\n",
      "family zeta takes an integer k in 1..6, not k=7"),
+    # an N below 1 used to pass the parse and ask for `build-tables a_tilde=0`
+    ([], "T_grid = 50 100\n\nfamily = F2\nsigma = 0.8\nN = 0\n",
+     "manifest key 'N' must be at least 1, not 0"),
+    ([], "T_grid = 50 100\n\nfamily = F2\nsigma = 0.8\nN = -5\n",
+     "manifest key 'N' must be at least 1, not -5"),
 ])
 def test_experiment_run_errors_exit_2(tmp_path, capsys, argv, manifest, message):
     m = tmp_path / "m.txt"
@@ -622,10 +632,10 @@ def test_experiment_run_errors_exit_2(tmp_path, capsys, argv, manifest, message)
 
 def test_shared_passes_write_the_ledger_of_one_command_per_cell(tmp_path):
     # cells that share a grid share its passes: a zeta sigma pair at one k;
-    # F2, F4 and Z2 at different sigma on one N; and a group where the cell
-    # with the tighter rel_tol needs a second halving level and the others
-    # do not.  One command writes the rows and diagnostics that one command
-    # per cell writes, byte for byte
+    # F2, F4 and Z2 at different sigma on one N; and a group where the
+    # sigma = 0.8 cell needs a second halving level and the 0.6 and 0.75
+    # cells do not.  One command writes the rows and diagnostics that one
+    # command per cell writes, byte for byte
     cache_dir = str(tmp_path / "c")
     assert main(["--cache-dir", cache_dir, "build-tables", "a_tilde=8000",
                  "a_tilde_sq_conv=8000", "rankin_c=8000"]) == 0
@@ -634,7 +644,7 @@ def test_shared_passes_write_the_ledger_of_one_command_per_cell(tmp_path):
              "family = F4\nsigma = 0.8\nT_grid = 20 40\nN = 8000\n",
              "family = Z2\nsigma = 0.9\nT_grid = 20 40\nN = 8000\n",
              "family = zeta\nk = 1\nsigma = 0.6 0.75\nT_grid = 6 12\n",
-             "family = zeta\nk = 1\nsigma = 0.75\nT_grid = 6 12\nrel_tol = 5e-5\n"]
+             "family = zeta\nk = 1\nsigma = 0.8\nT_grid = 6 12\n"]
 
     def run(manifests, out):
         for i, text in enumerate(manifests):
@@ -690,6 +700,20 @@ def test_cells_that_read_one_table_load_it_once(tmp_path, monkeypatch):
     assert shared == (tmp_path / "solo" / "ledger.csv").read_bytes()
 
 
+def test_experiment_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    # the cells run, then the ledger cannot be written: exit 2, not the exit 1
+    # of a failed verdict, and the file is left as it was
+    m = tmp_path / "m.txt"
+    m.write_text("family = zeta\nk = 1\nsigma = 0.75\nT_grid = 50 100\n")
+    out = tmp_path / "r"
+    out.write_text("a file, not a directory\n")
+    assert main(["--cache-dir", str(tmp_path / "c"), "experiment", str(m),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out.read_text() == "a file, not a directory\n"
+
+
 def test_experiment_rerun_appends_identical_rows(tmp_path):
     m = tmp_path / "m.txt"
     m.write_text("family = zeta\nk = 1\nsigma = 0.75\nT_grid = 50 100\n")
@@ -706,7 +730,7 @@ def test_experiment_rerun_appends_identical_rows(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_selfcheck_passes_fresh(tmp_path, capsys):
-    assert cmd_selfcheck(RunConfig(tmp_path)) == 0
+    assert cmd_selfcheck(tmp_path) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
 
@@ -718,7 +742,7 @@ def test_selfcheck_catches_a_wrong_phase_sum(tmp_path, capsys, monkeypatch):
         return nufft(ts, h, ln, W, widths, plan) * (1.0 + 1e-10)
 
     monkeypatch.setattr(zm.evaluate, "_nufft", off_by_a_part_in_1e10)
-    assert cmd_selfcheck(RunConfig(tmp_path)) == 1
+    assert cmd_selfcheck(tmp_path) == 1
     assert "[FAIL] NUFFT phase sum" in capsys.readouterr().out
 
 
@@ -737,7 +761,7 @@ def test_selfcheck_catches_a_wrong_tail_at_height(tmp_path, capsys, monkeypatch)
         return est
 
     monkeypatch.setattr(zm.evaluate, "_zeta_em_tail", off_by_1e_6)
-    assert cmd_selfcheck(RunConfig(tmp_path)) == 1
+    assert cmd_selfcheck(tmp_path) == 1
     out = capsys.readouterr().out
     assert "[FAIL] zeta at t ~ 1e4" in out and out.count("[FAIL]") == 1
     assert len(blocks) == 2
@@ -754,20 +778,19 @@ def test_selfcheck_catches_a_column_that_depends_on_its_neighbours(tmp_path, cap
         return out
 
     monkeypatch.setattr(zm.evaluate, "_nufft", last_column_off_when_shared)
-    assert cmd_selfcheck(RunConfig(tmp_path)) == 1
+    assert cmd_selfcheck(tmp_path) == 1
     out = capsys.readouterr().out
     assert "[FAIL] zeta k=1, sigma 0.75 and 0.9 to T=200: one shared pass" in out
     assert out.count("[FAIL]") == 1
 
 
 def test_selfcheck_catches_corrupt_tau_cache(tmp_path, capsys):
-    cfg = RunConfig(tmp_path)
     # valid checksum over corrupted values: checksum passes, Hecke must fail
     bad = list(zm.tau_table(10**4).tau)
     bad[23] += 7
     path = tmp_path / cache.cache_key("tau", {}, 10**4)
     cache.save_table(path, "tau", {"N": 10**4}, bad)
-    assert cmd_selfcheck(cfg) == 1
+    assert cmd_selfcheck(tmp_path) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and str(path) in out
 

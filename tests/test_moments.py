@@ -328,7 +328,7 @@ def test_integrate_additive():
 
 
 def test_integrate_step_halving_consistency():
-    rec = integrate_moment_grid("zeta", 2, 0.75, [200.0], rel_tol=1e-4)[0]
+    rec = integrate_moment_grid("zeta", 2, 0.75, [200.0])[0]
     assert rec.quad_err < 1e-4 * rec.integral
 
 
@@ -339,9 +339,6 @@ def test_integrate_rejects_bad_args():
         integrate_moment_grid("zeta", 1, 0.75, [10**4])
     with pytest.raises(ValueError):
         integrate_moment_grid("nope", 1, 0.75, [100.0])
-    for rel_tol in (1e-6, 0.05):
-        with pytest.raises(ValueError, match="rel_tol must lie in"):
-            integrate_moment_grid("zeta", 1, 0.75, [100.0], rel_tol=rel_tol)
 
 
 @pytest.mark.parametrize("T_grid, step", [
@@ -400,7 +397,7 @@ def test_admission_bounds_every_grid():
     # reach at most 4e6 points, on the fourth-level grid at step h/16; a cap
     # widened without a new bound fails here first
     with pytest.raises(ValueError):
-        _check_ranges(0.75, [5000.5], None)
+        _check_ranges(0.75, [5000.5])
     with pytest.raises(ValueError):
         zm.moments.family_of("zeta", _ZETA_K_MAX + 1)
     top = {}
@@ -441,8 +438,8 @@ def test_zeta_quad_err_bounds_a_4x_finer_start(k, sigma, T_grid):
 
 @pytest.mark.parametrize("family, k", [("F2", 1), ("F4", 2), ("Z2", 1)])
 def test_series_keep_the_fixed_start_step(family, k):
-    for T in (2.0, 20.0, 50.0, 160.0, 1000.0, 5000.0):
-        assert moment_step(family, k, T) == min(0.02, 0.4 / math.log(T))
+    for T_max in range(2, 5001):
+        assert moment_step(family, k, float(T_max)) == 0.02
 
 
 def test_zeta_start_step_is_the_coarsest_at_the_nyquist_limit():
