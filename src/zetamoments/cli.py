@@ -26,8 +26,9 @@ Each moments.MomentRecord appends as one ledger.csv row, its fields the columns
 (family,k,sigma,T,integral,main,residual,quad_err); a JSON summary per run
 records slope / theory_exponent / pass, the cell's moments.QuadraturePass
 (start step `h`, halving `level`, integrand `points`, Euler-Maclaurin cut
-`em_cut`, null for series, Y-doubling `spread`, and the final level's `blocks`,
-each with its first and last t, points, em_cut or Y, and zeta's `estimate`),
+`em_cut` = max(2t/3, 50) at the grid's last t, null for series, Y-doubling
+`spread`, and the final level's `blocks`, each with its first and last t,
+points, em_cut or Y, and zeta's `estimate`),
 its wall seconds per stage (`stage_s`: table_load, main_term, integrand with a
 pole's residue, simpson_fit) and the sha256 of the cached table it read
 (`table_sha256`, null for zeta), none of which reach ledger.csv.  A command
@@ -35,8 +36,9 @@ loads each table once, for every cell that reads it, and splits its
 `stage_s.table_load` evenly among them.
 The cells of a manifest run as one call: cells that share a grid share its
 integrand passes (see moments), and the rows are appended in manifest order
-once every cell has run.  A shared pass's integrand time is split evenly
-among the cells it evaluated, so `stage_s.integrand` is each cell's share.
+once every cell has run, into an --out-dir made before the first cell runs.
+A shared pass's integrand time is split evenly among the cells it
+evaluated, so `stage_s.integrand` is each cell's share.
 Identical manifests re-run against the same cache append identical value
 rows, independent of the BLAS thread count and of which cells share a
 manifest.
@@ -69,7 +71,6 @@ class ResultLedger:
 
     def append_records(self, records) -> None:
         new = not self.csv_path.exists()
-        self.csv_path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.csv_path, "a") as f:
             if new:
                 f.write(self.CSV_HEADER + "\n")
@@ -78,7 +79,6 @@ class ResultLedger:
 
     def write_summary(self, cells: list) -> None:
         payload = {"run_id": self.run_id, "cells": cells}
-        self.summary_path.parent.mkdir(parents=True, exist_ok=True)
         self.summary_path.write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -231,6 +231,9 @@ def run_cells(cache_dir: Path, cells: list[dict], ledger: ResultLedger) -> bool:
         specs.append(dict(family=cell["family"], k=cell["k"], sigma=cell["sigma"],
                           T_grid=cell["T_grid"], coeffs=coeffs,
                           **({"slack": cell["slack"]} if "slack" in cell else {})))
+    # an output directory that cannot be made fails here, before any cell's work
+    for path in (ledger.csv_path, ledger.summary_path):
+        path.parent.mkdir(parents=True, exist_ok=True)
     # one call for every cell: cells that share a grid share its passes
     results = moments._experiments(specs)
     all_pass = True
@@ -290,8 +293,8 @@ def cmd_selfcheck(cache_dir: Path) -> int:
     # (A2, D), the cells and rows of its short FFTs: a series-sized block
     # (6000 points, 12 000 terms, two columns), a zeta-shaped one (t in
     # [1, 50), 98 terms n^-0.75, one column), a grid whose phases wrap
-    # (h ln N = 29 > 2 pi, so D = 1: one FFT of the whole grid) and the zeta
-    # k = 3 top block (25 569 points, 1599 terms n^-0.9, L = 65 000, D = 26)
+    # (h ln N = 29 > 2 pi, so D = 1: one FFT of the whole grid) and a long
+    # zeta-shaped one (25 569 points, 1599 terms n^-0.9, L = 65 000, D = 26)
     rng = np.random.default_rng(7)
     for name, ts, W in (
         ("series", 100.0 + 0.01 * np.arange(6000),
@@ -299,7 +302,7 @@ def cmd_selfcheck(cache_dir: Path) -> int:
         ("zeta", 1.0 + 0.01 * np.arange(4900), (np.arange(1.0, 99.0) ** -0.75)[:, None]),
         ("wrapping", 7.0 + 3.1 * np.arange(500),
          rng.standard_normal((12000, 2)) * (np.arange(1.0, 12001.0) ** -0.75)[:, None]),
-        ("zeta k=3 top", 1.0 + np.arange(25569) / 32.0, (np.arange(1.0, 1600.0) ** -0.9)[:, None]),
+        ("long zeta", 1.0 + np.arange(25569) / 32.0, (np.arange(1.0, 1600.0) ** -0.9)[:, None]),
     ):
         ln = np.log(np.arange(1.0, len(W) + 1.0))
         h = _grid_step(ts)
@@ -335,11 +338,11 @@ def cmd_selfcheck(cache_dir: Path) -> int:
 
     # the quadrature estimate against the same cell from a 4x finer start, on
     # a cell whose start step the band limit sets (h = 1/6), not the 1/4 cap
-    cell = dict(family="zeta", k=2, sigma=0.75, T_grid=[800.0])
+    cell = dict(family="zeta", k=3, sigma=0.9, T_grid=[800.0])
     rule = moments.integrate_moment_grid(**cell)[0]
     finer = moments._integrate_cells([cell], refine=4)[0][0]
     ratio = abs(rule.integral - finer.integral) / rule.quad_err
-    check("zeta k=2 moment to T=800 within its quad_err of a 4x finer start", ratio < 1,
+    check("zeta k=3 moment to T=800 within its quad_err of a 4x finer start", ratio < 1,
           f"|dI| = {ratio:.3f} quad_err")
 
     # a shared pass against its cells' solo passes: the column bits must not

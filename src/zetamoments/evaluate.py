@@ -1,6 +1,6 @@
 """Numerical evaluation of zeta, Gamma, chi and smoothed Dirichlet series.
 
-zeta(s) is computed by Euler-Maclaurin summation with cut M = max(2|t|, 50),
+zeta(s) is computed by Euler-Maclaurin summation with cut M = max(2|t|/3, 50),
 in one body, `_zeta_em`, that takes several sigma on one grid and is shared
 by the scalar `zeta_em` (a one-point grid), `zeta_em_grid` (cut at max |t|)
 and the moment passes, after one domain check, the pole at s = 1 and the
@@ -117,7 +117,16 @@ class EvalResult:
 
 
 def _em_cut(t: float) -> int:
-    return int(max(2.0 * abs(t), 50.0))
+    """The Euler-Maclaurin cut M = max(2|t|/3, 50) at height t.
+
+    Each Bernoulli term is about (|t|/(2 pi M))^2 times the one before, so M
+    keeps a fixed ratio to |t|: at 2|t|/3 that factor is 0.057, and the
+    _EM_TERMS = 12 terms bring the remainder under _EM_RATIO of the phase
+    sum's rounding bound at every |t| <= 1e5 and sigma in [1/2, 1); at
+    0.6|t| they do not, near t = 85.  The main sum has a third of the terms
+    of a cut at 2|t|.
+    """
+    return int(max(2.0 * abs(t) / 3.0, 50.0))
 
 
 def _zeta_domain(sigmas, ts: np.ndarray) -> float:
@@ -135,7 +144,7 @@ def _zeta_domain(sigmas, ts: np.ndarray) -> float:
 def zeta_em(s: complex, target_abs_err: float = 1e-9) -> EvalResult:
     """zeta(s) by Euler-Maclaurin; raises if the target is out of reach.
 
-    A one-point `_zeta_em` at the cut max(2|t|, 50), so its value is
+    A one-point `_zeta_em` at the cut `_em_cut(t)`, so its value is
     bit-identical to `zeta_em_grid` at the same point.  The target is held
     against the full estimate: the method's part (remainder and phase
     rounding) plus the rounding of the tail and the value, which near the

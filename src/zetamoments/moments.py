@@ -28,8 +28,8 @@ sieve sum with a density-completed tail.  The local factor is
 form with the polynomial N_k(x) = sum_{i<k} C(k-1, i)^2 x^i.
 Moments are composite-Simpson integrals of |.|^{2k} from the start step of
 moment_step, validated by step halving: for zeta the coarsest h = 1/(2q)
-<= 1/4 that samples the integrand's top frequency k log M at least twice
-per period (M the grid's top Euler-Maclaurin cut), for the series families
+<= 1/4 that samples the integrand's top frequency k log(T/2 pi) at least
+twice per period (T the grid's top), for the series families
 0.02, as their integrand jumps where the smoothing Y changes between
 blocks.  A level passes when every T's step-halving difference is within
 _REL_TOL = 1e-4 of its integral.  Every family splits a pass by one rule:
@@ -514,7 +514,8 @@ def _group_evaluator(group: list):
     cell the |.|^{2k} of the points tt at parameter p, its Y-doubling spread
     and its PassBlock's parameter fields.  One evaluation serves every cell:
     zeta's columns n^-sigma, one per cell, are summed by Euler-Maclaurin at
-    the block's own top cut, and each PassBlock carries its cell's estimate;
+    the block's own top cut (`_em_cut` of its last t, 2t/3 from t = 75 up),
+    and each PassBlock carries its cell's estimate;
     a series is smoothed at Y = min(max(2 hi, 100), N/74), as Y must grow
     with t, with each table's Y and 2Y columns and a pole's residue A
     (sum_{n<=x} c_n = A x + Delta) estimated from the cell's own table, and
@@ -581,15 +582,19 @@ def moment_step(family: str, k: int, T_max: float) -> float:
     """Simpson's start step h for the 2k-th moment of `family` over [1, T_max].
 
     zeta: the coarsest h = 1/(2q), q an integer of at least 2, with
-    h k log M <= pi, where M = _em_cut(T_max) is the grid's top
-    Euler-Maclaurin cut.  |sum_{n<M} n^{-s}|^{2k} has frequencies of at most
-    k log M, so the nodes take at least 2 samples per period of the top one
-    at h (its Nyquist limit) and 4 at h/2; chunks with different cuts agree
-    to rounding.  The cap h <= 1/4 binds only for k = 1 and T_max <= 267:
-    from h = 1/2 a grid that holds a small T (T_grid = 25 50 100 200) fails
-    the first level and refines to the grid h = 1/4 starts from.  As 1/h is
-    an even integer, (T - 1)/(2h) is an integer for integer T, which stays
-    on the grid at every halving level.
+    h k log(T_max/2 pi) <= pi (a T_max below 2 pi counting as 2 pi).  The
+    approximate functional equation zeta(s) = sum_{n<=x} n^{-s}
+    + chi(s) sum_{n<=y} n^{s-1}, xy = t/2 pi, puts zeta's local frequencies
+    in [0, log(t/2 pi)], the top one the rate of chi's phase, so |zeta|^{2k}
+    has frequencies of at most k log(T_max/2 pi) and the nodes take at least
+    2 samples per period of the top one at h (its Nyquist limit) and 4 at
+    h/2.  The Euler-Maclaurin cut does not enter: it sets how zeta is
+    summed, not what zeta is.  The cap h <= 1/4 binds for k = 1 at every
+    admitted T_max, for k = 2 to T_max = 3364 and for k = 3 to 414:
+    from h = 1/2 some of the desk grids fail the first level and refine to
+    the grid h = 1/4 starts from.  As 1/h is an even integer, (T - 1)/(2h)
+    is an integer for integer T, which stays on the grid at every halving
+    level.
 
     F2, F4, Z2: 0.02.  Their integrand jumps at the block edges, where the
     smoothing Y changes, and at a coarser start the step-halving difference
@@ -597,7 +602,8 @@ def moment_step(family: str, k: int, T_max: float) -> float:
     """
     if family_of(family, k).table is not None:
         return 0.02
-    q = max(2, math.ceil(k * math.log(_em_cut(T_max)) / (2.0 * math.pi)))
+    band = k * math.log(max(T_max, 2.0 * math.pi) / (2.0 * math.pi))
+    q = max(2, math.ceil(band / (2.0 * math.pi)))
     return 1.0 / (2 * q)
 
 

@@ -445,13 +445,13 @@ def test_experiment_summary_carries_quadrature_diagnostics(tmp_path):
         h2 = cell["h"] / 2.0 ** cell["level"]
         assert cell["points"] == int(round((50.0 - 1.0) / h2)) + 1
     assert f2["h"] == zm.moments.moment_step("F2", 1, 50.0) and f2["em_cut"] is None
-    assert zeta["h"] == zm.moments.moment_step("zeta", 1, 50.0) and zeta["em_cut"] == 100
+    assert zeta["h"] == zm.moments.moment_step("zeta", 1, 50.0) and zeta["em_cut"] == 50
     # the final level's blocks: F2's two runs of one Y (Y = 100 below t = 50,
     # then N/74), zeta's one chunk at its top cut
     assert [(b["t_first"], b["t_last"], b["Y"], b["em_cut"]) for b in f2["blocks"]] == [
         (1.0, f2["blocks"][0]["t_last"], 100.0, None), (50.0, 50.0, 8000 / 74.0, None)]
     (zb,) = zeta["blocks"]
-    assert zb == {"t_first": 1.0, "t_last": 50.0, "points": zeta["points"], "em_cut": 100,
+    assert zb == {"t_first": 1.0, "t_last": 50.0, "points": zeta["points"], "em_cut": 50,
                   "Y": None, "estimate": zb["estimate"]}
     # every zeta block carries its _zeta_em estimate; a series block has none
     assert 0 < zb["estimate"] < 1e-9
@@ -700,9 +700,17 @@ def test_cells_that_read_one_table_load_it_once(tmp_path, monkeypatch):
     assert shared == (tmp_path / "solo" / "ledger.csv").read_bytes()
 
 
-def test_experiment_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
-    # the cells run, then the ledger cannot be written: exit 2, not the exit 1
-    # of a failed verdict, and the file is left as it was
+def test_experiment_out_dir_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    # the output directory cannot be made: exit 2, not the exit 1 of a failed
+    # verdict, before any pass runs, and the file is left as it was
+    passes = []
+    run_groups = zm.moments._run_groups
+
+    def spy(groups):
+        passes.append(groups)
+        run_groups(groups)
+
+    monkeypatch.setattr(zm.moments, "_run_groups", spy)
     m = tmp_path / "m.txt"
     m.write_text("family = zeta\nk = 1\nsigma = 0.75\nT_grid = 50 100\n")
     out = tmp_path / "r"
@@ -712,6 +720,7 @@ def test_experiment_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert out.read_text() == "a file, not a directory\n"
+    assert passes == []
 
 
 def test_experiment_rerun_appends_identical_rows(tmp_path):

@@ -239,8 +239,36 @@ def test_em_terms_are_the_fewest_under_the_ratio(sigma, t):
     assert R == 1 or _remainder(sigma, t, M, R - 1) > _EM_RATIO * rnd
 
 
+@pytest.mark.parametrize("sigma", [0.5, 0.55, 0.75, 0.9, 0.99])
+def test_em_terms_meet_the_ratio_over_the_admitted_range(sigma):
+    # at the cut _em_cut(t), _EM_TERMS Bernoulli terms are enough at every
+    # desk height: each integer t to 400, where the cut leaves its floor of
+    # 50 and the ratio is tightest, then 2000 heights geometric to 1e5
+    for t in np.unique(np.r_[np.arange(1.0, 401.0), np.geomspace(1.0, 1e5, 2000)]):
+        M = _em_cut(t)
+        n = np.arange(1, M, dtype=np.float64)
+        rnd = float(_rounding_model(np.array([t]), np.log(n), (n ** -sigma)[:, None])[0])
+        R, trunc = _em_terms(sigma, t, M, _em_coeffs(M), rnd)[:2]
+        assert R <= _EM_TERMS and trunc <= _EM_RATIO * rnd, t
+
+
+@pytest.mark.parametrize("t", [85.0, 113.0, 1000.0, 3600.0, 1e5])
+def test_zeta_within_its_estimate_where_the_remainder_is_tightest(t):
+    # mpmath at 30 digits against the scalar call and the last point of a
+    # uniform grid (the NUFFT path): at t = 85 and 113 the cut has just left
+    # its floor of 50 and the tail sums 11 or 12 Bernoulli terms, the most
+    # of any height; then up to the top of the desk range
+    ts = t + np.arange(-32, 1) / 16.0
+    for sigma in (0.5, 0.75, 0.99):
+        ref = _mp_zeta(complex(sigma, t))
+        r = zeta_em(complex(sigma, t), 1e-6)
+        assert abs(r.value - ref) <= r.abs_error_estimate, sigma
+        vals, (est,) = _zeta_em((sigma,), ts, _em_cut(t))
+        assert abs(vals[-1, 0] - ref) <= est, sigma
+
+
 def test_em_terms_at_the_real_axis_and_on_the_zeta_workload(monkeypatch):
-    # four terms at s = 1.5, six on each zeta moment grid to T = 800
+    # four terms at s = 1.5, ten on each zeta moment grid to T = 800
     terms = zm.evaluate._em_terms
     got = []
 
@@ -255,11 +283,11 @@ def test_em_terms_at_the_real_axis_and_on_the_zeta_workload(monkeypatch):
     got.clear()
     for k, sigma in ((1, 0.75), (1, 0.9), (2, 0.75), (3, 0.9)):
         zeta_em_grid(sigma, _moment_block("zeta", k, 800.0, 400.0, 800.0))
-    assert got == [6] * 4
+    assert got == [10] * 4
 
 
 @pytest.mark.parametrize("t0, step, npts", [
-    (1.0, 1 / 12, 9589),  # the zeta k = 1 pass to T = 800: h not a power of 2
+    (1.0, 1 / 12, 9589),  # the zeta k = 3 pass to T = 800: h not a power of 2
     (98_000.0, 0.05, 5000),
     (-4.75, 0.5, 20),  # 64 h is far above max |t|
     (3.0, 0.1, 130),  # a partial last row of anchors
@@ -533,9 +561,9 @@ def test_nufft_matches_a_full_length_fft_of_its_grid(ts, nterms, rng, monkeypatc
 
 @pytest.mark.parametrize("npts, share", [(25569, 1), (1 << 19, 4)])
 def test_nufft_holds_no_grid_of_l_cells(npts, share):
-    # zeta-shaped grids of step 1/32 and their n^-0.9 columns: the zeta k = 3
-    # top block (1599 terms), whose spreading tile alone takes more than a
-    # quarter of a grid of L complex cells, and a 2^19-point chunk (32 767
+    # zeta-shaped grids of step 1/32 and their n^-0.9 columns: a grid to
+    # t = 800 (532 terms), whose spreading tile alone takes more than a
+    # quarter of a grid of L complex cells, and a 2^19-point chunk (10 922
     # terms); beyond its returned modes, a call allocates less than 1/share
     # of one such grid (transforming the whole grid would take more than one
     # grid before the FFT's own scratch)

@@ -188,14 +188,14 @@ def test_a_record_is_exactly_a_ledger_row():
     assert names == ["family", "k", "sigma", "T", "integral", "main", "residual", "quad_err"]
     recs = integrate_moment_grid("zeta", 1, 0.75, [50.0, 150.0])
     q = recs.quadrature
-    assert (q.h, q.em_cut, q.spread) == (moment_step("zeta", 1, 150.0), 300, 0.0)
+    assert (q.h, q.em_cut, q.spread) == (moment_step("zeta", 1, 150.0), 100, 0.0)
     assert q.points == int(round(149.0 / (q.h / 2.0**q.level))) + 1
     (block,) = q.blocks
-    assert block[:5] == (1.0, 150.0, q.points, 300, None)
-    assert block == zm.moments.PassBlock(1.0, 150.0, q.points, em_cut=300, estimate=block.estimate)
+    assert block[:5] == (1.0, 150.0, q.points, 100, None)
+    assert block == zm.moments.PassBlock(1.0, 150.0, q.points, em_cut=100, estimate=block.estimate)
     # the block's estimate is _zeta_em's for its grid and cut
     ts = 1.0 + q.h / 2.0**q.level * np.arange(q.points)
-    assert block.estimate == _zeta_em((0.75,), ts, 300)[1][0] and 0 < block.estimate < 1e-9
+    assert block.estimate == _zeta_em((0.75,), ts, 100)[1][0] and 0 < block.estimate < 1e-9
     assert q.integrand_s > 0.0 and q.simpson_s > 0.0
 
 
@@ -267,18 +267,18 @@ def test_zeta_pass_is_one_call_at_the_top_cut(monkeypatch):
     for k, sigma in ((1, 0.75), (1, 0.9), (2, 0.75), (3, 0.9)):
         calls.clear()
         recs = integrate_moment_grid("zeta", k, sigma, [100.0, 200.0, 400.0, 800.0])
-        assert calls == [(recs.quadrature.points, 800.0)] and recs.quadrature.em_cut == 1600
+        assert calls == [(recs.quadrature.points, 800.0)] and recs.quadrature.em_cut == 533
         assert recs.quadrature.level == 1
         points += calls[0][0]
-    assert points == 35_160
+    assert points == 28_768
 
 
 def test_pass_em_cut_is_its_top_blocks_cut():
-    # the grid ends past the top T, at t = 200.5, so the top block's cut is
-    # 401, not _em_cut(200.49) = 400
-    q = integrate_moment_grid("zeta", 1, 0.75, [100.0, 200.49]).quadrature
-    assert q.blocks[-1].t_last == 200.5
-    assert q.em_cut == q.blocks[-1].em_cut == 401
+    # the grid ends past the top T, at t = 201, so the top block's cut is
+    # 134, not _em_cut(200.99) = 133
+    q = integrate_moment_grid("zeta", 1, 0.75, [100.0, 200.99]).quadrature
+    assert q.blocks[-1].t_last == 201.0
+    assert q.em_cut == q.blocks[-1].em_cut == 134 != _em_cut(200.99)
 
 
 def test_zeta_pass_splits_into_equal_chunks(monkeypatch):
@@ -295,7 +295,7 @@ def test_zeta_pass_splits_into_equal_chunks(monkeypatch):
     n = integrate_moment_grid("zeta", 1, 0.75, [100.0, 300.0]).quadrature.points
     assert len(cuts) == -(-n // 1000) == 3 and sum(m for m, _, _ in cuts) == n
     assert max(m for m, _, _ in cuts) - min(m for m, _, _ in cuts) <= 1
-    assert [M for _, _, M in cuts] == [int(max(2.0 * t, 50.0)) for _, t, _ in cuts]
+    assert [M for _, _, M in cuts] == [int(max(2.0 * t / 3.0, 50.0)) for _, t, _ in cuts]
 
 
 def test_a_shared_block_splits_its_cells_not_its_points(monkeypatch):
@@ -409,10 +409,10 @@ def test_admission_bounds_every_grid():
                 npts = round((T_max - 1.0) / (h / 16.0)) + 1
                 assert npts <= 4_000_000
                 top[family] = max(top.get(family, 0), npts)
-    assert top == {"zeta": 1_439_713, "F2": 3_999_201, "F4": 3_999_201, "Z2": 3_999_201}
+    assert top == {"zeta": 1_119_777, "F2": 3_999_201, "F4": 3_999_201, "Z2": 3_999_201}
 
 
-@pytest.mark.parametrize("k, sigma, T_grid", [
+_ZETA_DESK_CELLS = [
     # the benchmark's seed-0 zeta cells, then the 4th and 6th moments near 1/2
     (1, 0.75, [100.0, 200.0, 400.0, 800.0]),
     (1, 0.9, [100.0, 200.0, 400.0, 800.0]),
@@ -425,15 +425,38 @@ def test_admission_bounds_every_grid():
     # up to the top T of the desk runs
     (k, sigma, [T_max / 4, T_max / 2, T_max])
     for k in (1, 2, 3) for sigma in (0.55, 0.95) for T_max in (800.0, 2000.0, 5000.0)
-])
+]
+
+
+@pytest.mark.parametrize("k, sigma, T_grid", _ZETA_DESK_CELLS)
 def test_zeta_quad_err_bounds_a_4x_finer_start(k, sigma, T_grid):
+    # at the band-limit start the first level converges, and its quad_err
+    # bounds the distance to a start 4x finer
     recs = integrate_moment_grid("zeta", k, sigma, T_grid)
     refs = _integrate_cells([dict(family="zeta", k=k, sigma=sigma, T_grid=T_grid)],
                             refine=4)[0]
     assert refs.quadrature.h == recs.quadrature.h / 4
+    assert recs.quadrature.level == 1
     for rec, ref, T in zip(recs, refs, T_grid):
         assert rec.T == ref.T == T
         assert abs(rec.integral - ref.integral) <= rec.quad_err
+
+
+def test_a_zeta_start_one_q_coarser_fails_the_first_level(monkeypatch):
+    # from h = 1/(2(q - 1)), one q coarser than moment_step's, the cells of
+    # test_zeta_quad_err_bounds_a_4x_finer_start at every k need a second
+    # level: the start step's rule is the coarsest that test admits
+    rule = moment_step
+    monkeypatch.setattr(zm.moments, "moment_step",
+                        lambda family, k, T_max: 1.0 / (1.0 / rule(family, k, T_max) - 2.0))
+    second = [(k, sigma, T_grid[-1]) for k, sigma, T_grid in _ZETA_DESK_CELLS
+              if integrate_moment_grid("zeta", k, sigma, T_grid).quadrature.level > 1]
+    assert second == [
+        (2, 0.75, 800.0), (3, 0.9, 800.0), (2, 0.55, 2000.0), (3, 0.55, 2000.0),
+        (1, 0.55, 800.0), (1, 0.55, 5000.0), (1, 0.95, 5000.0),
+        (2, 0.55, 800.0), (2, 0.55, 2000.0), (2, 0.95, 800.0), (2, 0.95, 2000.0),
+        (3, 0.55, 800.0), (3, 0.55, 2000.0),
+    ]
 
 
 @pytest.mark.parametrize("family, k", [("F2", 1), ("F4", 2), ("Z2", 1)])
@@ -443,18 +466,19 @@ def test_series_keep_the_fixed_start_step(family, k):
 
 
 def test_zeta_start_step_is_the_coarsest_at_the_nyquist_limit():
-    # h samples the top frequency k log M at least twice per period, holds
-    # h <= 1/4 and is 1/(2q); the next coarser q breaks one of the bounds
-    def within(q, k, log_M):
-        return q >= 2 and k * log_M / (2 * q) <= math.pi
+    # h samples zeta's top frequency k log(T_max/2 pi) at least twice per
+    # period, holds h <= 1/4 and is 1/(2q); the next coarser q breaks one of
+    # the bounds
+    def within(q, band):
+        return q >= 2 and band / (2 * q) <= math.pi
 
     for k in range(1, 7):
         for T_max in range(2, 5001):
             h = moment_step("zeta", k, float(T_max))
             q = round(1.0 / (2.0 * h))
-            log_M = math.log(_em_cut(float(T_max)))
+            band = k * math.log(max(T_max, 2 * math.pi) / (2 * math.pi))
             assert h == 1.0 / (2 * q)
-            assert within(q, k, log_M) and not within(q - 1, k, log_M)
+            assert within(q, band) and not within(q - 1, band)
 
 
 def test_criterion_6_cells_converge_at_level_1():
